@@ -69,10 +69,6 @@ cdef inline tuple _shift(tuple exps, tuple mono):
     return tuple(out)
 
 
-def term_mul_key(tuple key, tuple mono):
-    return (key[0], _shift(<tuple> key[1], mono))
-
-
 def leading_key(dict terms, keyfn):
     """Largest term key under keyfn, or None for the zero map."""
     if not terms:

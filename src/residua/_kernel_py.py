@@ -34,10 +34,6 @@ def exp_divides(a, b):
     return True
 
 
-def term_mul_key(key, mono):
-    return (key[0], tuple(x + y for x, y in zip(key[1], mono)))
-
-
 def leading_key(terms, keyfn):
     """Largest term key under keyfn, or None for the zero map."""
     if not terms:

@@ -86,13 +86,6 @@ class CommandError(Exception):
 # tokens for command arguments
 
 
-class Ref:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-
 class Last:
     __slots__ = ()
 
@@ -771,9 +764,6 @@ def h_resolve(eng, pos, kwargs, scope):
     _need(pos, 1, "resolve(gens, [over SCOPE], [cap=N], [minimal=true])")
     ring, ctx = eng.ring_and_context(pos, scope)
     gens = eng.as_gens(pos[0], ring)
-    v = eng.token_value(pos[0])
-    if scope is None and isinstance(v, (VIdeal, VTuple)) and v.context is not None:
-        ctx = v.context
     cap = eng.default_cap(kwargs)
     minimal = eng.kw_bool(kwargs, "minimal", False)
     eng.no_more_kwargs(kwargs)
@@ -863,9 +853,6 @@ def h_regseq(eng, pos, kwargs, scope):
     _need(pos, 1, "regseq(tuple, [over SCOPE])")
     ring, ctx = eng.ring_and_context(pos, scope)
     fs = eng.as_gens(pos[0], ring)
-    v = eng.token_value(pos[0])
-    if scope is None and isinstance(v, (VIdeal, VTuple)) and v.context is not None:
-        ctx = v.context
     eng.no_more_kwargs(kwargs)
     return regular_sequence_check(fs, context=ctx)
 
@@ -874,9 +861,6 @@ def h_ch(eng, pos, kwargs, scope):
     _need(pos, 1, "ch(tuple, [over SCOPE])")
     ring, ctx = eng.ring_and_context(pos, scope)
     fs = eng.as_gens(pos[0], ring)
-    v = eng.token_value(pos[0])
-    if scope is None and isinstance(v, (VIdeal, VTuple)) and v.context is not None:
-        ctx = v.context
     eng.no_more_kwargs(kwargs)
     return coleff_herrera(fs, context=ctx)
 

@@ -24,17 +24,19 @@ from residua.polyring import (
     PolyVector,
     RingMismatchError,
     divide,
-    poly_to_terms,
-    terms_to_poly,
-    terms_to_vector,
+    from_terms,
+    kernel_divisors,
+    to_terms,
     transport,
-    unit_vector,
-    vector_to_terms,
 )
 
 INFINITE_CODIM = float("inf")  # sentinel codimension of the empty locus
 
 _SATURATION_CAP = 64
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug, reported instead of an answer."""
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +66,7 @@ class Ideal:
         order = order or self.ring.default_order
         hit = self._gb_cache.get(order)
         if hit is None:
-            hit = tuple(_ideal_groebner(self.ring, self.gens, order))
+            hit = tuple(_ideal_groebner(self.gens, order))
             self._gb_cache[order] = hit
         return hit
 
@@ -99,8 +101,8 @@ class QuotientContext:
         """Normal form modulo the relations (entrywise on vectors)."""
         gb = self.relations.groebner(order)
         if isinstance(f, PolyVector):
-            return PolyVector(self.ring, tuple(_reduce_poly(p, gb, order) for p in f.entries))
-        return _reduce_poly(f, gb, order)
+            return PolyVector(self.ring, tuple(_reduce(p, gb, order) for p in f.entries))
+        return _reduce(f, gb, order)
 
     def __eq__(self, other):
         return (
@@ -173,7 +175,8 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
     items = []  # [terms, lead_key, rep]
     for j, tm in enumerate(inputs):
         lk = kernel.leading_key(tm, keyfn)
-        assert lk is not None, "engine inputs must be nonzero"
+        if lk is None:
+            raise InvariantError("engine inputs must be nonzero")
         inv = 1 / tm[lk]
         rep = {(j, _zero_mono(tm)): Fraction(inv)} if track else None
         items.append([_scale_terms(tm, inv), lk, rep])
@@ -275,7 +278,8 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
         exprs = []
         for tm in inputs:
             quots, rem = kernel.reduce_terms(tm, divisors, keyfn, True)
-            assert not rem, "input does not reduce to zero against its own basis"
+            if rem:
+                raise InvariantError("input does not reduce to zero against its own basis")
             exprs.append(quots)
     return basis, leads, reps, exprs
 
@@ -285,33 +289,30 @@ def _zero_mono(tm: dict):
     return (0,) * len(some_key[1])
 
 
-def _keyfn(order: MonomialOrder):
-    return order.term_key
+def _relation_terms(context: QuotientContext, rank: int, order=None) -> list:
+    """Term maps of z * e_pos for each relation basis element z and position."""
+    return [
+        {(pos, m): c for m, c in z.terms.items()}
+        for z in context.relations.groebner(order)
+        for pos in range(rank)
+    ]
 
 
-def _ideal_groebner(ring, gens, order):
+def _ideal_groebner(gens, order):
     if not gens:
         return []
-    basis, _, _, _ = _engine([poly_to_terms(g) for g in gens], _keyfn(order), 1, False)
-    return [terms_to_poly(ring, tm) for tm in basis]
+    basis, _, _, _ = _engine([to_terms(g) for g in gens], order.term_key, 1, False)
+    return [from_terms(gens[0], tm) for tm in basis]
 
 
-def _reduce_poly(f: Polynomial, gb: Sequence[Polynomial], order=None) -> Polynomial:
+def _reduce(f, gb, order=None):
+    """Remainder of a Polynomial or PolyVector against gb (not canonical
+    unless gb is a Groebner basis)."""
     if not gb:
         return f
     order = order or f.ring.default_order
-    divisors = [((0, g.lm(order)), g.lc(order), poly_to_terms(g)) for g in gb]
-    _, rem = kernel.reduce_terms(poly_to_terms(f), divisors, _keyfn(order), False)
-    return terms_to_poly(f.ring, rem)
-
-
-def _reduce_vector(v: PolyVector, gb: Sequence[PolyVector], order=None) -> PolyVector:
-    if not gb:
-        return v
-    order = order or v.ring.default_order
-    divisors = [(g.leading(order)[0], g.leading(order)[1], vector_to_terms(g)) for g in gb]
-    _, rem = kernel.reduce_terms(vector_to_terms(v), divisors, _keyfn(order), False)
-    return terms_to_vector(v.ring, v.rank, rem)
+    _, rem = kernel.reduce_terms(to_terms(f), kernel_divisors(gb, order), order.term_key, False)
+    return from_terms(f, rem)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +328,8 @@ def groebner_basis(obj: Union[Ideal, SubmoduleBasis], order: Optional[MonomialOr
         order = order or obj.order
         if not obj.gens:
             return []
-        basis, _, _, _ = _engine(
-            [vector_to_terms(v) for v in obj.gens], _keyfn(order), obj.rank, False
-        )
-        return [terms_to_vector(obj.ring, obj.rank, tm) for tm in basis]
+        basis, _, _, _ = _engine([to_terms(v) for v in obj.gens], order.term_key, obj.rank, False)
+        return [from_terms(obj.gens[0], tm) for tm in basis]
     raise TypeError("expected an Ideal or SubmoduleBasis")
 
 
@@ -340,14 +339,9 @@ def normal_form(f, basis, order: Optional[MonomialOrder] = None, context: Contex
     Canonical (a membership test) when basis is a Groebner basis of an
     ideal containing the context relations.
     """
-    basis = list(basis)
-    if isinstance(f, PolyVector):
-        if context is not None:
-            f = context.reduce(f, order)
-        return _reduce_vector(f, basis, order) if basis else f
     if context is not None:
         f = context.reduce(f, order)
-    return _reduce_poly(f, basis, order) if basis else f
+    return _reduce(f, list(basis), order)
 
 
 def lifted_ideal(I: Ideal, context: Context) -> Ideal:
@@ -366,7 +360,7 @@ def ideal_member(f: Polynomial, I: Ideal, context: Context = None) -> bool:
             combined = lifted_ideal(I, context)
             I._gb_cache[key] = combined
         I = combined
-    return _reduce_poly(f, I.groebner()).is_zero()
+    return _reduce(f, I.groebner()).is_zero()
 
 
 def ideals_equal(I: Ideal, J: Ideal, context: Context = None) -> bool:
@@ -377,18 +371,16 @@ def ideals_equal(I: Ideal, J: Ideal, context: Context = None) -> bool:
 
 
 def module_member(v: PolyVector, basis: SubmoduleBasis, context: Context = None) -> bool:
-    gens = list(basis.gens)
+    inputs = [to_terms(g) for g in basis.gens]
     if context is not None:
-        for z in context.relations.groebner():
-            for pos in range(basis.rank):
-                gens.append(unit_vector(basis.ring, basis.rank, pos).scale(z))
-    if not gens:
-        if context is not None:
-            v = context.reduce(v)
+        inputs += _relation_terms(context, basis.rank)
+    if not inputs:
         return v.is_zero()
-    gb, _, _, _ = _engine([vector_to_terms(g) for g in gens], _keyfn(basis.order), basis.rank, False)
-    gb_vecs = [terms_to_vector(basis.ring, basis.rank, tm) for tm in gb]
-    return _reduce_vector(v, gb_vecs, basis.order).is_zero()
+    keyfn = basis.order.term_key
+    gb, leads, _, _ = _engine(inputs, keyfn, basis.rank, False)
+    divisors = [(lk, Fraction(1), tm) for lk, tm in zip(leads, gb)]
+    _, rem = kernel.reduce_terms(to_terms(v), divisors, keyfn, False)
+    return not rem
 
 
 # -- syzygies ----------------------------------------------------------------
@@ -415,7 +407,8 @@ def _syzygies_termmaps(inputs: Sequence[dict], keyfn, rank: int):
             kernel.add_scaled_inplace(sp, basis[i], Fraction(1), ui)
             kernel.add_scaled_inplace(sp, basis[j], Fraction(-1), uj)
             quots, rem = kernel.reduce_terms(sp, divisors, keyfn, True)
-            assert not rem, "S-pair of a Groebner basis must reduce to zero"
+            if rem:
+                raise InvariantError("S-pair of a Groebner basis must reduce to zero")
             syz: dict = {}
             kernel.add_scaled_inplace(syz, reps[i], Fraction(1), ui)
             kernel.add_scaled_inplace(syz, reps[j], Fraction(-1), uj)
@@ -442,35 +435,25 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     are appended and the ambient syzygies are projected back down.
     """
     if isinstance(obj, Ideal):
-        ring = obj.ring
-        order = ring.default_order
-        gens = [PolyVector(ring, (g,)) for g in obj.gens]
-        rank = 1
+        ring, order, rank = obj.ring, obj.ring.default_order, 1
     elif isinstance(obj, SubmoduleBasis):
-        ring = obj.ring
-        order = obj.order
-        gens = list(obj.gens)
-        rank = obj.rank
+        ring, order, rank = obj.ring, obj.order, obj.rank
     else:
         raise TypeError("expected an Ideal or SubmoduleBasis")
-    s = len(gens)
+    s = len(obj.gens)
     if s == 0:
         return SubmoduleBasis(ring, 0, ())
 
-    inputs = list(gens)
+    inputs = [to_terms(g) for g in obj.gens]
     if context is not None:
-        for z in context.relations.groebner(order):
-            for pos in range(rank):
-                inputs.append(unit_vector(ring, rank, pos).scale(z))
-    raw = _syzygies_termmaps([vector_to_terms(v) for v in inputs], _keyfn(order), rank)
+        inputs += _relation_terms(context, rank, order)
+    raw = _syzygies_termmaps(inputs, order.term_key, rank)
 
+    # syzygy coordinates beyond s belong to the relation multiples: drop them
+    zero = PolyVector(ring, [ring.zero()] * s)
     vecs = []
     for tm in raw:
-        per = [ring.zero()] * s
-        for (pos, m), c in tm.items():
-            if pos < s:
-                per[pos] = per[pos] + Polynomial(ring, {m: c})
-        v = PolyVector(ring, tuple(per))
+        v = from_terms(zero, {k: c for k, c in tm.items() if k[0] < s})
         if context is not None:
             v = context.reduce(v, order)
         if not v.is_zero():
@@ -478,7 +461,7 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
 
     # canonical output: dedupe, sort descending under the Schreyer order
     # induced by the input generators' leading terms
-    sch = order.schreyer(tuple(g.leading(order)[0] for g in gens))
+    sch = order.schreyer(max(tm, key=order.term_key) for tm in inputs[:s])
     seen = set()
     unique = []
     for v in vecs:
@@ -490,9 +473,9 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
     if unique:
-        gb_tm, _, _, _ = _engine([vector_to_terms(v) for v in unique], _keyfn(sch), s, False)
+        gb_tm, _, _, _ = _engine([to_terms(v) for v in unique], sch.term_key, s, False)
         for tm in gb_tm:
-            v = terms_to_vector(ring, s, tm)
+            v = from_terms(zero, tm)
             if context is not None:
                 v = context.reduce(v, order)
                 if v.is_zero():
@@ -524,12 +507,12 @@ class ModuleLifter:
         self.rank = rank
         self.order = order or ring.default_order
         self.gens = list(gens)
-        self._keyfn = _keyfn(self.order)
+        # coefficient vectors have one position per generator
+        self._coeffs = PolyVector(ring, [ring.zero()] * len(self.gens))
         if self.gens:
             basis, leads, reps, _ = _engine(
-                [vector_to_terms(v) for v in self.gens], self._keyfn, rank, True
+                [to_terms(v) for v in self.gens], self.order.term_key, rank, True
             )
-            self._basis = basis
             self._divisors = [(lk, Fraction(1), tm) for lk, tm in zip(leads, basis)]
             self._reps = reps
 
@@ -540,7 +523,7 @@ class ModuleLifter:
         if not self.gens:
             return [] if target.is_zero() else None
         quots, rem = kernel.reduce_terms(
-            vector_to_terms(target), self._divisors, self._keyfn, True
+            to_terms(target), self._divisors, self.order.term_key, True
         )
         if rem:
             return None
@@ -548,10 +531,7 @@ class ModuleLifter:
         for k, q in enumerate(quots):
             for m, c in q.items():
                 kernel.add_scaled_inplace(out, self._reps[k], c, m)
-        per = [{} for _ in self.gens]
-        for (pos, m), c in out.items():
-            per[pos][m] = c
-        return [Polynomial(self.ring, t) for t in per]
+        return list(from_terms(self._coeffs, out).entries)
 
 
 def module_lift(gens: Sequence[PolyVector], target: PolyVector, order=None):
@@ -589,13 +569,12 @@ def elimination(I: Ideal, keep: Sequence[str]) -> Ideal:
     gens = [g for g in I.gens]
     if not gens:
         return Ideal(target, ())
-    basis, _, _, _ = _engine([poly_to_terms(g) for g in gens], block_key, 1, False)
+    basis, _, _, _ = _engine([to_terms(g) for g in gens], block_key, 1, False)
     kept = []
     for tm in basis:
-        p = terms_to_poly(ring, tm)
-        if all(all(m[i] == 0 for i in elim_idx) for m in p.terms):
+        if all(m[i] == 0 for _, m in tm for i in elim_idx):
             kept.append(
-                Polynomial(target, {tuple(m[i] for i in keep_idx): c for m, c in p.terms.items()})
+                Polynomial(target, {tuple(m[i] for i in keep_idx): c for (_, m), c in tm.items()})
             )
     return Ideal(target, kept)
 
@@ -620,7 +599,8 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     gens = [t * transport(f, ext) for f in I.gens]
     gens += [(ext.one() - t) * transport(g, ext) for g in J.gens]
     elim = elimination(Ideal(ext, gens), ring.names)
-    assert elim.ring == ring
+    if elim.ring != ring:
+        raise InvariantError("elimination left the ring of the intersected ideals")
     return elim
 
 
@@ -643,7 +623,8 @@ def ideal_quotient(I: Ideal, f: Polynomial, context: Context = None) -> Ideal:
     gens = []
     for g in inter.gens:
         (q,), r = divide(g, [f])
-        assert r.is_zero(), "intersection member not divisible in ideal quotient"
+        if not r.is_zero():
+            raise InvariantError("intersection member not divisible in ideal quotient")
         gens.append(q.monic())
     return Ideal(ring, gens)
 

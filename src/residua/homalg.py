@@ -18,6 +18,7 @@ from residua.groebner import (
     INFINITE_CODIM,
     Context,
     Ideal,
+    InvariantError,
     QuotientContext,
     SubmoduleBasis,
     dimension,
@@ -301,10 +302,10 @@ def minimalize(C: ChainComplex) -> ChainComplex:
                 for r in range(ranks[k - 2]):
                     down[r][i] = reduce_entry(down[r][i] + g * down[r][ip])
         # the complex property forces the adjacent row/column to vanish
-        if up is not None:
-            assert all(up[j][cc].is_zero() for cc in range(ranks[k + 1]))
-        if down is not None:
-            assert all(down[r][i].is_zero() for r in range(ranks[k - 2]))
+        if up is not None and not all(up[j][cc].is_zero() for cc in range(ranks[k + 1])):
+            raise InvariantError("a unit pivot left a nonzero row in the next map")
+        if down is not None and not all(down[r][i].is_zero() for r in range(ranks[k - 2])):
+            raise InvariantError("a unit pivot left a nonzero column in the previous map")
         # delete row i / column j of phi_k, row j of phi_{k+1}, column i of phi_{k-1}
         diffs[k - 1] = [
             [M[r][cc] for cc in range(ranks[k]) if cc != j]
@@ -715,5 +716,6 @@ def cohen_macaulay_check(I: Ideal, cap: int = 0) -> CMReport:
         raise ValueError("Cohen-Macaulay check needs a proper ideal")
     cap = cap or max(16, I.ring.n + 1)
     res = free_resolution(I, cap=cap, minimal=True)
-    assert res.complete, "resolution over the ambient ring must terminate"
+    if not res.complete:
+        raise InvariantError("resolution over the ambient ring must terminate")
     return CMReport(res.length == codim, res.length, codim)

@@ -36,7 +36,6 @@ exp_add = _impl.exp_add
 exp_sub = _impl.exp_sub
 exp_lcm = _impl.exp_lcm
 exp_divides = _impl.exp_divides
-term_mul_key = _impl.term_mul_key
 leading_key = _impl.leading_key
 add_scaled_inplace = _impl.add_scaled_inplace
 reduce_terms = _impl.reduce_terms

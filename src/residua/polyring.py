@@ -449,7 +449,7 @@ class PolyVector:
 
     def leading(self, order: Optional[MonomialOrder] = None):
         """((pos, monomial), coefficient) of the leading module term."""
-        tm = vector_to_terms(self)
+        tm = to_terms(self)
         if not tm:
             return None
         order = order or self.ring.default_order
@@ -495,40 +495,37 @@ class PolyVector:
     __repr__ = __str__
 
 
-def zero_vector(ring: PolynomialRing, rank: int) -> PolyVector:
-    return PolyVector(ring, tuple(ring.zero() for _ in range(rank)))
+# -- the kernel term-map layer: keys (position, exponents), position 0 in a ring
 
 
-def unit_vector(ring: PolynomialRing, rank: int, pos: int) -> PolyVector:
-    entries = [ring.zero()] * rank
-    entries[pos] = ring.one()
-    return PolyVector(ring, tuple(entries))
+def to_terms(x) -> dict:
+    """Kernel term map of a Polynomial or PolyVector."""
+    if isinstance(x, Polynomial):
+        return {(0, m): c for m, c in x.terms.items()}
+    return {(pos, m): c for pos, p in enumerate(x.entries) for m, c in p.terms.items()}
 
 
-# -- conversions between the class layer and the kernel term-map layer
-
-
-def poly_to_terms(p: Polynomial) -> dict:
-    return {(0, m): c for m, c in p.terms.items()}
-
-
-def terms_to_poly(ring: PolynomialRing, tm: dict) -> Polynomial:
-    return Polynomial(ring, {k[1]: c for k, c in tm.items()})
-
-
-def vector_to_terms(v: PolyVector) -> dict:
-    tm = {}
-    for pos, p in enumerate(v.entries):
-        for m, c in p.terms.items():
-            tm[(pos, m)] = c
-    return tm
-
-
-def terms_to_vector(ring: PolynomialRing, rank: int, tm: dict) -> PolyVector:
-    per = [{} for _ in range(rank)]
+def from_terms(like, tm: dict):
+    """The element with term map tm, of the same kind, ring and rank as like."""
+    ring = like.ring
+    if isinstance(like, Polynomial):
+        return Polynomial(ring, {m: c for (_, m), c in tm.items()})
+    per = [{} for _ in like.entries]
     for (pos, m), c in tm.items():
         per[pos][m] = c
     return PolyVector(ring, tuple(Polynomial(ring, t) for t in per))
+
+
+def kernel_divisors(elements, order: MonomialOrder) -> list:
+    """(lead key, lead coefficient, term map) of each nonzero element."""
+    out = []
+    for g in elements:
+        tm = to_terms(g)
+        if not tm:
+            raise ValueError("zero divisor in division")
+        lk = max(tm, key=order.term_key)
+        out.append((lk, tm[lk], tm))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,40 +539,21 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
     term of r is divisible by any divisor's leading term; quotients are
     polynomials.  Deterministic: divisors tried in the order given.
     """
+    if not isinstance(f, (Polynomial, PolyVector)):
+        raise TypeError("divide expects a Polynomial or PolyVector")
     divisors = list(divisors)
     if not divisors:
         raise ValueError("empty divisor list")
-    if isinstance(f, Polynomial):
-        ring = f.ring
-        order = order or ring.default_order
-        divs = []
-        for g in divisors:
-            if not isinstance(g, Polynomial) or g.ring != ring:
-                raise RingMismatchError("divisor mismatch")
-            if g.is_zero():
-                raise ValueError("zero divisor in division")
-            m, c = g.leading(order)
-            divs.append(((0, m), c, poly_to_terms(g)))
-        keyfn = lambda k: order.term_key(k)  # noqa: E731
-        quots, rem = kernel.reduce_terms(poly_to_terms(f), divs, keyfn, True)
-        qs = [Polynomial(ring, q) for q in quots]
-        return qs, terms_to_poly(ring, rem)
-    if isinstance(f, PolyVector):
-        ring = f.ring
-        order = order or ring.default_order
-        divs = []
-        for g in divisors:
-            if not isinstance(g, PolyVector) or g.ring != ring or g.rank != f.rank:
-                raise ValueError("divisor rank mismatch")
-            if g.is_zero():
-                raise ValueError("zero divisor in division")
-            k, c = g.leading(order)
-            divs.append((k, c, vector_to_terms(g)))
-        keyfn = lambda k: order.term_key(k)  # noqa: E731
-        quots, rem = kernel.reduce_terms(vector_to_terms(f), divs, keyfn, True)
-        qs = [Polynomial(ring, q) for q in quots]
-        return qs, terms_to_vector(ring, f.rank, rem)
-    raise TypeError("divide expects a Polynomial or PolyVector")
+    for g in divisors:
+        if not isinstance(g, type(f)) or g.ring != f.ring:
+            raise RingMismatchError("divisor mismatch")
+        if isinstance(f, PolyVector) and g.rank != f.rank:
+            raise ValueError("divisor rank mismatch")
+    order = order or f.ring.default_order
+    quots, rem = kernel.reduce_terms(
+        to_terms(f), kernel_divisors(divisors, order), order.term_key, True
+    )
+    return [Polynomial(f.ring, q) for q in quots], from_terms(f, rem)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import residua
 from residua.cli import (
     ParseFailure,
     corpus_text,
@@ -99,6 +103,59 @@ def test_execution_errors_continue():
     assert len(doc["statements"]) == 3
     assert "error" in doc["statements"][1]
     assert doc["statements"][2]["command"] == "koszul"
+
+
+# A kernel whose first division that tracks quotients and leaves no
+# remainder reports its whole dividend as the remainder instead.
+_CORRUPT_ONE_DIVISION = """
+import json, sys
+sys.path.insert(0, {src!r})
+from residua import groebner
+from residua.cli import run_script
+
+reduce_terms = groebner.kernel.reduce_terms
+armed = [True]
+
+def corrupted(f, divisors, keyfn, want_quotients):
+    quots, rem = reduce_terms(f, divisors, keyfn, want_quotients)
+    if armed[0] and want_quotients and not rem:
+        armed[0] = False
+        rem = dict(f)
+    return quots, rem
+
+groebner.kernel.reduce_terms = corrupted
+code, lines, _ = run_script("resolve((x, y), over Q[x,y])\\nresolve((x, y), over Q[x,y])")
+print(json.dumps([code, lines]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["asserts", "optimized"])
+def test_broken_invariant_is_reported_per_statement(flags):
+    # run in a fresh interpreter so that -O (which strips asserts) applies
+    src = str(Path(residua.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _CORRUPT_ONE_DIVISION.format(src=src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    code, lines = json.loads(proc.stdout)
+    assert code == 1
+    assert lines[0] == "1: error: input does not reduce to zero against its own basis"
+    assert lines[1].startswith("2: resolve -> ")
+
+
+def test_quotient_declared_arguments_run_over_their_quotient():
+    script = "ring R = Q[x,y]\nquotient Z = R/(x*y)\nideal I = Z:(x)\ntuple f = Z:(x)\n"
+    for call, arg in (("resolve", "I"), ("regseq", "f"), ("ch", "f")):
+        cap = ", cap=3" if call == "resolve" else ""
+        script += f"{call}({arg}{cap})\n{call}((x), over Z{cap})\n{call}((x), over R{cap})\n"
+    _, _, doc = run_script(script)
+    got = [{k: v for k, v in s.items() if k != "line"} for s in doc["statements"]]
+    for k in range(0, 9, 3):
+        implicit, over_z, over_r = got[k : k + 3]
+        assert implicit == over_z != over_r
 
 
 def test_undefined_identifier_is_an_execution_error():

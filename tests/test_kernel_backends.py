@@ -42,8 +42,6 @@ def test_exponent_ops_agree():
         assert _kernel_py.exp_sub(a, b) == _kernel_c.exp_sub(a, b)
         assert _kernel_py.exp_lcm(a, b) == _kernel_c.exp_lcm(a, b)
         assert _kernel_py.exp_divides(a, b) == _kernel_c.exp_divides(a, b)
-        key = (rng.randrange(3), a)
-        assert _kernel_py.term_mul_key(key, b) == _kernel_c.term_mul_key(key, b)
 
 
 def test_leading_key_and_add_scaled_agree():
