@@ -11,7 +11,10 @@ terms of nonconstant entries are not inverted here).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add, sub
 from typing import Optional, Sequence, Tuple
 
 from residua.groebner import (
@@ -48,11 +51,14 @@ def identity_matrix(ring: PolynomialRing, n: int) -> Matrix:
 def mat_mul(ring: PolynomialRing, A: Matrix, B: Matrix, rows: int, mid: int, cols: int) -> Matrix:
     out = []
     for i in range(rows):
+        nonzero = [(k, a) for k, a in enumerate(A[i][:mid]) if not a.is_zero()]
         row = []
         for j in range(cols):
             acc = ring.zero()
-            for k in range(mid):
-                acc = acc + A[i][k] * B[k][j]
+            for k, a in nonzero:
+                b = B[k][j]
+                if not b.is_zero():
+                    acc = acc + a * b
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -87,7 +93,7 @@ def canonical_matrix(ring: PolynomialRing, A: Matrix, rows: int, cols: int) -> M
     descending by leading term, iterated to a fixed point (row moves shift
     which entry leads a column, so one pass is not enough).  For equality
     tests only -- the sorting ignores any chain structure around the
-    matrix."""
+    matrix.  Eight passes without a fixed point raise InvariantError."""
     order = ring.default_order
 
     def col_key(v: PolyVector):
@@ -108,9 +114,9 @@ def canonical_matrix(ring: PolynomialRing, A: Matrix, rows: int, cols: int) -> M
         rows_list.sort(key=row_key, reverse=True)
         nxt = tuple(rows_list)
         if nxt == cur:
-            break
+            return cur
         cur = nxt
-    return cur
+    raise InvariantError("canonical matrix form reached no fixed point in 8 passes")
 
 
 def matrices_equal_canonically(ring, A, B, rows_a, cols_a, rows_b, cols_b) -> bool:
@@ -466,58 +472,168 @@ def extend_ring(C: ChainComplex, target: PolynomialRing) -> ChainComplex:
 # rank loci and exactness diagnostics
 
 
-def _det(ring, M, rows, cols):
-    n = len(rows)
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return M[rows[0]][cols[0]]
-    acc = ring.zero()
-    rest = rows[1:]
-    for t, c in enumerate(cols):
-        e = M[rows[0]][c]
-        if e.is_zero():
-            continue
-        sub = _det(ring, M, rest, cols[:t] + cols[t + 1 :])
-        term = e * sub
-        acc = acc + term if t % 2 == 0 else acc - term
-    return acc
+# Minors and ranks work on integer term maps {exponent tuple: int}: each row
+# is scaled by the lcm of its coefficient denominators, so a minor on rows
+# rs is the integer minor divided by the product of those rows' scales.
+
+
+def _integer_rows(M, rows, cols):
+    """Row-scaled integer term maps of the rows x cols block of M, and the
+    scale of each row."""
+    entries = []
+    scales = []
+    for i in range(rows):
+        row = M[i][:cols]
+        s = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+        entries.append(
+            [{m: c.numerator * (s // c.denominator) for m, c in e.terms.items()} for e in row]
+        )
+        scales.append(s)
+    return entries, scales
+
+
+def _add_product(acc, a, b, sign):
+    """acc += sign * a * b on integer term maps; cancelled terms stay as 0."""
+    for m1, c1 in a.items():
+        c1 *= sign
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
+def _nonzero_terms(acc):
+    return {m: c for m, c in acc.items() if c}
+
+
+class _MinorTable:
+    """Minors of one integer matrix, each expanded along its first row.
+
+    Row and column sets are bit masks of equal, nonzero popcount; every
+    sub-minor is kept by (rows, cols), so the minors of one matrix share
+    them.  A table serves one call and is then dropped."""
+
+    __slots__ = ("entries", "nonzero", "memo")
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.nonzero = [[(1 << c, e) for c, e in enumerate(row) if e] for row in entries]
+        self.memo = {}
+
+    def minor(self, rows, cols):
+        low = rows & -rows
+        rest = rows ^ low
+        if not rest:
+            return self.entries[low.bit_length() - 1][cols.bit_length() - 1]
+        d = self.memo.get((rows, cols))
+        if d is None:
+            acc = {}
+            for bit, e in self.nonzero[low.bit_length() - 1]:
+                if cols & bit:
+                    sub = self.minor(rest, cols ^ bit)
+                    if sub:
+                        # the sign of the entry's place among the columns
+                        odd = (cols & (bit - 1)).bit_count() & 1
+                        _add_product(acc, e, sub, -1 if odd else 1)
+            d = self.memo[(rows, cols)] = _nonzero_terms(acc) if acc else acc
+        return d
+
+
+def _exact_quotient(f, g):
+    """f / g on integer term maps when g divides f in Z[x]; a remainder, a
+    fractional coefficient or a negative exponent shift is a broken
+    invariant of the caller."""
+    lead = max(g)
+    lc = g[lead]
+    f = dict(f)
+    q = {}
+    while f:
+        m = max(f)
+        c, rem = divmod(f[m], lc)
+        shift = tuple(map(sub, m, lead))
+        if rem or min(shift) < 0:
+            raise InvariantError("fraction-free elimination met an inexact division")
+        q[shift] = c
+        for m2, c2 in g.items():
+            mm = tuple(map(add, shift, m2))
+            v = f.get(mm, 0) - c * c2
+            if v:
+                f[mm] = v
+            else:
+                del f[mm]
+    return q
 
 
 def determinant(ring: PolynomialRing, M: Matrix, n: int) -> Polynomial:
-    """Determinant of the leading n x n block, by Laplace expansion."""
-    return _det(ring, M, tuple(range(n)), tuple(range(n)))
+    """Determinant of the leading n x n block, by first-row expansion over
+    integer term maps with shared sub-minors."""
+    if n == 0:
+        return ring.one()
+    entries, scales = _integer_rows(M, n, n)
+    d = _MinorTable(entries).minor((1 << n) - 1, (1 << n) - 1)
+    s = math.prod(scales)
+    return Polynomial(ring, {m: Fraction(c, s) for m, c in d.items()})
 
 
 def minors_ideal(ring, M, rows, cols, r) -> Ideal:
-    """Ideal of r x r minors, rows/columns enumerated lexicographically."""
+    """Ideal of the monic r x r minors, rows/columns enumerated
+    lexicographically, each generator kept at its first occurrence."""
     if r <= 0:
         return Ideal(ring, (ring.one(),))
     if r > min(rows, cols):
         return Ideal(ring, ())
-    gens = []
-    for rs in itertools.combinations(range(rows), r):
-        for cs in itertools.combinations(range(cols), r):
-            d = _det(ring, M, rs, cs)
-            if not d.is_zero():
-                gens.append(d.monic())
+    minor = _MinorTable(_integer_rows(M, rows, cols)[0]).minor
+    order = ring.default_order
     seen = set()
-    unique = []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            unique.append(g)
-    return Ideal(ring, unique)
+    gens = []
+    col_sets = [sum(cs) for cs in itertools.combinations([1 << c for c in range(cols)], r)]
+    for rs in itertools.combinations([1 << i for i in range(rows)], r):
+        row_set = sum(rs)
+        for col_set in col_sets:
+            d = minor(row_set, col_set)
+            if not d:
+                continue
+            # minors equal up to a scalar have one monic form
+            g = math.gcd(*d.values())
+            if d[max(d)] < 0:
+                g = -g
+            key = frozenset((m, c // g) for m, c in d.items())
+            if key not in seen:
+                seen.add(key)
+                lc = d[max(d, key=order.ring_key)]
+                gens.append(Polynomial(ring, {m: Fraction(c, lc) for m, c in d.items()}))
+    return Ideal(ring, gens)
 
 
 def generic_rank(ring, M, rows, cols) -> int:
-    """Largest r with a nonzero r x r minor (early exit, lexicographic scan)."""
-    for r in range(min(rows, cols), 0, -1):
-        for rs in itertools.combinations(range(rows), r):
-            for cs in itertools.combinations(range(cols), r):
-                if not _det(ring, M, rs, cs).is_zero():
-                    return r
-    return 0
+    """Rank over the fraction field, by fraction-free (Bareiss) elimination
+    on the row-scaled integer matrix; each pivot is the first nonzero entry
+    of the remaining block in column-major order."""
+    A = _integer_rows(M, rows, cols)[0]
+    live_rows = list(range(rows))
+    live_cols = list(range(cols))
+    prev = None  # the previous pivot; None before the first
+    rank = 0
+    while True:
+        pivot = next(((i, j) for j in live_cols for i in live_rows if A[i][j]), None)
+        if pivot is None:
+            return rank
+        pi, pj = pivot
+        live_rows.remove(pi)
+        live_cols.remove(pj)
+        p, prow = A[pi][pj], A[pi]
+        for i in live_rows:
+            row = A[i]
+            a = row[pj]
+            for j in live_cols:
+                acc = {}
+                if row[j]:
+                    _add_product(acc, p, row[j], 1)
+                if a and prow[j]:
+                    _add_product(acc, a, prow[j], -1)
+                acc = _nonzero_terms(acc)
+                row[j] = _exact_quotient(acc, prev) if acc and prev else acc
+        prev = p
+        rank += 1
 
 
 def expected_ranks(C: ChainComplex):

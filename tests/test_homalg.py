@@ -1,9 +1,11 @@
 import functools
+import itertools
 import random
 
 import pytest
 
-from residua.groebner import Ideal, QuotientContext, dimension, ideals_equal
+from residua import homalg
+from residua.groebner import Ideal, InvariantError, QuotientContext, dimension, ideals_equal
 from residua.homalg import (
     ChainComplex,
     buchsbaum_eisenbud_check,
@@ -261,6 +263,33 @@ def test_minors_and_generic_rank():
     assert generic_rank(XYZ, B, 2, 2) == 1
 
 
+def _cube_resolution():
+    """Minimal resolution of (x,y,z)^3, ranks (1, 10, 15, 6)."""
+    gens = [P(XYZ, m) for m in "x^3 x^2*y x^2*z x*y^2 x*y*z x*z^2 y^3 y^2*z y*z^2 z^3".split()]
+    return free_resolution(Ideal(XYZ, gens), minimal=True)
+
+
+def test_generic_rank_of_a_wide_rank_three_matrix():
+    # three rows of phi_2 and seven combinations of them: every minor of
+    # size 4 to 10 vanishes, which a scan from the top size never gets past
+    base = _cube_resolution().diff(2)[:3]
+    coeffs = [("x", "1", "0"), ("0", "y", "-2"), ("1/2", "z", "x"), ("y*z", "0", "0"),
+              ("1", "1", "1"), ("-3/4", "0", "x^2"), ("0", "0", "z")]
+    rows = list(base)
+    for cs in coeffs:
+        a, b, c = (P(XYZ, e) for e in cs)
+        rows.append(tuple(a * u + b * v + c * w for u, v, w in zip(*base)))
+    assert generic_rank(XYZ, tuple(rows), 10, 15) == 3
+    assert generic_rank(XYZ, tuple(rows), 10, 15) == generic_rank(XYZ, base, 3, 15)
+
+
+def test_fraction_free_division_must_be_exact():
+    assert homalg._exact_quotient({(2, 1): 6, (1, 2): -4}, {(1, 1): 2}) == {(1, 0): 3, (0, 1): -2}
+    for f in ({(2, 0): 3}, {(0, 2): 2}, {(2, 0): 2, (0, 0): 1}):
+        with pytest.raises(InvariantError):
+            homalg._exact_quotient(f, {(1, 0): 2})
+
+
 def test_expected_ranks_alternating_sum():
     K = koszul_complex(tuple(XYZ.gens()))
     assert expected_ranks(K) == [1, 2, 1]
@@ -348,6 +377,15 @@ def test_exactness_criterion_passes_on_every_computed_ambient_resolution():
         assert buchsbaum_eisenbud_check(C).passes
 
 
+def test_exactness_criterion_on_the_cube_of_the_maximal_ideal():
+    C = _cube_resolution()
+    assert C.ranks == (1, 10, 15, 6)
+    rep = buchsbaum_eisenbud_check(C)
+    assert rep.generic_ranks == (1, 9, 6)
+    assert tuple(level.codim for level in rep.levels) == (3, 3, 3)
+    assert rep.passes
+
+
 # ---------------------------------------------------------------------------
 # proper intersections
 
@@ -421,6 +459,15 @@ def test_canonical_matrix_equivalences():
     )
     assert not matrices_equal_canonically(XY, M(XY, [["x"]]), M(XY, [["y"]]), 1, 1, 1, 1)
     assert not matrices_equal_canonically(XY, M(XY, [["x"]]), M(XY, [["x", "x"]]), 1, 1, 1, 2)
+
+
+def test_canonical_matrix_without_fixed_point_raises(monkeypatch):
+    # sort keys that grow with every call make the two rows trade places
+    # on every pass
+    counter = itertools.count()
+    monkeypatch.setattr(homalg, "_poly_sort_key", lambda p, order: next(counter))
+    with pytest.raises(InvariantError):
+        canonical_matrix(XY, M(XY, [["x", "1"], ["x", "2"]]), 2, 2)
 
 
 def test_mat_mul_zero_sizes():
