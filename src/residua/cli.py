@@ -5,6 +5,13 @@ rings, quotients, ideals, tuples and matrices to names; commands run the
 algebra and print one deterministic result line each.  `--json` emits the
 whole run as a canonical JSON document (sorted keys, rationals as strings,
 matrices as nested arrays of polynomial text), byte-identical across runs.
+A report dataclass encodes as an object whose keys are its field names.
+The exceptions, in `encode`: chain maps, homotopies and homotopy failures
+give their matrices as text and leave out the complexes they join; a
+formal current leaves out its context and internal data; a meromorphic
+form gives numerator and denominator as text and leaves out its context;
+a transformation-law report gives det as text; a current recipe leaves
+out its context and J, which are the statement's own arguments.
 
 Exit codes: 0 success, 1 any statement failed during execution, 2 the
 script did not parse.  Execution errors are reported with their line
@@ -14,6 +21,7 @@ number and later statements still run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -23,12 +31,6 @@ from fractions import Fraction
 from residua.groebner import Ideal, QuotientContext
 from residua.homalg import (
     ChainComplex,
-    CMReport,
-    ExactnessLevel,
-    ExactnessReport,
-    PeriodicityReport,
-    ProperIntersectionReport,
-    ResolutionDiagnostics,
     buchsbaum_eisenbud_check,
     cohen_macaulay_check,
     detect_periodicity,
@@ -46,10 +48,6 @@ from residua.residues import (
     Homotopy,
     HomotopyFailure,
     MeromorphicForm,
-    PairBound,
-    RegularSequenceReport,
-    ShapeComponent,
-    StructureFormShape,
     TransformationLawReport,
     annihilator_member,
     build_current_recipe,
@@ -303,7 +301,11 @@ def _parse_statement(chunk: str, line: int):
 
 
 def encode(v):
-    """Engine value -> canonical JSON-ready structure (plain dict/list/str)."""
+    """Engine value -> canonical JSON-ready structure (plain dict/list/str).
+
+    A report dataclass encodes as its fields, each encoded in turn; the
+    explicit branches before that one are the values whose JSON differs.
+    """
     if v is None or isinstance(v, (bool, str)):
         return v
     if isinstance(v, int):
@@ -328,12 +330,14 @@ def encode(v):
         if not v.complete:
             out["truncated"] = True
         return out
+    # matrices as text, without the source and target complexes
     if isinstance(v, ChainMap):
         return {"levels": [_encode_matrix(M) for M in v.levels]}
     if isinstance(v, Homotopy):
         return {"homotopic": True, "maps": [_encode_matrix(M) for M in v.maps]}
     if isinstance(v, HomotopyFailure):
         return {"homotopic": False, "level": v.level, "residual": _encode_matrix(v.residual)}
+    # the context is the statement's own scope; data is internal (compare=False)
     if isinstance(v, FormalCurrent):
         return {
             "kind": v.kind,
@@ -341,6 +345,7 @@ def encode(v):
             "degree_span": list(v.degree_span),
             "twopi_exponent": v.twopi_exponent,
         }
+    # numerator and denominator as text; the context is the statement's own scope
     if isinstance(v, MeromorphicForm):
         return {
             "numerator": str(v.numerator),
@@ -348,12 +353,7 @@ def encode(v):
             "wedge": list(v.wedge),
             "twopi_exponent": v.twopi_exponent,
         }
-    if isinstance(v, RegularSequenceReport):
-        return {
-            "is_regular": v.is_regular,
-            "failing_index": v.failing_index,
-            "proper": v.proper,
-        }
+    # the determinant as text, not as a term list
     if isinstance(v, TransformationLawReport):
         return {
             "is_transformation": v.is_transformation,
@@ -361,65 +361,7 @@ def encode(v):
             "invertible_at_origin": v.invertible_at_origin,
             "ideals_match": v.ideals_match,
         }
-    if isinstance(v, ExactnessReport):
-        return {
-            "passes": v.passes,
-            "generic_ranks": list(v.generic_ranks),
-            "levels": [encode(l) for l in v.levels],
-        }
-    if isinstance(v, ExactnessLevel):
-        return {
-            "level": v.level,
-            "rank_ok": v.rank_ok,
-            "codim": encode(v.codim),
-            "required": v.required,
-            "codim_ok": v.codim_ok,
-        }
-    if isinstance(v, ResolutionDiagnostics):
-        return {
-            "ranks_used": list(v.ranks_used),
-            "loci": [encode(I) for I in v.loci],
-            "codims": [encode(c) for c in v.codims],
-            "level_ok": list(v.level_ok),
-            "containments": [encode(c) for c in v.containments],
-        }
-    if isinstance(v, ProperIntersectionReport):
-        return {
-            "passes": v.passes,
-            "pairs": [[k, l, encode(cd), req, ok] for (k, l, cd, req, ok) in v.pairs],
-            "failures": [[k, l, encode(cd), req] for (k, l, cd, req) in v.failures],
-        }
-    if isinstance(v, PeriodicityReport):
-        return {"detected": v.detected, "offset": v.offset, "period": v.period}
-    if isinstance(v, CMReport):
-        return {
-            "is_cm": v.is_cm,
-            "resolution_length": v.resolution_length,
-            "codim": encode(v.codim),
-        }
-    if isinstance(v, ShapeComponent):
-        return {
-            "index": v.index,
-            "bidegree": list(v.bidegree),
-            "level": v.level,
-            "support": None if v.support is None else list(v.support),
-        }
-    if isinstance(v, PairBound):
-        return {
-            "e": v.e,
-            "e_prime": v.e_prime,
-            "codim": encode(v.codim),
-            "required": v.required,
-            "ok": v.ok,
-        }
-    if isinstance(v, StructureFormShape):
-        return {
-            "pure": v.pure,
-            "d": v.d,
-            "p": v.p,
-            "components": [encode(c) for c in v.components],
-            "pair_bounds": [encode(b) for b in v.pair_bounds],
-        }
+    # the context and J are the statement's own arguments
     if isinstance(v, CurrentRecipe):
         return {
             "lifted": encode(v.lifted),
@@ -431,6 +373,8 @@ def encode(v):
             "z_cohen_macaulay": v.z_cohen_macaulay,
             "j_cohen_macaulay": v.j_cohen_macaulay,
         }
+    if dataclasses.is_dataclass(v):
+        return {f.name: encode(getattr(v, f.name)) for f in dataclasses.fields(v)}
     if isinstance(v, (tuple, list)):
         return [encode(x) for x in v]
     raise TypeError(f"no canonical encoding for {type(v).__name__}")

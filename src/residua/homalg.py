@@ -658,13 +658,13 @@ class ResolutionDiagnostics:
     containments: tuple  # generator membership of locus k in locus k+1, or None
 
 
-def rank_loci(C: ChainComplex) -> ResolutionDiagnostics:
-    """Fitting-ideal loci Z_k = V(I_{r_k}(phi_k)).
+def fitting_loci(C: ChainComplex):
+    """-> (ranks r_k, Fitting-ideal loci Z_k = V(I_{r_k}(phi_k))), k = 1..N.
 
     r_k comes from expected_ranks for complete complexes and falls back to
     the generic rank for truncated ones (where the alternating sum has no
     meaning).  Over a quotient context the relation generators are added
-    to every minor ideal; codimensions are ambient.
+    to every minor ideal.
     """
     ring = C.ring
     extra = C.context.relations.gens if C.context is not None else ()
@@ -676,26 +676,26 @@ def rank_loci(C: ChainComplex) -> ResolutionDiagnostics:
             for k in range(1, C.length + 1)
         ]
     loci = []
-    codims = []
-    ok = []
     for k in range(1, C.length + 1):
         m = minors_ideal(ring, C.diff(k), C.ranks[k - 1], C.ranks[k], rk[k - 1])
-        loc = Ideal(ring, m.gens + tuple(extra))
-        loci.append(loc)
-        cd = dimension(loc)[1]
-        codims.append(cd)
-        ok.append(cd >= k)
+        loci.append(Ideal(ring, m.gens + tuple(extra)))
+    return tuple(rk), tuple(loci)
+
+
+def rank_loci(C: ChainComplex) -> ResolutionDiagnostics:
+    """The Fitting loci of fitting_loci with their ambient codimensions,
+    the bound codim Z_k >= k, and whether locus k sits inside locus k+1."""
+    rk, loci = fitting_loci(C)
+    codims = tuple(dimension(loc)[1] for loc in loci)
+    ok = tuple(cd >= k for k, cd in enumerate(codims, 1))
     contain = []
     for k in range(len(loci) - 1):
         a, b = loci[k], loci[k + 1]
-        if not a.gens or not b.gens:
+        if not a.gens or not b.gens or INFINITE_CODIM in (codims[k], codims[k + 1]):
             contain.append(None)
-            continue
-        if dimension(a)[1] == INFINITE_CODIM or dimension(b)[1] == INFINITE_CODIM:
-            contain.append(None)
-            continue
-        contain.append(all(ideal_member(g, b) for g in a.gens))
-    return ResolutionDiagnostics(tuple(rk), tuple(loci), tuple(codims), tuple(ok), tuple(contain))
+        else:
+            contain.append(all(ideal_member(g, b) for g in a.gens))
+    return ResolutionDiagnostics(rk, loci, codims, ok, tuple(contain))
 
 
 @dataclass(frozen=True)
@@ -763,14 +763,14 @@ def proper_intersection_check(
     the geometric condition for the tensor complex to stay a resolution."""
     if C.ring != D.ring or C.context != D.context:
         raise ValueError("complexes must share one ring and context")
-    dc = rank_loci(C)
-    dd = rank_loci(D)
+    dc = fitting_loci(C)[1]
+    dd = fitting_loci(D)[1]
     ring = C.ring
     pairs = []
     failures = []
     for k in range(max(1, codim_c), C.length + 1):
         for l in range(max(1, codim_d), D.length + 1):
-            sum_ideal = Ideal(ring, dc.loci[k - 1].gens + dd.loci[l - 1].gens)
+            sum_ideal = Ideal(ring, dc[k - 1].gens + dd[l - 1].gens)
             cd = dimension(sum_ideal)[1]
             ok = cd >= k + l
             pairs.append((k, l, cd, k + l, ok))

@@ -30,6 +30,7 @@ from residua.homalg import (
     ChainComplex,
     Matrix,
     determinant,
+    fitting_loci,
     free_resolution,
     identity_matrix,
     mat_add,
@@ -37,7 +38,6 @@ from residua.homalg import (
     mat_is_zero,
     mat_mul,
     mat_sub,
-    rank_loci,
     zero_matrix,
 )
 from residua.polyring import Polynomial, PolynomialRing, PolyVector
@@ -474,7 +474,7 @@ def structure_form_shape(
     comps = tuple(
         ShapeComponent(e, (0, e), n - e, tuple(f for f in dims if f >= e)) for _, e in parts
     )
-    loci = rank_loci(F)
+    loci = fitting_loci(F)[1]
     bounds = []
     for W, e in parts:
         for _, ep in parts:
@@ -483,7 +483,7 @@ def structure_form_shape(
             level = n - ep
             if not (1 <= level <= F.length):
                 continue
-            S = Ideal(ring, W.gens + loci.loci[level - 1].gens)
+            S = Ideal(ring, W.gens + loci[level - 1].gens)
             cd = dimension(S)[1]
             bounds.append(PairBound(e, ep, cd, level + 1, cd >= level + 1))
     return StructureFormShape(False, d, p, comps, tuple(bounds))

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,11 +22,21 @@ from residua.cli import (
     run_script,
 )
 from residua.groebner import Ideal, QuotientContext
-from residua.homalg import free_resolution, koszul_complex
+from residua.homalg import (
+    buchsbaum_eisenbud_check,
+    cohen_macaulay_check,
+    detect_periodicity,
+    free_resolution,
+    koszul_complex,
+    proper_intersection_check,
+    rank_loci,
+)
 from residua.polyring import PolynomialRing, order_by_name
+from residua.residues import regular_sequence_check, structure_form_shape
 
 ZW = PolynomialRing(("z", "w"))
 XY = PolynomialRing(("x", "y"))
+XYZ = PolynomialRing(("x", "y", "z"))
 
 
 def test_spec_one_liner():
@@ -58,6 +70,48 @@ def test_polynomial_json_schema():
 def test_koszul_json_schema():
     K = koszul_complex((ZW.poly("z"), ZW.poly("w")))
     assert encode(K) == {"ranks": [1, 2, 1], "diffs": [[["z", "w"]], [["-w"], ["z"]]]}
+
+
+def test_resolution_diagnostics_encode_as_their_fields():
+    d = rank_loci(koszul_complex((XY.poly("x"), XY.poly("y"))))
+    assert encode(d) == {
+        "ranks_used": [1, 1],
+        "loci": [{"gens": ["x", "y"]}, {"gens": ["y", "x"]}],
+        "codims": [2, 2],
+        "level_ok": [True, True],
+        "containments": [True],
+    }
+
+
+def _two_lines_and_plane_shape():
+    Z = QuotientContext(XYZ, Ideal(XYZ, (XYZ.poly("x*z"), XYZ.poly("y*z"))))
+    decomposition = [
+        (Ideal(XYZ, (XYZ.poly("z"),)), 2),
+        (Ideal(XYZ, (XYZ.poly("x"), XYZ.poly("y"))), 1),
+    ]
+    return structure_form_shape(Z, decomposition)
+
+
+REPORTS = {
+    "RegularSequenceReport": lambda: regular_sequence_check((XY.poly("x"), XY.poly("y"))),
+    "ExactnessReport": lambda: buchsbaum_eisenbud_check(koszul_complex((XY.poly("x"), XY.poly("y")))),
+    "ExactnessLevel": lambda: REPORTS["ExactnessReport"]().levels[0],
+    "ProperIntersectionReport": lambda: proper_intersection_check(
+        koszul_complex((XY.poly("x"),)), koszul_complex((XY.poly("y"),)), 1, 1
+    ),
+    "PeriodicityReport": lambda: detect_periodicity(koszul_complex((XY.poly("x"), XY.poly("y")))),
+    "CMReport": lambda: cohen_macaulay_check(Ideal(XY, (XY.poly("x"), XY.poly("y")))),
+    "StructureFormShape": _two_lines_and_plane_shape,
+    "ShapeComponent": lambda: _two_lines_and_plane_shape().components[0],
+    "PairBound": lambda: _two_lines_and_plane_shape().pair_bounds[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_keys_are_field_names(name):
+    report = REPORTS[name]()
+    assert type(report).__name__ == name
+    assert list(encode(report)) == [f.name for f in dataclasses.fields(report)]
 
 
 def test_empty_ideal_json():
@@ -205,6 +259,12 @@ def test_corpus_runs_clean_and_deterministically():
     blob1 = json.dumps(doc1, sort_keys=True, separators=(",", ":"))
     blob2 = json.dumps(doc2, sort_keys=True, separators=(",", ":"))
     assert blob1 == blob2
+
+
+def test_corpus_json_is_pinned():
+    blob = json.dumps(run_script(corpus_text())[2], sort_keys=True, separators=(",", ":")) + "\n"
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    assert digest == "7b363c29e442ce7cccf552c3b51dd2fd5b93c9818cccc35730d8e26fec7e2ad6"
 
 
 def test_main_with_script_and_json_files(tmp_path, capsys):
