@@ -433,6 +433,26 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
 
     Over a quotient context the relation multiples of each unit vector
     are appended and the ambient syzygies are projected back down.
+
+    The candidates (Schreyer's syzygies plus a reduced basis of their
+    span, deduplicated and sorted descending under the Schreyer order)
+    are pruned by one greedy rule: in list order, candidate v_i is
+    dropped when it lies in the span N of the candidates kept before it
+    and all candidates after it.  No kept generator is then produced by
+    the other kept ones.
+
+    Without a context, when every candidate is homogeneous for the
+    grading in which e_p has the total degree of the lead term of
+    generator p, the rule is decided by graded Nakayama instead of one
+    module Groebner basis per candidate.  N and v_i span the whole
+    module, and R*v_i lives in degrees >= D = deg v_i, so N contains
+    every candidate of degree < D and the submodule L they generate.
+    Hence v_i is in N exactly when it is in L_D plus the Q-span of the
+    degree-D candidates among the generators of N, that is when its
+    normal form modulo a Groebner basis of L is a Q-combination of
+    theirs.  That costs one basis per candidate degree plus Gaussian
+    elimination over Q, and keeps the same candidates.  Other inputs
+    run the per-candidate loop.
     """
     if isinstance(obj, Ideal):
         ring, order, rank = obj.ring, obj.ring.default_order, 1
@@ -461,7 +481,8 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
 
     # canonical output: dedupe, sort descending under the Schreyer order
     # induced by the input generators' leading terms
-    sch = order.schreyer(max(tm, key=order.term_key) for tm in inputs[:s])
+    leads = [max(tm, key=order.term_key) for tm in inputs[:s]]
+    sch = order.schreyer(leads)
     seen = set()
     unique = []
     for v in vecs:
@@ -487,13 +508,57 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     unique.sort(key=lambda v: sch.term_key(v.leading(sch)[0]), reverse=True)
     # drop generators the rest already produce (keeps iterated syzygy
     # computations from accumulating redundancy step after step)
-    kept = []
-    for i, v in enumerate(unique):
-        others = kept + unique[i + 1 :]
-        if others and module_member(v, SubmoduleBasis(ring, s, others), context):
-            continue
-        kept.append(v)
+    shifts = [sum(m) for _, m in leads]
+    kept = None if context is not None else _graded_prune(unique, sch.term_key, s, shifts)
+    if kept is None:
+        kept = []
+        for i, v in enumerate(unique):
+            others = kept + unique[i + 1 :]
+            if others and module_member(v, SubmoduleBasis(ring, s, others), context):
+                continue
+            kept.append(v)
     return SubmoduleBasis(ring, s, kept)
+
+
+def _graded_prune(cands: list, keyfn, rank: int, shifts: list):
+    """The candidates the greedy rule of syzygies keeps, by graded
+    Nakayama (see syzygies), or None when some candidate is not
+    homogeneous for the shifts (e_p has degree shifts[p]).
+
+    Within one degree the rule is greedy deletion of dependent normal
+    forms in list order, which keeps the same vectors as greedy
+    insertion of independent ones in reverse order: both pick the basis
+    that is lexicographically last.
+    """
+    terms = [to_terms(v) for v in cands]
+    degrees = []
+    for tm in terms:
+        ds = {sum(m) + shifts[pos] for pos, m in tm}
+        if len(ds) != 1:
+            return None
+        degrees.append(ds.pop())
+    zero = _zero_mono(terms[0]) if terms else None
+    kept = set()
+    for D in sorted(set(degrees)):
+        lower = [tm for tm, d in zip(terms, degrees) if d < D]
+        divisors = []
+        if lower:
+            gb, leads, _, _ = _engine(lower, keyfn, rank, False)
+            divisors = [(lk, Fraction(1), tm) for lk, tm in zip(leads, gb)]
+        pivots: dict = {}  # leading key -> monic row, echelon over Q
+        for i in reversed(range(len(terms))):
+            if degrees[i] != D:
+                continue
+            _, nf = kernel.reduce_terms(terms[i], divisors, keyfn, False)
+            while nf:
+                lk = kernel.leading_key(nf, keyfn)
+                row = pivots.get(lk)
+                if row is None:
+                    pivots[lk] = _scale_terms(nf, 1 / nf[lk])
+                    kept.add(i)
+                    break
+                kernel.add_scaled_inplace(nf, row, -nf[lk], zero)
+    return [cands[i] for i in sorted(kept)]
 
 
 # -- lifting through a module map -------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly, random_nonzero_poly
+from residua import groebner
 from residua.groebner import (
     INFINITE_CODIM,
     Ideal,
@@ -31,6 +32,7 @@ from residua.polyring import LEX, Polynomial, PolynomialRing, PolyVector, divide
 
 R2 = PolynomialRing(("x", "y"))
 R3 = PolynomialRing(("x", "y", "z"))
+R4 = PolynomialRing(("x", "y", "z", "w"))
 RZW = PolynomialRing(("z", "w"))
 
 
@@ -270,6 +272,193 @@ def test_module_syzygies():
     syz = syzygies(SubmoduleBasis(R2, 2, (v1 + v2, v1 + v2)))
     assert len(syz.gens) == 1
     assert syz.gens[0] == PolyVector(R2, (R2.poly("1"), R2.poly("-1")))
+
+
+# ---------------------------------------------------------------------------
+# pruning of syzygy candidates
+
+
+def loop_prune(cands, ring, rank, context=None):
+    """The per-candidate pruning loop of syzygies, kept as the reference:
+    drop a candidate when the kept ones before it and all after it
+    generate it (one module Groebner basis per candidate)."""
+    kept = []
+    for i, v in enumerate(cands):
+        others = kept + cands[i + 1 :]
+        if others and module_member(v, SubmoduleBasis(ring, rank, others), context):
+            continue
+        kept.append(v)
+    return kept
+
+
+def spy_graded(monkeypatch):
+    """Record (candidates, shifts, result) of every graded-prune call."""
+    calls = []
+    real = groebner._graded_prune
+
+    def spy(cands, keyfn, rank, shifts):
+        out = real(cands, keyfn, rank, shifts)
+        calls.append((list(cands), shifts, out))
+        return out
+
+    monkeypatch.setattr(groebner, "_graded_prune", spy)
+    return calls
+
+
+def count_module_member(monkeypatch):
+    calls = []
+    real = groebner.module_member
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "module_member", counted)
+    return calls
+
+
+def loop_syzygies(monkeypatch, obj, context=None):
+    """syzygies with the graded test switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_graded_prune", lambda *args: None)
+        return syzygies(obj, context)
+
+
+def shifted_degree(v, shifts):
+    degrees = {
+        sum(m) + shifts[pos] for pos, p in enumerate(v.entries) for m in p.terms
+    }
+    assert len(degrees) == 1
+    return degrees.pop()
+
+
+def graded_syzygies(monkeypatch, obj):
+    """syzygies of obj through the graded test, checked against the loop:
+    same generators in the same order, and no module_member call.
+    Returns (candidates, shifts, syzygies)."""
+    calls = spy_graded(monkeypatch)
+    members = count_module_member(monkeypatch)
+    syz = syzygies(obj)
+    assert len(calls) == 1
+    cands, shifts, out = calls[0]
+    assert out is not None and not members
+    assert list(syz.gens) == out == loop_prune(cands, obj.ring, len(obj.gens))
+    assert syz.gens == loop_syzygies(monkeypatch, obj).gens
+    return cands, shifts, syz
+
+
+def dropped_by(cands, shifts, kept, ring, rank):
+    """For each dropped candidate: (in the submodule of the lower-degree
+    candidates, in the submodule of the other same-degree candidates)."""
+    out = []
+    for v in cands:
+        if v in kept:
+            continue
+        d = shifted_degree(v, shifts)
+        lower = [w for w in cands if shifted_degree(w, shifts) < d]
+        same = [w for w in cands if w is not v and shifted_degree(w, shifts) == d]
+        out.append(
+            (
+                bool(lower) and module_member(v, SubmoduleBasis(ring, rank, lower)),
+                bool(same) and module_member(v, SubmoduleBasis(ring, rank, same)),
+            )
+        )
+    return out
+
+
+def test_graded_prune_drops_by_normal_form(monkeypatch):
+    # y^2 e1 - x^2 e3 = y*(y e1 - x e2) + x*(y e2 - x e3): redundant only
+    # through the degree-3 syzygies, and alone in degree 4
+    gens = [R4.poly("x^2"), R4.poly("x*y"), R4.poly("y^2")]
+    cands, shifts, syz = graded_syzygies(monkeypatch, Ideal(R4, gens))
+    assert dropped_by(cands, shifts, syz.gens, R4, 3) == [(True, False)]
+    assert [str(v) for v in syz.gens] == ["(y, -x, 0)", "(0, y, -x)"]
+
+
+def test_graded_prune_drops_by_linear_algebra(monkeypatch):
+    # the three Koszul-type syzygies of (xy, xz, yz) all have degree 3
+    # and sum to zero: no lower-degree candidate, a Q-linear relation
+    gens = [R4.poly("x*y"), R4.poly("x*z"), R4.poly("y*z")]
+    cands, shifts, syz = graded_syzygies(monkeypatch, Ideal(R4, gens))
+    assert len(cands) == 3 and len({shifted_degree(v, shifts) for v in cands}) == 1
+    assert dropped_by(cands, shifts, syz.gens, R4, 3) == [(False, True)]
+    assert len(syz.gens) == 2
+
+
+def test_graded_prune_drops_by_both_steps(monkeypatch):
+    # redundant modulo the degree-3 syzygy plus a Q-combination of the
+    # other degree-4 candidates, and by neither alone
+    gens = [R4.poly("x*y + z*w"), R4.poly("x*z"), R4.poly("y*z")]
+    cands, shifts, syz = graded_syzygies(monkeypatch, Ideal(R4, gens))
+    assert (False, False) in dropped_by(cands, shifts, syz.gens, R4, 3)
+
+
+def test_inhomogeneous_candidates_take_the_loop(monkeypatch):
+    gens = [RZW.poly("z^3 - w^2"), RZW.poly("z*w"), RZW.poly("w^3")]
+    calls = spy_graded(monkeypatch)
+    members = count_module_member(monkeypatch)
+    syz = syzygies(Ideal(RZW, gens))
+    assert [out for _, _, out in calls] == [None]
+    assert members
+    cands = calls[0][0]
+    assert list(syz.gens) == loop_prune(cands, RZW, 3)
+    assert syz.gens == loop_syzygies(monkeypatch, Ideal(RZW, gens)).gens
+
+
+def test_context_takes_the_loop(monkeypatch):
+    ctx = QuotientContext(R3, Ideal(R3, (R3.poly("x*y - z^2"),)))
+    gens = [R3.poly("x^2"), R3.poly("x*z"), R3.poly("y*z")]
+    calls = spy_graded(monkeypatch)
+    members = count_module_member(monkeypatch)
+    syz = syzygies(Ideal(R3, gens), context=ctx)
+    assert not calls and members
+    assert all(c == ctx for *_, c in members)
+    assert syz.gens == loop_syzygies(monkeypatch, Ideal(R3, gens), ctx).gens
+
+
+def random_monomial_ideal(rng, binomial):
+    """3-6 monomials of degree 1-3 in Q[x,y,z,w], times a seeded linear
+    binomial x_i + c x_j when binomial is set."""
+    gens, size = [], rng.randint(3, 6)
+    while len(gens) < size:
+        m = [0, 0, 0, 0]
+        for _ in range(rng.randint(1, 3)):
+            m[rng.randrange(4)] += 1
+        g = Polynomial(R4, {tuple(m): Fraction(1)})
+        if g not in gens:
+            gens.append(g)
+    if binomial:
+        i, j = rng.sample(range(4), 2)
+        b = R4.gens()[i] + R4.gens()[j] * rng.choice((1, -1, 2, Fraction(1, 3)))
+        gens = [b * g for g in gens]
+    return Ideal(R4, gens)
+
+
+def assert_irredundant(syz):
+    for i, v in enumerate(syz.gens):
+        others = syz.gens[:i] + syz.gens[i + 1 :]
+        assert not (others and module_member(v, SubmoduleBasis(syz.ring, syz.rank, others)))
+
+
+@pytest.mark.parametrize("binomial", [False, True], ids=["monomial", "binomial"])
+def test_graded_prune_matches_loop_seeded(monkeypatch, binomial):
+    rng = random.Random(5 + binomial)
+    for _ in range(8):
+        I = random_monomial_ideal(rng, binomial)
+        _, _, syz = graded_syzygies(monkeypatch, I)
+        monkeypatch.undo()
+        assert_irredundant(syz)
+        if not syz.gens:
+            continue
+        # second syzygies: vector inputs, graded or not for lead-term shifts
+        second = SubmoduleBasis(R4, len(I.gens), syz.gens)
+        calls = spy_graded(monkeypatch)
+        syz2 = syzygies(second)
+        monkeypatch.undo()
+        cands, _, _ = calls[0]
+        assert list(syz2.gens) == loop_prune(cands, R4, len(syz.gens))
+        assert syz2.gens == loop_syzygies(monkeypatch, second).gens
+        assert_irredundant(syz2)
 
 
 # ---------------------------------------------------------------------------
