@@ -1,21 +1,6 @@
-"""Build script.  The compiled term-arithmetic kernel is optional: when
-Cython or a C compiler is missing the package installs pure-Python only
-and residua.kernel falls back at import time."""
+"""Build script.  The package is pure Python; pyproject.toml holds its
+metadata, and `python setup.py build` works offline."""
 
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.path.exists("src/residua/_kernel_c.pyx"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("residua._kernel_c", ["src/residua/_kernel_c.pyx"])],
-            language_level=3,
-        )
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules)
+setup()

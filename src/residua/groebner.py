@@ -1,10 +1,20 @@
 """Groebner bases, syzygies, and ideal arithmetic over Q[x1..xn].
 
 The engine is Buchberger's algorithm with the normal selection strategy
-and both classical pair criteria (coprime leads for ideals, the chain
-criterion everywhere), always finishing with the unique reduced basis:
-monic, auto-reduced, sorted descending by leading term.  Determinism is
-the contract; speed is secondary at this input scale.
+(pairs kept in a heap by the key of their lcm) and both classical pair
+criteria (coprime leads for ideals, the chain criterion everywhere),
+always finishing with the unique reduced basis: monic, auto-reduced,
+sorted descending by leading term.  Determinism is the contract.
+
+Inside the engine, elements are primitive integer term maps (content 1,
+positive lead coefficient), S-polynomials use the integer cofactors
+lc_j/g and lc_i/g with g = gcd(lc_i, lc_j), and reduction is the kernel's
+fraction-free pseudo-division.  Each step is a nonzero rational multiple
+of the same step over Q with monic elements: the same pair, the same
+largest term, the same first dividing lead.  Answers are converted to
+Fraction only on the way out (bases made monic, remainders and quotients
+divided by their multipliers), so they are exactly those of the
+computation over Q, byte for byte.
 
 Quotient rings Q[x]/I_Z appear as contexts: membership, normal forms and
 syzygies over the quotient are computed by appending I_Z relations to the
@@ -14,6 +24,8 @@ ambient problem and projecting back.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from residua import kernel
@@ -70,6 +82,18 @@ class Ideal:
             self._gb_cache[order] = hit
         return hit
 
+    def _reducer(self, order: Optional[MonomialOrder] = None) -> tuple:
+        """(integer kernel divisors of the reduced basis, heap-key memo),
+        cached per order for repeated reductions against this ideal."""
+        order = order or self.ring.default_order
+        key = ("reducer", order)
+        hit = self._gb_cache.get(key)
+        if hit is None:
+            divisors, _ = kernel_divisors(self.groebner(order), order)
+            hit = (divisors, kernel.HeapKeys(order.term_key))
+            self._gb_cache[key] = hit
+        return hit
+
     def is_zero(self) -> bool:
         return not self.gens
 
@@ -99,10 +123,10 @@ class QuotientContext:
 
     def reduce(self, f, order: Optional[MonomialOrder] = None):
         """Normal form modulo the relations (entrywise on vectors)."""
-        gb = self.relations.groebner(order)
+        divisors, keys = self.relations._reducer(order)
         if isinstance(f, PolyVector):
-            return PolyVector(self.ring, tuple(_reduce(p, gb, order) for p in f.entries))
-        return _reduce(f, gb, order)
+            return PolyVector(self.ring, tuple(_reduce(p, divisors, keys) for p in f.entries))
+        return _reduce(f, divisors, keys)
 
     def __eq__(self, other):
         return (
@@ -157,47 +181,76 @@ def _spair_parts(lead_i, lead_j):
     return lcm, kernel.exp_sub(lcm, lead_i[1]), kernel.exp_sub(lcm, lead_j[1])
 
 
-def _scale_terms(tm: dict, c: Fraction) -> dict:
+def _cofactors(gi, li, gj, lj):
+    """(a_i, a_j) with a_i * lc(g_i) = a_j * lc(g_j) = lcm of the leads'
+    coefficients, so a_i x^u_i g_i - a_j x^u_j g_j is the S-polynomial."""
+    ci, cj = gi[li], gj[lj]
+    h = gcd(ci, cj)
+    return cj // h, ci // h
+
+
+def _scale_terms(tm: dict, c) -> dict:
     return {k: v * c for k, v in tm.items()}
+
+
+def _divisor(tm: dict, lk) -> tuple:
+    return (lk, tm[lk], tm)
+
+
+def _monic_terms(tm: dict, lk) -> dict:
+    """The monic Fraction term map of an integer term map with lead key lk."""
+    return kernel.rational_terms(tm, tm[lk])
 
 
 def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
     """Reduced Groebner basis of nonzero term maps, with representations.
 
     Returns (basis, leads, reps, exprs):
-      basis  monic reduced basis, sorted descending by leading key
+      basis  the reduced basis as primitive integer term maps (content 1,
+             positive lead coefficient), sorted descending by leading key;
+             _monic_terms gives the monic basis over Q
       leads  leading keys of basis entries
-      reps   basis[k] = sum(reps[k]) over the inputs (term maps over
-             positions 0..len(inputs)-1); None when track is false
-      exprs  inputs[j] = sum_k exprs[j][k] * basis[k] (quotient term
-             maps over ring monomials); None when track is false
+      reps   basis[k] = sum(reps[k]) over the inputs (Fraction term maps
+             over positions 0..len(inputs)-1); None when track is false
+      exprs  (d_j, quots_j) with d_j * inputs[j] = sum_k quots_j[k] *
+             basis[k] (d_j a Fraction, quotient integer term maps over ring
+             monomials); None when track is false
+
+    The monic basis, and the reps divided by the lead coefficients, are
+    exactly those of the same computation over Q (see the module docstring).
     """
+    keys = kernel.HeapKeys(keyfn)
     items = []  # [terms, lead_key, rep]
+    scaled = []  # (s_j, the integer term map s_j * inputs[j])
     for j, tm in enumerate(inputs):
         lk = kernel.leading_key(tm, keyfn)
         if lk is None:
             raise InvariantError("engine inputs must be nonzero")
-        inv = 1 / tm[lk]
-        rep = {(j, _zero_mono(tm)): Fraction(inv)} if track else None
-        items.append([_scale_terms(tm, inv), lk, rep])
+        num, den = kernel.integer_terms(tm)
+        p, c = kernel.primitive(num, lk)
+        scale = Fraction(den, c)
+        scaled.append((scale, p))
+        rep = {(j, _zero_mono(tm)): scale} if track else None
+        items.append([p, lk, rep])
+    divisors = [_divisor(it[0], it[1]) for it in items]
 
-    pairs = {}  # (i, j) -> selection key, computed once at insertion
+    pairs = []  # heap of (selection key, i, j)
     done = set()
 
-    def lcm_key(i, j):
+    def push_pair(i, j):
         lcm, _, _ = _spair_parts(items[i][1], items[j][1])
-        return (keyfn((items[i][1][0], lcm)), i, j)
+        heappush(pairs, (keyfn((items[i][1][0], lcm)), i, j))
 
     for j in range(len(items)):
         for i in range(j):
             if items[i][1][0] == items[j][1][0]:
-                pairs[(i, j)] = lcm_key(i, j)
+                push_pair(i, j)
 
     while pairs:
-        i, j = min(pairs, key=pairs.__getitem__)
-        del pairs[(i, j)]
+        _, i, j = heappop(pairs)
         done.add((i, j))
-        li, lj = items[i][1], items[j][1]
+        gi, li, rep_i = items[i]
+        gj, lj, rep_j = items[j]
         pos = li[0]
         lcm, ui, uj = _spair_parts(li, lj)
         # coprime-lead criterion (valid for the ideal case only)
@@ -217,28 +270,31 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
                 break
         if skip:
             continue
-        s: dict = {}
-        kernel.add_scaled_inplace(s, items[i][0], Fraction(1), ui)
-        kernel.add_scaled_inplace(s, items[j][0], Fraction(-1), uj)
-        divisors = [(it[1], Fraction(1), it[0]) for it in items]
-        quots, rem = kernel.reduce_terms(s, divisors, keyfn, track)
+        ai, aj = _cofactors(gi, li, gj, lj)
+        spoly: dict = {}
+        kernel.add_scaled_inplace(spoly, gi, ai, ui)
+        kernel.add_scaled_inplace(spoly, gj, -aj, uj)
+        quots, rem, mult = kernel.reduce_terms(spoly, divisors, keys, track)
         if not rem:
             continue
+        lk = next(iter(rem))
+        p, c = kernel.primitive(rem, lk)
         rep = None
         if track:
             rep = {}
-            kernel.add_scaled_inplace(rep, items[i][2], Fraction(1), ui)
-            kernel.add_scaled_inplace(rep, items[j][2], Fraction(-1), uj)
+            kernel.add_scaled_inplace(rep, rep_i, mult * ai, ui)
+            kernel.add_scaled_inplace(rep, rep_j, -mult * aj, uj)
             for k, q in enumerate(quots):
-                for m, c in q.items():
-                    kernel.add_scaled_inplace(rep, items[k][2], -c, m)
-        lk = kernel.leading_key(rem, keyfn)
-        inv = 1 / rem[lk]
+                for m, b in q.items():
+                    kernel.add_scaled_inplace(rep, items[k][2], -b, m)
+            if c != 1:
+                rep = _scale_terms(rep, Fraction(1, c))
         t = len(items)
-        items.append([_scale_terms(rem, inv), lk, _scale_terms(rep, inv) if track else None])
+        items.append([p, lk, rep])
+        divisors.append(_divisor(p, lk))
         for k in range(t):
             if items[k][1][0] == lk[0]:
-                pairs[(k, t)] = lcm_key(k, t)
+                push_pair(k, t)
 
     # minimal pass: drop anything whose lead another kept element divides
     order_asc = sorted(range(len(items)), key=lambda k: keyfn(items[k][1]))
@@ -258,14 +314,19 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
         others = [items[k] for k in range(len(items)) if k != idx]
         if not others:
             continue
-        divisors = [(it[1], Fraction(1), it[0]) for it in others]
-        quots, rem = kernel.reduce_terms(items[idx][0], divisors, keyfn, track)
+        g, lk, rep = items[idx]
+        divisors = [_divisor(it[0], it[1]) for it in others]
+        quots, rem, mult = kernel.reduce_terms(g, divisors, keys, track)
+        p, c = kernel.primitive(rem, lk)  # the lead is not reducible
         if track:
-            rep = items[idx][2]
+            rep = _scale_terms(rep, mult)
             for k, q in enumerate(quots):
-                for m, c in q.items():
-                    kernel.add_scaled_inplace(rep, others[k][2], -c, m)
-        items[idx][0] = rem  # lead coefficient still 1
+                for m, b in q.items():
+                    kernel.add_scaled_inplace(rep, others[k][2], -b, m)
+            if c != 1:
+                rep = _scale_terms(rep, Fraction(1, c))
+            items[idx][2] = rep
+        items[idx][0] = p
 
     items.sort(key=lambda it: keyfn(it[1]), reverse=True)
     basis = [it[0] for it in items]
@@ -274,13 +335,13 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
 
     exprs = None
     if track:
-        divisors = [(it[1], Fraction(1), it[0]) for it in items]
+        divisors = [_divisor(it[0], it[1]) for it in items]
         exprs = []
-        for tm in inputs:
-            quots, rem = kernel.reduce_terms(tm, divisors, keyfn, True)
+        for scale, p in scaled:
+            quots, rem, mult = kernel.reduce_terms(p, divisors, keys, True)
             if rem:
                 raise InvariantError("input does not reduce to zero against its own basis")
-            exprs.append(quots)
+            exprs.append((mult * scale, quots))
     return basis, leads, reps, exprs
 
 
@@ -301,18 +362,19 @@ def _relation_terms(context: QuotientContext, rank: int, order=None) -> list:
 def _ideal_groebner(gens, order):
     if not gens:
         return []
-    basis, _, _, _ = _engine([to_terms(g) for g in gens], order.term_key, 1, False)
-    return [from_terms(gens[0], tm) for tm in basis]
+    basis, leads, _, _ = _engine([to_terms(g) for g in gens], order.term_key, 1, False)
+    return [from_terms(gens[0], _monic_terms(tm, lk)) for tm, lk in zip(basis, leads)]
 
 
-def _reduce(f, gb, order=None):
-    """Remainder of a Polynomial or PolyVector against gb (not canonical
-    unless gb is a Groebner basis)."""
-    if not gb:
+def _reduce(f, divisors, keys):
+    """Remainder of a Polynomial or PolyVector against integer kernel
+    divisors (not canonical unless they form a Groebner basis); keys is
+    the kernel.HeapKeys memo of the order."""
+    if not divisors:
         return f
-    order = order or f.ring.default_order
-    _, rem = kernel.reduce_terms(to_terms(f), kernel_divisors(gb, order), order.term_key, False)
-    return from_terms(f, rem)
+    num, den = kernel.integer_terms(to_terms(f))
+    _, rem, mult = kernel.reduce_terms(num, divisors, keys, False)
+    return from_terms(f, kernel.rational_terms(rem, mult * den))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +390,8 @@ def groebner_basis(obj: Union[Ideal, SubmoduleBasis], order: Optional[MonomialOr
         order = order or obj.order
         if not obj.gens:
             return []
-        basis, _, _, _ = _engine([to_terms(v) for v in obj.gens], order.term_key, obj.rank, False)
-        return [from_terms(obj.gens[0], tm) for tm in basis]
+        basis, leads, _, _ = _engine([to_terms(v) for v in obj.gens], order.term_key, obj.rank, False)
+        return [from_terms(obj.gens[0], _monic_terms(tm, lk)) for tm, lk in zip(basis, leads)]
     raise TypeError("expected an Ideal or SubmoduleBasis")
 
 
@@ -341,7 +403,11 @@ def normal_form(f, basis, order: Optional[MonomialOrder] = None, context: Contex
     """
     if context is not None:
         f = context.reduce(f, order)
-    return _reduce(f, list(basis), order)
+    basis = list(basis)
+    if not basis:
+        return f
+    order = order or f.ring.default_order
+    return _reduce(f, kernel_divisors(basis, order)[0], kernel.HeapKeys(order.term_key))
 
 
 def lifted_ideal(I: Ideal, context: Context) -> Ideal:
@@ -360,7 +426,7 @@ def ideal_member(f: Polynomial, I: Ideal, context: Context = None) -> bool:
             combined = lifted_ideal(I, context)
             I._gb_cache[key] = combined
         I = combined
-    return _reduce(f, I.groebner()).is_zero()
+    return _reduce(f, *I._reducer()).is_zero()
 
 
 def ideals_equal(I: Ideal, J: Ideal, context: Context = None) -> bool:
@@ -378,8 +444,9 @@ def module_member(v: PolyVector, basis: SubmoduleBasis, context: Context = None)
         return v.is_zero()
     keyfn = basis.order.term_key
     gb, leads, _, _ = _engine(inputs, keyfn, basis.rank, False)
-    divisors = [(lk, Fraction(1), tm) for lk, tm in zip(leads, gb)]
-    _, rem = kernel.reduce_terms(to_terms(v), divisors, keyfn, False)
+    num, _ = kernel.integer_terms(to_terms(v))
+    divisors = list(map(_divisor, gb, leads))
+    _, rem, _ = kernel.reduce_terms(num, divisors, kernel.HeapKeys(keyfn), False)
     return not rem
 
 
@@ -393,36 +460,37 @@ def _syzygies_termmaps(inputs: Sequence[dict], keyfn, rank: int):
     transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B).
     """
     basis, leads, reps, exprs = _engine(inputs, keyfn, rank, True)
-    s = len(inputs)
+    keys = kernel.HeapKeys(keyfn)
     zero = _zero_mono(inputs[0])
-    out = []
+    out = []  # each syzygy up to a nonzero rational factor
     # pair syzygies of the reduced basis, mapped through A
-    divisors = [(lk, Fraction(1), tm) for lk, tm in zip(leads, basis)]
+    divisors = list(map(_divisor, basis, leads))
     for j in range(len(basis)):
         for i in range(j):
             if leads[i][0] != leads[j][0]:
                 continue
             lcm, ui, uj = _spair_parts(leads[i], leads[j])
+            ai, aj = _cofactors(basis[i], leads[i], basis[j], leads[j])
             sp: dict = {}
-            kernel.add_scaled_inplace(sp, basis[i], Fraction(1), ui)
-            kernel.add_scaled_inplace(sp, basis[j], Fraction(-1), uj)
-            quots, rem = kernel.reduce_terms(sp, divisors, keyfn, True)
+            kernel.add_scaled_inplace(sp, basis[i], ai, ui)
+            kernel.add_scaled_inplace(sp, basis[j], -aj, uj)
+            quots, rem, mult = kernel.reduce_terms(sp, divisors, keys, True)
             if rem:
                 raise InvariantError("S-pair of a Groebner basis must reduce to zero")
             syz: dict = {}
-            kernel.add_scaled_inplace(syz, reps[i], Fraction(1), ui)
-            kernel.add_scaled_inplace(syz, reps[j], Fraction(-1), uj)
+            kernel.add_scaled_inplace(syz, reps[i], mult * ai, ui)
+            kernel.add_scaled_inplace(syz, reps[j], -mult * aj, uj)
             for k, q in enumerate(quots):
-                for m, c in q.items():
-                    kernel.add_scaled_inplace(syz, reps[k], -c, m)
+                for m, b in q.items():
+                    kernel.add_scaled_inplace(syz, reps[k], -b, m)
             if syz:
                 out.append(syz)
     # columns of Id - A*B
-    for j in range(s):
-        col = {(j, zero): Fraction(1)}
-        for k, q in enumerate(exprs[j]):
-            for m, c in q.items():
-                kernel.add_scaled_inplace(col, reps[k], -c, m)
+    for j, (d, quots) in enumerate(exprs):
+        col = {(j, zero): d}
+        for k, q in enumerate(quots):
+            for m, b in q.items():
+                kernel.add_scaled_inplace(col, reps[k], -b, m)
         if col:
             out.append(col)
     return out
@@ -494,9 +562,9 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
     if unique:
-        gb_tm, _, _, _ = _engine([to_terms(v) for v in unique], sch.term_key, s, False)
-        for tm in gb_tm:
-            v = from_terms(zero, tm)
+        gb_tm, gb_leads, _, _ = _engine([to_terms(v) for v in unique], sch.term_key, s, False)
+        for tm, lk in zip(gb_tm, gb_leads):
+            v = from_terms(zero, _monic_terms(tm, lk))
             if context is not None:
                 v = context.reduce(v, order)
                 if v.is_zero():
@@ -530,7 +598,7 @@ def _graded_prune(cands: list, keyfn, rank: int, shifts: list):
     insertion of independent ones in reverse order: both pick the basis
     that is lexicographically last.
     """
-    terms = [to_terms(v) for v in cands]
+    terms = [kernel.integer_terms(to_terms(v))[0] for v in cands]
     degrees = []
     for tm in terms:
         ds = {sum(m) + shifts[pos] for pos, m in tm}
@@ -538,26 +606,29 @@ def _graded_prune(cands: list, keyfn, rank: int, shifts: list):
             return None
         degrees.append(ds.pop())
     zero = _zero_mono(terms[0]) if terms else None
+    keys = kernel.HeapKeys(keyfn)
     kept = set()
     for D in sorted(set(degrees)):
         lower = [tm for tm, d in zip(terms, degrees) if d < D]
         divisors = []
         if lower:
             gb, leads, _, _ = _engine(lower, keyfn, rank, False)
-            divisors = [(lk, Fraction(1), tm) for lk, tm in zip(leads, gb)]
-        pivots: dict = {}  # leading key -> monic row, echelon over Q
+            divisors = list(map(_divisor, gb, leads))
+        pivots: dict = {}  # leading key -> primitive row, echelon over Q
         for i in reversed(range(len(terms))):
             if degrees[i] != D:
                 continue
-            _, nf = kernel.reduce_terms(terms[i], divisors, keyfn, False)
+            _, nf, _ = kernel.reduce_terms(terms[i], divisors, keys, False)
             while nf:
                 lk = kernel.leading_key(nf, keyfn)
                 row = pivots.get(lk)
                 if row is None:
-                    pivots[lk] = _scale_terms(nf, 1 / nf[lk])
+                    pivots[lk] = kernel.primitive(nf, lk)[0]
                     kept.add(i)
                     break
-                kernel.add_scaled_inplace(nf, row, -nf[lk], zero)
+                a, b = _cofactors(nf, lk, row, lk)
+                nf = _scale_terms(nf, a)
+                kernel.add_scaled_inplace(nf, row, -b, zero)
     return [cands[i] for i in sorted(kept)]
 
 
@@ -578,8 +649,9 @@ class ModuleLifter:
             basis, leads, reps, _ = _engine(
                 [to_terms(v) for v in self.gens], self.order.term_key, rank, True
             )
-            self._divisors = [(lk, Fraction(1), tm) for lk, tm in zip(leads, basis)]
+            self._divisors = list(map(_divisor, basis, leads))
             self._reps = reps
+            self._keys = kernel.HeapKeys(self.order.term_key)
 
     def lift(self, target: PolyVector):
         """Coefficients over gens, or None when target is not in the image."""
@@ -587,16 +659,15 @@ class ModuleLifter:
             raise ValueError("target rank mismatch")
         if not self.gens:
             return [] if target.is_zero() else None
-        quots, rem = kernel.reduce_terms(
-            to_terms(target), self._divisors, self.order.term_key, True
-        )
+        num, den = kernel.integer_terms(to_terms(target))
+        quots, rem, mult = kernel.reduce_terms(num, self._divisors, self._keys, True)
         if rem:
             return None
         out: dict = {}
         for k, q in enumerate(quots):
-            for m, c in q.items():
-                kernel.add_scaled_inplace(out, self._reps[k], c, m)
-        return list(from_terms(self._coeffs, out).entries)
+            for m, b in q.items():
+                kernel.add_scaled_inplace(out, self._reps[k], b, m)
+        return list(from_terms(self._coeffs, _scale_terms(out, Fraction(1, mult * den))).entries)
 
 
 def module_lift(gens: Sequence[PolyVector], target: PolyVector, order=None):
@@ -634,9 +705,10 @@ def elimination(I: Ideal, keep: Sequence[str]) -> Ideal:
     gens = [g for g in I.gens]
     if not gens:
         return Ideal(target, ())
-    basis, _, _, _ = _engine([to_terms(g) for g in gens], block_key, 1, False)
+    basis, leads, _, _ = _engine([to_terms(g) for g in gens], block_key, 1, False)
     kept = []
-    for tm in basis:
+    for tm, lk in zip(basis, leads):
+        tm = _monic_terms(tm, lk)
         if all(m[i] == 0 for _, m in tm for i in elim_idx):
             kept.append(
                 Polynomial(target, {tuple(m[i] for i in keep_idx): c for (_, m), c in tm.items()})

@@ -1,41 +1,167 @@
-"""Kernel backend selection.
+"""Term-arithmetic kernel: the few functions that division, Buchberger,
+syzygies and resolutions spend their time in.  They work on plain data:
 
-Prefers the compiled extension when it is built, falls back to the pure
-Python twin otherwise.  RESIDUA_KERNEL=py or =c forces a backend (the
-benchmark and the cross-backend tests use this); forcing =c when the
-extension is missing raises loudly rather than degrading silently.
+    term key  = (position, exponent-tuple)        position 0 for ring elements
+    term map  = dict {term key: coefficient}      empty dict = zero
+    divisor   = (lead key, lead coeff, term map)
+
+Term maps are integer inside the engine.  Division is fraction-free: a step
+scales the work set by an integer instead of dividing by a divisor's lead
+coefficient, and the Buchberger engine keeps its basis elements primitive.
+Fraction term maps exist only at the boundary, where polynomials come in
+and answers go out; integer_terms and rational_terms convert.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, sub
 
-_forced = os.environ.get("RESIDUA_KERNEL", "").strip().lower()
+BACKEND = "py"  # the one kernel there is; benchmark stamps record it
 
-if _forced == "py":
-    from residua import _kernel_py as _impl
 
-    BACKEND = "py"
-elif _forced == "c":
-    from residua import _kernel_c as _impl  # type: ignore[attr-defined]
+def exp_add(a, b):
+    return tuple(map(add, a, b))
 
-    BACKEND = "c"
-elif _forced:
-    raise ValueError(f"unknown RESIDUA_KERNEL value: {_forced!r} (use 'py' or 'c')")
-else:
-    try:
-        from residua import _kernel_c as _impl  # type: ignore[attr-defined]
 
-        BACKEND = "c"
-    except ImportError:
-        from residua import _kernel_py as _impl
+def exp_sub(a, b):
+    return tuple(map(sub, a, b))
 
-        BACKEND = "py"
 
-exp_add = _impl.exp_add
-exp_sub = _impl.exp_sub
-exp_lcm = _impl.exp_lcm
-exp_divides = _impl.exp_divides
-leading_key = _impl.leading_key
-add_scaled_inplace = _impl.add_scaled_inplace
-reduce_terms = _impl.reduce_terms
+def exp_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def exp_divides(a, b):
+    """True when x^a divides x^b componentwise."""
+    return all(map(le, a, b))
+
+
+def leading_key(terms, keyfn):
+    """Largest term key under keyfn, or None for the zero map."""
+    if not terms:
+        return None
+    return max(terms, key=keyfn)
+
+
+def add_scaled_inplace(dst, src, coeff, mono, fresh=None):
+    """dst += coeff * x^mono * src, dropping cancelled terms.  The keys it
+    adds to dst are appended to the list fresh when one is given."""
+    get = dst.get
+    for (pos, e), c in src.items():
+        k = (pos, tuple(map(add, e, mono)))
+        acc = get(k)
+        if acc is None:
+            dst[k] = coeff * c
+            if fresh is not None:
+                fresh.append(k)
+        else:
+            acc = acc + coeff * c
+            if acc:
+                dst[k] = acc
+            else:
+                del dst[k]
+
+
+def integer_terms(tm):
+    """(n, d): the integer term map n = d * tm, d the lcm of the
+    denominators of tm's coefficients."""
+    d = lcm(*[c.denominator for c in tm.values()])
+    return {k: c.numerator * (d // c.denominator) for k, c in tm.items()}, d
+
+
+def rational_terms(tm, d):
+    """The Fraction term map tm / d."""
+    return {k: Fraction(c, d) for k, c in tm.items()}
+
+
+def primitive(tm, lead):
+    """(p, c): the integer term map tm = c * p, with p of content 1 and a
+    positive coefficient at the key lead."""
+    c = gcd(*tm.values())
+    if tm[lead] < 0:
+        c = -c
+    if c == 1:
+        return tm, 1
+    return {k: v // c for k, v in tm.items()}, c
+
+
+def _negated(key):
+    return tuple([-x if x.__class__ is int else _negated(x) for x in key])
+
+
+class HeapKeys(dict):
+    """Memo of heap keys, term key -> order key with every int negated, so
+    the largest term has the smallest heap key (the order keys of one order
+    all have the same shape)."""
+
+    __slots__ = ("keyfn",)
+
+    def __init__(self, keyfn):
+        super().__init__()
+        self.keyfn = keyfn
+
+    def __missing__(self, t):
+        v = self[t] = _negated(self.keyfn(t))
+        return v
+
+
+def reduce_terms(f, divisors, keys, want_quotients):
+    """Full multivariate pseudo-division of an integer term map by integer
+    divisors.
+
+    Returns (quotients, remainder, multiplier): integer term maps and a
+    positive int m with m * f = sum(q_i * g_i) + remainder, no remainder
+    term divisible by any divisor lead, and every step strictly
+    decreasing, so lead(q_i * g_i) <= lead(f).  The remainder lists its
+    terms in decreasing order, lead first.  Quotients are ring term maps
+    {exponent-tuple: int} (no position), or None when want_quotients is
+    false.  keys is the HeapKeys memo of the order.
+
+    Each step cancels the largest term of the work set against the first
+    divisor whose lead divides it, exactly as division over Q does, so
+    (remainder / m, q_i / m) is the rational division of f by the g_i.
+    """
+    work = dict(f)
+    heap = [(keys[t], t) for t in work]
+    heapify(heap)
+    mult = 1
+    rem = []  # (term, coefficient, multiplier when it left the work set)
+    steps = []  # (divisor index, monomial, coefficient, multiplier after the step)
+    while heap:
+        t = heappop(heap)[1]
+        c = work.get(t)
+        if c is None:  # cancelled, or pushed twice
+            continue
+        tpos, texp = t
+        for i, (lk, lc, g) in enumerate(divisors):
+            if lk[0] != tpos or not all(map(le, lk[1], texp)):
+                continue
+            h = gcd(c, lc)
+            a, b = lc // h, c // h
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                mult *= a
+                for k in work:
+                    work[k] *= a
+            m = tuple(map(sub, texp, lk[1]))
+            fresh = []
+            add_scaled_inplace(work, g, -b, m, fresh)
+            for k in fresh:
+                heappush(heap, (keys[k], k))
+            if want_quotients:
+                steps.append((i, m, b, mult))
+            break
+        else:
+            rem.append((t, c, mult))
+            del work[t]
+    remainder = {t: c if at == mult else c * (mult // at) for t, c, at in rem}
+    quots = None
+    if want_quotients:
+        quots = [{} for _ in divisors]
+        for i, m, b, at in steps:
+            quots[i][m] = b if at == mult else b * (mult // at)
+    return quots, remainder, mult

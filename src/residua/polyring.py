@@ -516,16 +516,20 @@ def from_terms(like, tm: dict):
     return PolyVector(ring, tuple(Polynomial(ring, t) for t in per))
 
 
-def kernel_divisors(elements, order: MonomialOrder) -> list:
-    """(lead key, lead coefficient, term map) of each nonzero element."""
-    out = []
+def kernel_divisors(elements, order: MonomialOrder) -> tuple:
+    """(divisors, dens): the integer kernel divisor (lead key, lead
+    coefficient, term map) of each nonzero element, and d_i with divisor
+    i = d_i * element i."""
+    out, dens = [], []
     for g in elements:
         tm = to_terms(g)
         if not tm:
             raise ValueError("zero divisor in division")
-        lk = max(tm, key=order.term_key)
-        out.append((lk, tm[lk], tm))
-    return out
+        num, d = kernel.integer_terms(tm)
+        lk = max(num, key=order.term_key)
+        out.append((lk, num[lk], num))
+        dens.append(d)
+    return out, dens
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +554,15 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
         if isinstance(f, PolyVector) and g.rank != f.rank:
             raise ValueError("divisor rank mismatch")
     order = order or f.ring.default_order
-    quots, rem = kernel.reduce_terms(
-        to_terms(f), kernel_divisors(divisors, order), order.term_key, True
-    )
-    return [Polynomial(f.ring, q) for q in quots], from_terms(f, rem)
+    num, den = kernel.integer_terms(to_terms(f))
+    divs, dens = kernel_divisors(divisors, order)
+    quots, rem, mult = kernel.reduce_terms(num, divs, kernel.HeapKeys(order.term_key), True)
+    # mult * den * f = sum(q_i * d_i * g_i) + rem
+    d = mult * den
+    return [
+        Polynomial(f.ring, {m: Fraction(c * di, d) for m, c in q.items()})
+        for q, di in zip(quots, dens)
+    ], from_terms(f, kernel.rational_terms(rem, d))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Tuple
 from residua.groebner import (
     Context,
     Ideal,
+    InvariantError,
     ModuleLifter,
     QuotientContext,
     dimension,
@@ -549,7 +550,7 @@ def annihilator_member(recipe: CurrentRecipe, g: Polynomial) -> bool:
     ambient = normal_form(g, groebner_basis(recipe.lifted)).is_zero()
     quotient = ideal_member(recipe.context.reduce(g), recipe.J, recipe.context)
     if ambient != quotient:
-        raise RuntimeError(
+        raise InvariantError(
             "annihilator oracle mismatch between the ambient and quotient routes"
         )
     return ambient

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import residua
+from residua import residues
 from residua.cli import (
     ParseFailure,
     corpus_text,
@@ -21,7 +22,7 @@ from residua.cli import (
     parse_script,
     run_script,
 )
-from residua.groebner import Ideal, QuotientContext
+from residua.groebner import Ideal, InvariantError, QuotientContext
 from residua.homalg import (
     buchsbaum_eisenbud_check,
     cohen_macaulay_check,
@@ -170,12 +171,12 @@ from residua.cli import run_script
 reduce_terms = groebner.kernel.reduce_terms
 armed = [True]
 
-def corrupted(f, divisors, keyfn, want_quotients):
-    quots, rem = reduce_terms(f, divisors, keyfn, want_quotients)
+def corrupted(f, divisors, keys, want_quotients):
+    quots, rem, mult = reduce_terms(f, divisors, keys, want_quotients)
     if armed[0] and want_quotients and not rem:
         armed[0] = False
         rem = dict(f)
-    return quots, rem
+    return quots, rem, mult
 
 groebner.kernel.reduce_terms = corrupted
 code, lines, _ = run_script("resolve((x, y), over Q[x,y])\\nresolve((x, y), over Q[x,y])")
@@ -198,6 +199,28 @@ def test_broken_invariant_is_reported_per_statement(flags):
     assert code == 1
     assert lines[0] == "1: error: input does not reduce to zero against its own basis"
     assert lines[1].startswith("2: resolve -> ")
+
+
+def test_annihilator_route_mismatch_is_reported_per_statement(monkeypatch):
+    # the ambient route leaves every polynomial unreduced, so it answers
+    # "not a member" where the quotient route answers "member"
+    monkeypatch.setattr(residues, "normal_form", lambda f, basis: f)
+    code, lines, doc = run_script(
+        "ring R = Q[z,w]\nquotient Z = R/(z^3 - w^2)\nideal J = Z:(z, w)\n"
+        "recipe X = recipe(Z, J)\nannmember(X, z)\nkoszul((z), over R)"
+    )
+    assert code == 1
+    assert lines[-2] == (
+        "5: error: annihilator oracle mismatch between the ambient and quotient routes"
+    )
+    assert "error" in doc["statements"][-2]
+    assert doc["statements"][-1]["command"] == "koszul"
+    assert "error" not in doc["statements"][-1]
+    recipe = residues.build_current_recipe(
+        QuotientContext(ZW, Ideal(ZW, [ZW.poly("z^3 - w^2")])), Ideal(ZW, ZW.gens())
+    )
+    with pytest.raises(InvariantError):
+        residues.annihilator_member(recipe, ZW.poly("z"))
 
 
 def test_quotient_declared_arguments_run_over_their_quotient():
