@@ -133,7 +133,12 @@ class ChainComplex:
     """... -> E_k -> E_{k-1} -> ... -> E_0 with diffs[k-1] = phi_k.
 
     Validates shapes and phi_k . phi_{k+1} = 0 (modulo the context) at
-    construction; entries are stored in normal form mod the context.
+    construction; entries are stored in normal form mod the context.  Each
+    distinct pair (phi_k, phi_{k+1}) is multiplied out once: a pair equal
+    to one already checked has the same product (equal matrices have equal
+    shapes, or a zero-size side that makes the product empty), so the
+    periodic tail of a resolution over a quotient costs one product per
+    period.  Pairs are compared by equality, not by hash.
     """
 
     __slots__ = ("ring", "context", "ranks", "diffs", "complete", "not_locally_minimal")
@@ -167,12 +172,17 @@ class ChainComplex:
             if context is not None:
                 M = tuple(tuple(context.reduce(e) for e in row) for row in M)
             norm.append(M)
+        checked = []  # the distinct (phi_k, phi_{k+1}) pairs found to compose to zero
         for k in range(1, len(norm)):
+            pair = (norm[k - 1], norm[k])
+            if pair in checked:
+                continue
             prod = mat_mul(ring, norm[k - 1], norm[k], ranks[k - 1], ranks[k], ranks[k + 1])
             if context is not None:
                 prod = tuple(tuple(context.reduce(e) for e in row) for row in prod)
             if not mat_is_zero(prod):
                 raise ValueError(f"differentials {k} and {k + 1} do not compose to zero")
+            checked.append(pair)
         self.ring = ring
         self.context = context
         self.ranks = ranks
@@ -218,7 +228,15 @@ def free_resolution(
     """Iterated-syzygy resolution of ring/I (or of the quotient module when
     a context is given): E_0 has rank one, phi_1 is the generator row, and
     each phi_{k+1} generates the syzygies of the columns of phi_k.  Stops
-    early when the syzygy module vanishes, else truncates at cap."""
+    early when the syzygy module vanishes, else truncates at cap.
+
+    A level whose rank and column list equal those of an earlier level
+    reuses that level's syzygies instead of computing them again.  This is
+    exact: syzygies is a deterministic function of the ring, the rank, the
+    generators and the context, so the reused module is the one the call
+    would return.  Over a hypersurface the resolution turns 2-periodic
+    (Eisenbud 1980), and from then on every level is such a repeat.  The
+    levels are matched by an equality scan, not by hashing."""
     if cap < 1:
         raise ValueError("cap must be positive")
     ring = I.ring
@@ -234,11 +252,15 @@ def free_resolution(
     diffs = []
     complete = False
     cols = [PolyVector(ring, (g,)) for g in gens]
+    levels = []  # (rows, columns, syzygies) of each level computed
     while cols:
         rows = ranks[-1]
         diffs.append(columns_to_matrix(ring, cols, rows))
         ranks.append(len(cols))
-        syz = syzygies(SubmoduleBasis(ring, rows, cols), context=context)
+        syz = next((s for r, c, s in levels if r == rows and c == cols), None)
+        if syz is None:
+            syz = syzygies(SubmoduleBasis(ring, rows, cols), context=context)
+            levels.append((rows, cols, syz))
         if not syz.gens:
             complete = True
             break
@@ -789,30 +811,32 @@ class PeriodicityReport:
 def detect_periodicity(C: ChainComplex) -> PeriodicityReport:
     """Smallest (offset, period) with phi_{k+period} = phi_k canonically for
     all computed k > offset.  Complete complexes report no periodicity;
-    truncated input needs at least four computed differentials."""
+    truncated input needs at least four computed differentials.
+
+    Each differential is put in canonical form at most once per call, when
+    a comparison first needs it; the comparisons run in the order of
+    matrices_equal_canonically over (offset, period, k), so a matrix whose
+    canonical form raises InvariantError raises at the same point."""
     if C.complete:
         return PeriodicityReport(False)
     n = C.length
     if n < 4:
         raise ValueError("periodicity detection needs at least 4 computed differentials")
-    ring = C.ring
+    ranks = C.ranks
+    forms = [None] * (n + 1)  # forms[k]: canonical_matrix of phi_k, once needed
+
+    def form(k):
+        if forms[k] is None:
+            forms[k] = canonical_matrix(C.ring, C.diff(k), ranks[k - 1], ranks[k])
+        return forms[k]
+
+    def same(k, l):
+        return ranks[k - 1] == ranks[l - 1] and ranks[k] == ranks[l] and form(k) == form(l)
+
     for offset in range(0, n - 1):
         for period in range(1, n // 2 + 1):
             ks = range(offset + 1, n - period + 1)
-            if not ks:
-                continue
-            if all(
-                matrices_equal_canonically(
-                    ring,
-                    C.diff(k),
-                    C.diff(k + period),
-                    C.ranks[k - 1],
-                    C.ranks[k],
-                    C.ranks[k + period - 1],
-                    C.ranks[k + period],
-                )
-                for k in ks
-            ):
+            if ks and all(same(k, k + period) for k in ks):
                 return PeriodicityReport(True, offset, period)
     return PeriodicityReport(False)
 

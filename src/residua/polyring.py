@@ -572,6 +572,13 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
 #   term   := factor ('*'? factor)*            juxtaposition multiplies
 #   factor := atom ('^' uint)*
 #   atom   := ident | uint ('/' uint)? | '(' expr ')'
+#
+# The parser computes on kernel term maps and builds one Polynomial per
+# expression, not one per factor and power.  Its sums, products and
+# powers take the steps of Polynomial's +, * and ** in the same order,
+# so the parsed polynomial has the same terms in the same dict order; a
+# product of two single terms, or a power of one, is one exponent-tuple
+# operation.
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
 
@@ -598,9 +605,14 @@ def _tokenize(text: str):
 
 
 class _PolyParser:
+    """Recursive descent over the token list.  The methods return kernel
+    term maps {(0, exponents): coefficient}, integer or Fraction, with
+    zero terms dropped; parse builds the one Polynomial at the end."""
+
     def __init__(self, text: str, ring: PolynomialRing):
         self.text = text
         self.ring = ring
+        self.zero = ring.zero_mono()
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -618,44 +630,43 @@ class _PolyParser:
             raise ParseError(f"expected {op!r}", pos)
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        tm = self.expr()
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"unexpected {val!r}", pos)
-        return p
+        return Polynomial(self.ring, {m: Fraction(c) for (_, m), c in tm.items()})
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         kind, val, _ = self.peek()
         negate = False
         if kind == "op" and val in "+-":
             self.take()
             negate = val == "-"
-        p = self.term()
+        tm = self.term()
         if negate:
-            p = -p
+            tm = {k: -c for k, c in tm.items()}
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                q = self.term()
-                p = p + q if val == "+" else p - q
+                kernel.add_scaled_inplace(tm, self.term(), 1 if val == "+" else -1, self.zero)
             else:
-                return p
+                return tm
 
-    def term(self) -> Polynomial:
-        p = self.factor()
+    def term(self) -> dict:
+        tm = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p = p * self.factor()
+                tm = self.mul(tm, self.factor())
             elif kind in ("num", "name") or (kind == "op" and val == "("):
-                p = p * self.factor()
+                tm = self.mul(tm, self.factor())
             else:
-                return p
+                return tm
 
-    def factor(self) -> Polynomial:
-        p = self.atom()
+    def factor(self) -> dict:
+        tm = self.atom()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "^":
@@ -663,31 +674,59 @@ class _PolyParser:
                 ekind, eval_, epos = self.take()
                 if ekind != "num":
                     raise ParseError("exponent must be a nonnegative integer", epos)
-                p = p ** int(eval_)
+                tm = self.power(tm, int(eval_))
             else:
-                return p
+                return tm
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         kind, val, pos = self.take()
         if kind == "num":
-            num = int(val)
+            c = int(val)
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "/":
                 self.take()
                 k3, v3, p3 = self.take()
                 if k3 != "num" or int(v3) == 0:
                     raise ParseError("expected a nonzero integer denominator", p3)
-                return self.ring.const(Fraction(num, int(v3)))
-            return self.ring.const(num)
+                c = Fraction(c, int(v3))
+            return {(0, self.zero): c} if c else {}
         if kind == "name":
             if val not in self.ring.names:
                 raise ParseError(f"unknown identifier {val!r}", pos)
-            return self.ring.var(val)
+            exps = [0] * self.ring.n
+            exps[self.ring.names.index(val)] = 1
+            return {(0, tuple(exps)): 1}
         if kind == "op" and val == "(":
-            p = self.expr()
+            tm = self.expr()
             self.expect_op(")")
-            return p
+            return tm
         raise ParseError(f"unexpected {val!r}" if kind else "unexpected end of input", pos)
+
+    @staticmethod
+    def mul(a: dict, b: dict) -> dict:
+        """a * b, convolved in the order of Polynomial.__mul__ (a's terms
+        outside, b's inside), so the keys come out in the same order."""
+        if len(a) == 1 and len(b) == 1:
+            ((_, m1), c1), = a.items()
+            ((_, m2), c2), = b.items()
+            return {(0, kernel.exp_add(m1, m2)): c1 * c2}
+        out: dict = {}
+        for (_, m), c in a.items():
+            kernel.add_scaled_inplace(out, b, c, m)
+        return out
+
+    def power(self, tm: dict, e: int) -> dict:
+        """tm ** e by the square-and-multiply steps of Polynomial.__pow__."""
+        if len(tm) == 1:
+            ((_, m), c), = tm.items()
+            return {(0, tuple(x * e for x in m)): c**e}
+        out = {(0, self.zero): 1}
+        while e:
+            if e & 1:
+                out = self.mul(out, tm)
+            tm = self.mul(tm, tm) if e > 1 else tm
+            e >>= 1
+        return out
 
 
 def poly_parse(text: str, ring: PolynomialRing) -> Polynomial:

@@ -4,13 +4,22 @@ import random
 
 import pytest
 
-from residua import homalg
-from residua.groebner import Ideal, InvariantError, QuotientContext, dimension, ideals_equal
+from residua import groebner, homalg
+from residua.groebner import (
+    Ideal,
+    InvariantError,
+    QuotientContext,
+    SubmoduleBasis,
+    dimension,
+    ideals_equal,
+)
 from residua.homalg import (
     ChainComplex,
+    PeriodicityReport,
     buchsbaum_eisenbud_check,
     canonical_matrix,
     cohen_macaulay_check,
+    columns_to_matrix,
     detect_periodicity,
     expected_ranks,
     extend_ring,
@@ -25,7 +34,7 @@ from residua.homalg import (
     rank_loci,
     tensor_complexes,
 )
-from residua.polyring import PolynomialRing
+from residua.polyring import PolynomialRing, PolyVector
 
 from conftest import random_nonzero_poly
 
@@ -428,6 +437,170 @@ def test_periodicity_complete_and_short_inputs():
     C = free_resolution(Ideal(XY, (P(XY, "x"),)), context=ctx, cap=3)
     with pytest.raises(ValueError):
         detect_periodicity(C)
+
+
+# ---------------------------------------------------------------------------
+# repeated levels, pairs and canonical forms
+
+
+def reference_resolution(I, context, cap):
+    """free_resolution's loop as it was before levels were reused: one
+    syzygies call per level."""
+    ring = I.ring
+    gens = [context.reduce(g) if context is not None else g for g in I.gens]
+    cols = [PolyVector(ring, (g,)) for g in gens if not g.is_zero()]
+    ranks, diffs, complete = [1], [], False
+    while cols:
+        rows = ranks[-1]
+        diffs.append(columns_to_matrix(ring, cols, rows))
+        ranks.append(len(cols))
+        syz = groebner.syzygies(SubmoduleBasis(ring, rows, cols), context=context)
+        if not syz.gens:
+            complete = True
+            break
+        if len(diffs) >= cap:
+            break
+        cols = list(syz.gens)
+    else:
+        complete = True
+    return ChainComplex(ring, ranks, diffs, context=context, complete=complete)
+
+
+def reference_periodicity(C):
+    """detect_periodicity's search as it was before canonical forms were
+    kept: matrices_equal_canonically on every comparison."""
+    n = C.length
+    for offset in range(0, n - 1):
+        for period in range(1, n // 2 + 1):
+            ks = range(offset + 1, n - period + 1)
+            if ks and all(
+                matrices_equal_canonically(
+                    C.ring,
+                    C.diff(k),
+                    C.diff(k + period),
+                    C.ranks[k - 1],
+                    C.ranks[k],
+                    C.ranks[k + period - 1],
+                    C.ranks[k + period],
+                )
+                for k in ks
+            ):
+                return PeriodicityReport(True, offset, period)
+    return PeriodicityReport(False)
+
+
+def _spy(monkeypatch, name):
+    """Replace homalg.<name> by a wrapper that records each call's
+    positional arguments."""
+    calls = []
+    original = getattr(homalg, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(homalg, name, spy)
+    return calls
+
+
+def _distinct(items):
+    out = []
+    for x in items:
+        if x not in out:
+            out.append(x)
+    return out
+
+
+CURVES = ("z^3 - w^2", "z^2 - w^5")
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_resolution_over_a_curve_computes_each_distinct_level_once(monkeypatch, curve):
+    ctx = QuotientContext(ZW, Ideal(ZW, (P(ZW, curve),)))
+    I = Ideal(ZW, (P(ZW, "z"), P(ZW, "w")))
+    ref = reference_resolution(I, ctx, cap=8)
+    calls = _spy(monkeypatch, "syzygies")
+    C = free_resolution(I, context=ctx, cap=8)
+    assert (C.ranks, C.diffs, C.complete) == (ref.ranks, ref.diffs, ref.complete)
+    assert not C.complete and C.length == 8
+    inputs = [(b.rank, b.gens) for (b,) in calls]
+    assert inputs == _distinct(inputs)
+    levels = [
+        (ref.ranks[k - 1], homalg.mat_columns(ZW, ref.diff(k), ref.ranks[k - 1], ref.ranks[k]))
+        for k in range(1, ref.length + 1)
+    ]
+    assert len(calls) == len(_distinct(levels)) < ref.length
+
+
+def test_resolution_without_repeated_levels_calls_syzygies_per_level(monkeypatch):
+    I = Ideal(XYZ, (P(XYZ, "x^2"), P(XYZ, "x*y"), P(XYZ, "y*z"), P(XYZ, "z^3")))
+    ref = reference_resolution(I, None, cap=16)
+    calls = _spy(monkeypatch, "syzygies")
+    C = free_resolution(I)
+    assert (C.ranks, C.diffs, C.complete) == (ref.ranks, ref.diffs, ref.complete)
+    assert len(calls) == C.length == 3
+
+
+def _periodicity_cases():
+    xy = QuotientContext(XY, Ideal(XY, (P(XY, "x*y"),)))
+    yield free_resolution(Ideal(XY, (P(XY, "x"),)), context=xy, cap=6)
+    diffs = [M(XY, [[s]]) for s in ("x^2", "y", "x", "y", "x")]
+    yield ChainComplex(XY, (1,) * 6, diffs, context=xy, complete=False)
+    for curve in CURVES:
+        ctx = QuotientContext(ZW, Ideal(ZW, (P(ZW, curve),)))
+        yield free_resolution(Ideal(ZW, (P(ZW, "z"), P(ZW, "w"))), context=ctx, cap=8)
+    # no period
+    diffs = [M(XY, [[s]]) for s in ("x", "y", "x^2", "y^2", "x^3", "y^3")]
+    yield ChainComplex(XY, (1,) * 7, diffs, context=xy, complete=False)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_periodicity_matches_the_reference_and_canonicalises_each_map_once(monkeypatch, case):
+    C = list(_periodicity_cases())[case]
+    calls = _spy(monkeypatch, "canonical_matrix")
+    expected = reference_periodicity(C)
+    ref_calls = [id(A) for _, A, _, _ in calls]
+    calls.clear()
+    assert detect_periodicity(C) == expected
+    # each map once, first needed at the same point as before
+    assert [id(A) for _, A, _, _ in calls] == _distinct(ref_calls)
+
+
+def test_periodicity_invariant_error_surfaces_at_the_same_map(monkeypatch):
+    C = list(_periodicity_cases())[2]
+    bad = C.diff(3)
+    original = homalg.canonical_matrix
+
+    def fails_on_bad(ring, A, rows, cols):
+        if A is bad:
+            raise InvariantError("no fixed point")
+        seen.append(id(A))
+        return original(ring, A, rows, cols)
+
+    monkeypatch.setattr(homalg, "canonical_matrix", fails_on_bad)
+    seen = []
+    with pytest.raises(InvariantError):
+        reference_periodicity(C)
+    before = _distinct(seen)
+    seen = []
+    with pytest.raises(InvariantError):
+        detect_periodicity(C)
+    assert seen == before
+
+
+def test_complex_checks_each_distinct_pair_once(monkeypatch):
+    ctx = QuotientContext(XY, Ideal(XY, (P(XY, "x*y"),)))
+    calls = _spy(monkeypatch, "mat_mul")
+    diffs = [M(XY, [[s]]) for s in ("x", "y", "x", "y", "x", "y")]
+    ChainComplex(XY, (1,) * 7, diffs, context=ctx, complete=False)
+    assert len(calls) == 2
+
+
+def test_last_noncomposing_pair_still_raises_after_repeated_pairs(monkeypatch):
+    ctx = QuotientContext(XY, Ideal(XY, (P(XY, "x*y"),)))
+    diffs = [M(XY, [[s]]) for s in ("x", "y", "x", "y", "x", "x")]
+    with pytest.raises(ValueError, match="differentials 5 and 6"):
+        ChainComplex(XY, (1,) * 7, diffs, context=ctx, complete=False)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
+from residua import polyring
 from residua.polyring import (
     GREVLEX,
     GRLEX,
@@ -209,6 +210,194 @@ def test_parse_print_roundtrip_randomized():
         p = random_poly(rng, R3, max_deg=4, max_terms=6)
         assert poly_parse(poly_str(p), R3) == p
         assert poly_parse(poly_str(p), R3).__str__() == poly_str(p)
+
+
+# ---------------------------------------------------------------------------
+# the term-map parser against the Polynomial-based one it replaced
+
+
+class ReferenceParser:
+    """The parser as it was when every factor and power built a Polynomial."""
+
+    def __init__(self, text, ring):
+        self.text = text
+        self.ring = ring
+        self.tokens = polyring._tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val, pos = self.take()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}", pos)
+
+    def parse(self):
+        p = self.expr()
+        kind, val, pos = self.peek()
+        if kind is not None:
+            raise ParseError(f"unexpected {val!r}", pos)
+        return p
+
+    def expr(self):
+        kind, val, _ = self.peek()
+        negate = False
+        if kind == "op" and val in "+-":
+            self.take()
+            negate = val == "-"
+        p = self.term()
+        if negate:
+            p = -p
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.take()
+                q = self.term()
+                p = p + q if val == "+" else p - q
+            else:
+                return p
+
+    def term(self):
+        p = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "*":
+                self.take()
+                p = p * self.factor()
+            elif kind in ("num", "name") or (kind == "op" and val == "("):
+                p = p * self.factor()
+            else:
+                return p
+
+    def factor(self):
+        p = self.atom()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "^":
+                self.take()
+                ekind, eval_, epos = self.take()
+                if ekind != "num":
+                    raise ParseError("exponent must be a nonnegative integer", epos)
+                p = p ** int(eval_)
+            else:
+                return p
+
+    def atom(self):
+        kind, val, pos = self.take()
+        if kind == "num":
+            num = int(val)
+            k2, v2, _ = self.peek()
+            if k2 == "op" and v2 == "/":
+                self.take()
+                k3, v3, p3 = self.take()
+                if k3 != "num" or int(v3) == 0:
+                    raise ParseError("expected a nonzero integer denominator", p3)
+                return self.ring.const(Fraction(num, int(v3)))
+            return self.ring.const(num)
+        if kind == "name":
+            if val not in self.ring.names:
+                raise ParseError(f"unknown identifier {val!r}", pos)
+            return self.ring.var(val)
+        if kind == "op" and val == "(":
+            p = self.expr()
+            self.expect_op(")")
+            return p
+        raise ParseError(f"unexpected {val!r}" if kind else "unexpected end of input", pos)
+
+
+def parse_outcome(parse, text):
+    """What a parser makes of text: its terms in dict order with their
+    coefficient types, or the ParseError's type, message and position."""
+    try:
+        p = parse(text, R3)
+    except ParseError as e:
+        return ("error", type(e), str(e), e.position)
+    return ("ok", p.ring, list(p.terms.items()), [type(c) for c in p.terms.values()])
+
+
+def assert_parses_like_reference(text):
+    got = parse_outcome(poly_parse, text)
+    assert got == parse_outcome(lambda t, r: ReferenceParser(t, r).parse(), text)
+    if got[0] == "ok":
+        assert all(t is Fraction for t in got[3])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # malformed: the ParseError must match in type, message and position
+        "x^", "3/0", "x^-1", "x + q", "xy", "2*-x", "(x", "x)", "", "  ", "x &", "1/", "^2",
+        # zero constants, zero powers, and products whose term order depends
+        # on the order of the convolution and of the squarings
+        "(x+1)^0", "0/3", "0^0", "(0)^2", "0 + x + 1", "(x+1)(y-2)", "(2 + 2y - y^2)^3",
+        "-(x-y)^3*2", "(x^2 + x*y - 1/2y^2)^2", "2 3 x^2^3",
+    ],
+)
+def test_parser_matches_reference_on_fixed_inputs(text):
+    assert_parses_like_reference(text)
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the differential fuzz needs hypothesis
+    st = None
+
+if st is not None:
+    ATOMS = st.one_of(
+        st.sampled_from(["x", "y", "z"]),
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 9), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+    )
+
+    def _join(parts):
+        """Concatenate (separator, piece) pairs; an empty separator
+        (juxtaposition) only before a parenthesis, so that two atoms never
+        fuse into one token."""
+        out = ""
+        for sep, piece in parts:
+            if out and not sep and not piece.startswith("("):
+                sep = " "
+            out += (sep if out else "") + piece
+        return out
+
+    def expressions(depth):
+        """Sums of up to three products of up to two factors; a factor is an
+        atom, an atom to a power, or a parenthesised expression of lower
+        depth, maybe signed, maybe to a power."""
+        atom_power = st.tuples(ATOMS, st.integers(0, 4)).map(lambda t: f"{t[0]}^{t[1]}")
+        factors = [ATOMS, atom_power]
+        if depth:
+            sub = st.tuples(st.sampled_from(["", "", "-", "+", " - "]), expressions(depth - 1))
+            paren = sub.map(lambda t: f"({t[0]}{t[1]})")
+            power = st.tuples(paren, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}")
+            factors += [paren, power]
+        factor = st.one_of(factors)
+        product = st.lists(
+            st.tuples(st.sampled_from(["*", " * ", " ", ""]), factor), min_size=1, max_size=2
+        ).map(_join)
+        return st.lists(
+            st.tuples(st.sampled_from([" + ", " - ", "+", "-"]), product), min_size=1, max_size=3
+        ).map(_join)
+
+    TOP = st.tuples(st.sampled_from(["", "-", "+", " -"]), expressions(2)).map("".join)
+    BAD = ["^", "/0", "^-1", " q", "(", ")", "*", "+", "/", "^x", "&", "x^", " xy", "--", "1/"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(TOP)
+    def test_parser_matches_reference_on_random_expressions(text):
+        assert_parses_like_reference(text)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(TOP, st.sampled_from(BAD), st.integers(0, 10**6))
+    def test_parser_matches_reference_on_malformed_input(text, bad, at):
+        at %= len(text) + 1
+        assert_parses_like_reference(text[:at] + bad + text[at:])
 
 
 # ---------------------------------------------------------------------------
