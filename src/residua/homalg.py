@@ -195,7 +195,7 @@ class ChainComplex:
         return len(self.diffs)
 
     def diff(self, k: int) -> Matrix:
-        """phi_k (1-indexed); zero-shaped beyond the stored length."""
+        """phi_k for 1 <= k <= length; IndexError outside that range."""
         if 1 <= k <= self.length:
             return self.diffs[k - 1]
         raise IndexError(f"no differential {k}")
@@ -236,7 +236,14 @@ def free_resolution(
     generators and the context, so the reused module is the one the call
     would return.  Over a hypersurface the resolution turns 2-periodic
     (Eisenbud 1980), and from then on every level is such a repeat.  The
-    levels are matched by an equality scan, not by hashing."""
+    levels are matched by an equality scan, not by hashing.
+
+    With minimal=True the constant pivots are stripped from the level
+    lists before any complex is built, so a minimal resolution builds and
+    checks one ChainComplex: phi . phi = 0 is validated on the returned
+    complex only.  Each pivot step is an invertible change of basis, so
+    raw levels that do not compose to zero still raise, there or in the
+    pivot step's own InvariantError checks."""
     if cap < 1:
         raise ValueError("cap must be positive")
     ring = I.ring
@@ -269,8 +276,9 @@ def free_resolution(
         cols = list(syz.gens)
     else:
         complete = True
-    out = ChainComplex(ring, ranks, diffs, context=context, complete=complete)
-    return minimalize(out) if minimal else out
+    if minimal:
+        return _minimal_complex(ring, context, ranks, diffs, complete)
+    return ChainComplex(ring, ranks, diffs, context=context, complete=complete)
 
 
 def minimalize(C: ChainComplex) -> ChainComplex:
@@ -281,10 +289,14 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     locally without being constants (nonzero constant term) are left in
     place and flagged via not_locally_minimal.
     """
-    ring = C.ring
-    ctx = C.context
-    ranks = list(C.ranks)
-    diffs = [[list(row) for row in M] for M in C.diffs]
+    return _minimal_complex(C.ring, C.context, C.ranks, C.diffs, C.complete)
+
+
+def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
+    """minimalize on plain level lists: strip the constant pivots, then
+    build (and so check) the one ChainComplex that is returned."""
+    ranks = list(ranks)
+    diffs = [[list(row) for row in M] for M in diffs]
 
     def reduce_entry(p):
         return ctx.reduce(p) if ctx is not None else p
@@ -361,7 +373,7 @@ def minimalize(C: ChainComplex) -> ChainComplex:
         ranks,
         [tuple(tuple(row) for row in M) for M in diffs],
         context=ctx,
-        complete=C.complete,
+        complete=complete,
         not_locally_minimal=flagged,
     )
 

@@ -25,6 +25,7 @@ from residua.groebner import (
     ideal_member,
     ideal_quotient,
     ideals_equal,
+    lifted_ideal,
     normal_form,
 )
 from residua.homalg import (
@@ -139,6 +140,8 @@ def comparison_morphism(F: ChainComplex, E: ChainComplex, order=None) -> ChainMa
     order.  When F and E are the same complex the identity map is
     returned directly.
     """
+    if F.ring != E.ring:
+        raise ValueError("complexes must share one ring")
     if F.context is not None or E.context is not None:
         raise ValueError("comparison morphisms are built over the ambient ring")
     if not (F.complete and E.complete):
@@ -231,7 +234,7 @@ def maximal_lifting(J: Ideal, Z: QuotientContext) -> Ideal:
     the relations of Z.  Largest ideal restricting to J."""
     if J.ring != Z.ring:
         raise ValueError("ideal and context live over different rings")
-    return Ideal(Z.ring, J.gens + Z.relations.gens)
+    return lifted_ideal(J, Z)
 
 
 @dataclass(frozen=True)
@@ -442,10 +445,7 @@ def structure_form_shape(
     if not F.complete:
         raise ValueError("resolution of the relations did not terminate within the cap")
     if decomposition is None:
-        comps = tuple(
-            ShapeComponent(r, (d, r), p + r) for r in range(0, F.length - p + 1)
-        )
-        return StructureFormShape(True, d, p, comps)
+        return _pure_shape(d, p, F)
 
     parts = [(Ideal(ring, tuple(W.gens)), int(e)) for W, e in decomposition]
     if not parts:
@@ -467,10 +467,7 @@ def structure_form_shape(
     parts.sort(key=lambda we: we[1], reverse=True)
     dims = [e for _, e in parts]
     if len(set(dims)) == 1 and dims[0] == d:
-        comps = tuple(
-            ShapeComponent(r, (d, r), p + r) for r in range(0, F.length - p + 1)
-        )
-        return StructureFormShape(True, d, p, comps)
+        return _pure_shape(d, p, F)
 
     comps = tuple(
         ShapeComponent(e, (0, e), n - e, tuple(f for f in dims if f >= e)) for _, e in parts
@@ -488,6 +485,12 @@ def structure_form_shape(
             cd = dimension(S)[1]
             bounds.append(PairBound(e, ep, cd, level + 1, cd >= level + 1))
     return StructureFormShape(False, d, p, comps, tuple(bounds))
+
+
+def _pure_shape(d: int, p: int, F: ChainComplex) -> StructureFormShape:
+    """The pure case: bidegree (d, r) in level p + r for r = 0 .. length(F) - p."""
+    comps = tuple(ShapeComponent(r, (d, r), p + r) for r in range(0, F.length - p + 1))
+    return StructureFormShape(True, d, p, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +528,12 @@ def build_current_recipe(Z: QuotientContext, J: Ideal, cap: int = 16) -> Current
     if not (E.complete and F.complete):
         raise ValueError("a resolution did not terminate within the cap")
     a = comparison_morphism(F, E)
-    shape = structure_form_shape(Z, cap=cap)
+    # the shape is read off this F, not resolved again by
+    # structure_form_shape, whose errors cannot fire here: a unit I_Z makes
+    # lifted the unit ideal, and F is complete
+    d_z, codim_z = dimension(Z.relations)
+    shape = _pure_shape(d_z, codim_z, F)
     _, codim_j = dimension(lifted)
-    _, codim_z = dimension(Z.relations)
     current = FormalCurrent("aw_current", J, Z, (codim_j, E.length), 0, data=E)
     return CurrentRecipe(
         Z,

@@ -223,6 +223,18 @@ def test_annihilator_route_mismatch_is_reported_per_statement(monkeypatch):
         residues.annihilator_member(recipe, ZW.poly("z"))
 
 
+def test_compare_across_rings_is_reported_per_statement():
+    code, lines, doc = run_script(
+        "K = koszul((x, y), over Q[x,y])\nL = koszul((z), over Q[z])\n"
+        "compare(K, L)\nkoszul((z), over Q[z])"
+    )
+    assert code == 1
+    assert lines[2] == "3: error: complexes must share one ring"
+    assert doc["statements"][2] == {"line": 3, "error": "complexes must share one ring"}
+    assert doc["statements"][3]["command"] == "koszul"
+    assert "error" not in doc["statements"][3]
+
+
 def test_quotient_declared_arguments_run_over_their_quotient():
     script = "ring R = Q[x,y]\nquotient Z = R/(x*y)\nideal I = Z:(x)\ntuple f = Z:(x)\n"
     for call, arg in (("resolve", "I"), ("regseq", "f"), ("ch", "f")):

@@ -206,6 +206,74 @@ def test_minimalize_random_resolutions_preserve_image(subtests=None):
             assert ideals_equal(I, Ideal(XY, (XY.one(),)))
 
 
+def _single_path_cases():
+    """(ideal, context, cap) inputs for free_resolution(minimal=True)."""
+    cusp = QuotientContext(ZW, Ideal(ZW, (P(ZW, "z^3 - w^2"),)))
+    yield Ideal(ZW, (P(ZW, "z"), P(ZW, "w"), P(ZW, "z + w"))), None, 16  # a pivot
+    square = [a * b for a, b in itertools.combinations_with_replacement(XYZ.gens(), 2)]
+    yield Ideal(XYZ, tuple(square)), None, 16  # no pivot
+    yield Ideal(ZW, (P(ZW, "z"), P(ZW, "w"))), cusp, 5  # truncated
+    yield Ideal(XY, (XY.one(),)), None, 16
+    rng = random.Random(31)  # the ideals of the test above
+    for _ in range(10):
+        gens = [random_nonzero_poly(rng, XY, max_deg=2, max_terms=3) for _ in range(2)]
+        yield Ideal(XY, tuple(gens)), None, 8
+
+
+@pytest.mark.parametrize("case", range(14))
+def test_minimal_resolution_builds_one_complex_equal_to_the_two_step_path(monkeypatch, case):
+    I, ctx, cap = list(_single_path_cases())[case]
+    ref = minimalize(free_resolution(I, ctx, cap))
+    built = []
+    init = ChainComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChainComplex, "__init__", counting_init)
+    C = free_resolution(I, ctx, cap, minimal=True)
+    assert len(built) == 1
+    assert (C.ranks, C.diffs, C.complete, C.not_locally_minimal) == (
+        ref.ranks,
+        ref.diffs,
+        ref.complete,
+        ref.not_locally_minimal,
+    )
+    if case == 0:
+        assert C.ranks == (1, 2, 1)
+    if case == 2:
+        assert not C.complete and C.length == 5
+
+
+@pytest.mark.parametrize("minimal", [False, True], ids=["raw", "minimal"])
+@pytest.mark.parametrize("quotient", [False, True], ids=["ambient", "quotient"])
+@pytest.mark.parametrize("bad", ["1", "w"], ids=["constant", "nonconstant"])
+def test_resolution_with_a_non_syzygy_column_still_raises(monkeypatch, minimal, quotient, bad):
+    # phi_1 = (z, w) and a second map whose one column (bad, 0) is no
+    # syzygy: z * bad != 0, also modulo z^3 - w^2
+    ctx = QuotientContext(ZW, Ideal(ZW, (P(ZW, "z^3 - w^2"),))) if quotient else None
+    calls = []
+
+    def fake_syzygies(basis, context=None):
+        calls.append(basis)
+        gens = [PolyVector(ZW, (P(ZW, bad), ZW.zero()))] if len(calls) == 1 else []
+        return SubmoduleBasis(ZW, len(basis.gens), gens)
+
+    monkeypatch.setattr(homalg, "syzygies", fake_syzygies)
+    with pytest.raises((ValueError, InvariantError)):
+        free_resolution(Ideal(ZW, (P(ZW, "z"), P(ZW, "w"))), ctx, minimal=minimal)
+    assert len(calls) == 2
+
+
+def test_diff_is_indexed_from_one_to_the_length():
+    K = koszul_complex((P(ZW, "z"), P(ZW, "w")))
+    assert K.diff(1) == K.diffs[0] and K.diff(K.length) == K.diffs[-1]
+    for k in (0, K.length + 1):
+        with pytest.raises(IndexError):
+            K.diff(k)
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 

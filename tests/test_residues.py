@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from residua import residues
 from residua.groebner import Ideal, QuotientContext, ideal_member, ideals_equal, normal_form
 from residua.homalg import free_resolution, koszul_complex, matrices_equal_canonically
 from residua.polyring import PolynomialRing
@@ -386,6 +387,30 @@ def test_recipe_zero_ideal_degenerates_to_identity():
     assert recipe.a.levels == (((ZW.one(),),), ((ZW.one(),),))
     assert not annihilator_member(recipe, P(ZW, "z"))
     assert annihilator_member(recipe, P(ZW, "z^3 - w^2"))
+
+
+@pytest.mark.parametrize(
+    "Z, J",
+    [
+        (cusp_context(), Ideal(ZW, (P(ZW, "z"), P(ZW, "w")))),
+        (QuotientContext(XY, Ideal(XY, (P(XY, "x*y"),))), Ideal(XY, (P(XY, "x"), P(XY, "y")))),
+    ],
+    ids=["cusp", "two_lines"],
+)
+def test_recipe_resolves_each_ideal_once_and_keeps_the_shape(monkeypatch, Z, J):
+    cap = 8
+    calls = []
+    original = residues.free_resolution
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(residues, "free_resolution", spy)
+    recipe = build_current_recipe(Z, J, cap=cap)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert recipe.shape == structure_form_shape(Z, cap=cap)
 
 
 def test_recipe_refuses_improper_annihilator():
