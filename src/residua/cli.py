@@ -61,12 +61,6 @@ from residua.residues import (
     transformation_law_check,
 )
 
-COMMANDS = frozenset(
-    """resolve minimalize koszul tensor lift compare homotopy be-check
-    proper-check period cm-check regseq ch translaw presidue shape recipe
-    annmember""".split()
-)
-
 KEYWORDS = frozenset(["ring", "quotient", "ideal", "tuple", "matrix", "recipe", "over", "last"])
 
 
@@ -885,6 +879,8 @@ HANDLERS = {
     "recipe": h_recipe,
     "annmember": h_annmember,
 }
+
+COMMANDS = frozenset(HANDLERS)
 
 
 # ---------------------------------------------------------------------------

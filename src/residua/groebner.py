@@ -78,7 +78,7 @@ class Ideal:
         order = order or self.ring.default_order
         hit = self._gb_cache.get(order)
         if hit is None:
-            hit = tuple(_ideal_groebner(self.gens, order))
+            hit = tuple(_ideal_groebner(self.gens, order, 1))
             self._gb_cache[order] = hit
         return hit
 
@@ -202,6 +202,13 @@ def _monic_terms(tm: dict, lk) -> dict:
     return kernel.rational_terms(tm, tm[lk])
 
 
+def _add_quotient_sum(dst: dict, quots, reps, sign: int) -> None:
+    """dst += sign * sum_k quots[k] * reps[k], the quotients ring term maps."""
+    for q, rep in zip(quots, reps):
+        for m, b in q.items():
+            kernel.add_scaled_inplace(dst, rep, sign * b, m)
+
+
 def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
     """Reduced Groebner basis of nonzero term maps, with representations.
 
@@ -284,9 +291,7 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
             rep = {}
             kernel.add_scaled_inplace(rep, rep_i, mult * ai, ui)
             kernel.add_scaled_inplace(rep, rep_j, -mult * aj, uj)
-            for k, q in enumerate(quots):
-                for m, b in q.items():
-                    kernel.add_scaled_inplace(rep, items[k][2], -b, m)
+            _add_quotient_sum(rep, quots, (it[2] for it in items), -1)
             if c != 1:
                 rep = _scale_terms(rep, Fraction(1, c))
         t = len(items)
@@ -320,9 +325,7 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
         p, c = kernel.primitive(rem, lk)  # the lead is not reducible
         if track:
             rep = _scale_terms(rep, mult)
-            for k, q in enumerate(quots):
-                for m, b in q.items():
-                    kernel.add_scaled_inplace(rep, others[k][2], -b, m)
+            _add_quotient_sum(rep, quots, (it[2] for it in others), -1)
             if c != 1:
                 rep = _scale_terms(rep, Fraction(1, c))
             items[idx][2] = rep
@@ -359,10 +362,10 @@ def _relation_terms(context: QuotientContext, rank: int, order=None) -> list:
     ]
 
 
-def _ideal_groebner(gens, order):
+def _ideal_groebner(gens, order, rank: int):
     if not gens:
         return []
-    basis, leads, _, _ = _engine([to_terms(g) for g in gens], order.term_key, 1, False)
+    basis, leads, _, _ = _engine([to_terms(g) for g in gens], order.term_key, rank, False)
     return [from_terms(gens[0], _monic_terms(tm, lk)) for tm, lk in zip(basis, leads)]
 
 
@@ -387,11 +390,7 @@ def groebner_basis(obj: Union[Ideal, SubmoduleBasis], order: Optional[MonomialOr
     if isinstance(obj, Ideal):
         return list(obj.groebner(order))
     if isinstance(obj, SubmoduleBasis):
-        order = order or obj.order
-        if not obj.gens:
-            return []
-        basis, leads, _, _ = _engine([to_terms(v) for v in obj.gens], order.term_key, obj.rank, False)
-        return [from_terms(obj.gens[0], _monic_terms(tm, lk)) for tm, lk in zip(basis, leads)]
+        return _ideal_groebner(obj.gens, order or obj.order, obj.rank)
     raise TypeError("expected an Ideal or SubmoduleBasis")
 
 
@@ -437,14 +436,19 @@ def ideals_equal(I: Ideal, J: Ideal, context: Context = None) -> bool:
 
 
 def module_member(v: PolyVector, basis: SubmoduleBasis, context: Context = None) -> bool:
-    inputs = [to_terms(g) for g in basis.gens]
+    gens = [to_terms(g) for g in basis.gens]
+    return _member_terms(to_terms(v), gens, basis.rank, basis.order.term_key, context)
+
+
+def _member_terms(tm: dict, gens: list, rank: int, keyfn, context: Context) -> bool:
+    """tm in the submodule generated by the term maps gens (plus the
+    relation multiples of each unit vector when a context is given)."""
     if context is not None:
-        inputs += _relation_terms(context, basis.rank)
-    if not inputs:
-        return v.is_zero()
-    keyfn = basis.order.term_key
-    gb, leads, _, _ = _engine(inputs, keyfn, basis.rank, False)
-    num, _ = kernel.integer_terms(to_terms(v))
+        gens = gens + _relation_terms(context, rank)
+    if not gens:
+        return not tm
+    gb, leads, _, _ = _engine(gens, keyfn, rank, False)
+    num, _ = kernel.integer_terms(tm)
     divisors = list(map(_divisor, gb, leads))
     _, rem, _ = kernel.reduce_terms(num, divisors, kernel.HeapKeys(keyfn), False)
     return not rem
@@ -480,17 +484,13 @@ def _syzygies_termmaps(inputs: Sequence[dict], keyfn, rank: int):
             syz: dict = {}
             kernel.add_scaled_inplace(syz, reps[i], mult * ai, ui)
             kernel.add_scaled_inplace(syz, reps[j], -mult * aj, uj)
-            for k, q in enumerate(quots):
-                for m, b in q.items():
-                    kernel.add_scaled_inplace(syz, reps[k], -b, m)
+            _add_quotient_sum(syz, quots, reps, -1)
             if syz:
                 out.append(syz)
     # columns of Id - A*B
     for j, (d, quots) in enumerate(exprs):
         col = {(j, zero): d}
-        for k, q in enumerate(quots):
-            for m, b in q.items():
-                kernel.add_scaled_inplace(col, reps[k], -b, m)
+        _add_quotient_sum(col, quots, reps, -1)
         if col:
             out.append(col)
     return out
@@ -507,7 +507,9 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     are pruned by one greedy rule: in list order, candidate v_i is
     dropped when it lies in the span N of the candidates kept before it
     and all candidates after it.  No kept generator is then produced by
-    the other kept ones.
+    the other kept ones.  Candidates stay Fraction term maps from
+    Schreyer's construction to the end of pruning; PolyVectors are built
+    once, for the kept generators.
 
     Without a context, when every candidate is homogeneous for the
     grading in which e_p has the total degree of the lead term of
@@ -535,57 +537,53 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     inputs = [to_terms(g) for g in obj.gens]
     if context is not None:
         inputs += _relation_terms(context, rank, order)
-    raw = _syzygies_termmaps(inputs, order.term_key, rank)
-
-    # syzygy coordinates beyond s belong to the relation multiples: drop them
-    zero = PolyVector(ring, [ring.zero()] * s)
-    vecs = []
-    for tm in raw:
-        v = from_terms(zero, {k: c for k, c in tm.items() if k[0] < s})
-        if context is not None:
-            v = context.reduce(v, order)
-        if not v.is_zero():
-            vecs.append(v.monic(order))
-
     # canonical output: dedupe, sort descending under the Schreyer order
     # induced by the input generators' leading terms
     leads = [max(tm, key=order.term_key) for tm in inputs[:s]]
     sch = order.schreyer(leads)
+    zero = PolyVector(ring, [ring.zero()] * s)
     seen = set()
-    unique = []
-    for v in vecs:
-        sig = v.entries
+    cands = []
+
+    def offer(tm, keyfn):
+        """Reduce tm modulo the context, make it monic under keyfn and
+        keep it unless it is zero or already a candidate."""
+        if context is not None:
+            tm = to_terms(context.reduce(from_terms(zero, tm), order))
+        if not tm:
+            return
+        lc = tm[max(tm, key=keyfn)]
+        if lc != 1:
+            tm = {k: c / lc for k, c in tm.items()}
+        sig = frozenset(tm.items())
         if sig not in seen:
             seen.add(sig)
-            unique.append(v)
+            cands.append(tm)
+
+    # syzygy coordinates beyond s belong to the relation multiples: drop them
+    for tm in _syzygies_termmaps(inputs, order.term_key, rank):
+        offer({k: c for k, c in tm.items() if k[0] < s}, order.term_key)
     # the transformation formula can emit several multiples of one simpler
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
-    if unique:
-        gb_tm, gb_leads, _, _ = _engine([to_terms(v) for v in unique], sch.term_key, s, False)
+    if cands:
+        gb_tm, gb_leads, _, _ = _engine(cands, sch.term_key, s, False)
         for tm, lk in zip(gb_tm, gb_leads):
-            v = from_terms(zero, _monic_terms(tm, lk))
-            if context is not None:
-                v = context.reduce(v, order)
-                if v.is_zero():
-                    continue
-            v = v.monic(sch)
-            if v.entries not in seen:
-                seen.add(v.entries)
-                unique.append(v)
-    unique.sort(key=lambda v: sch.term_key(v.leading(sch)[0]), reverse=True)
+            offer(_monic_terms(tm, lk), sch.term_key)
+    cands.sort(key=lambda tm: max(map(sch.term_key, tm)), reverse=True)
     # drop generators the rest already produce (keeps iterated syzygy
     # computations from accumulating redundancy step after step)
     shifts = [sum(m) for _, m in leads]
-    kept = None if context is not None else _graded_prune(unique, sch.term_key, s, shifts)
+    kept = None if context is not None else _graded_prune(cands, sch.term_key, s, shifts)
     if kept is None:
+        keyfn = ring.default_order.term_key
         kept = []
-        for i, v in enumerate(unique):
-            others = kept + unique[i + 1 :]
-            if others and module_member(v, SubmoduleBasis(ring, s, others), context):
+        for i, tm in enumerate(cands):
+            others = kept + cands[i + 1 :]
+            if others and _member_terms(tm, others, s, keyfn, context):
                 continue
-            kept.append(v)
-    return SubmoduleBasis(ring, s, kept)
+            kept.append(tm)
+    return SubmoduleBasis(ring, s, [from_terms(zero, tm) for tm in kept])
 
 
 def _graded_prune(cands: list, keyfn, rank: int, shifts: list):
@@ -598,7 +596,7 @@ def _graded_prune(cands: list, keyfn, rank: int, shifts: list):
     insertion of independent ones in reverse order: both pick the basis
     that is lexicographically last.
     """
-    terms = [kernel.integer_terms(to_terms(v))[0] for v in cands]
+    terms = [kernel.integer_terms(tm)[0] for tm in cands]
     degrees = []
     for tm in terms:
         ds = {sum(m) + shifts[pos] for pos, m in tm}
@@ -664,9 +662,7 @@ class ModuleLifter:
         if rem:
             return None
         out: dict = {}
-        for k, q in enumerate(quots):
-            for m, b in q.items():
-                kernel.add_scaled_inplace(out, self._reps[k], b, m)
+        _add_quotient_sum(out, quots, self._reps, 1)
         return list(from_terms(self._coeffs, _scale_terms(out, Fraction(1, mult * den))).entries)
 
 

@@ -164,22 +164,15 @@ def comparison_morphism(F: ChainComplex, E: ChainComplex, order=None) -> ChainMa
                 )
             levels.append(zero_matrix(ring, E.rank(k), F.ranks[k]))
             continue
-        lifter = ModuleLifter(
-            ring, E.rank(k - 1), mat_columns(ring, E.diff(k), E.rank(k - 1), E.rank(k)), order
-        )
-        cols = []
-        for j in range(F.ranks[k]):
-            vec = PolyVector(ring, tuple(target[i][j] for i in range(E.rank(k - 1))))
-            q = lifter.lift(vec)
-            if q is None:
-                raise LiftingError(
-                    k,
-                    f"level {k}: column {j} is not in the image of the target "
-                    "differential (target not exact, or the degree-zero map "
-                    "does not extend)",
-                )
-            cols.append(q)
-        levels.append(tuple(tuple(cols[j][i] for j in range(F.ranks[k])) for i in range(E.rank(k))))
+        lifted, j = _lift_columns(E, k, target, F.ranks[k], order)
+        if lifted is None:
+            raise LiftingError(
+                k,
+                f"level {k}: column {j} is not in the image of the target "
+                "differential (target not exact, or the degree-zero map "
+                "does not extend)",
+            )
+        levels.append(lifted)
     return ChainMap(F, E, tuple(levels))
 
 
@@ -209,20 +202,27 @@ def chain_homotopy(a: ChainMap, b: ChainMap, order=None):
                 return HomotopyFailure(k, d)
             maps.append(zero_matrix(ring, E.rank(k + 1), F.ranks[k]))
             continue
-        lifter = ModuleLifter(
-            ring, E.rank(k), mat_columns(ring, E.diff(k + 1), E.rank(k), E.rank(k + 1)), order
-        )
-        cols = []
-        for j in range(F.ranks[k]):
-            vec = PolyVector(ring, tuple(d[i][j] for i in range(E.rank(k))))
-            q = lifter.lift(vec)
-            if q is None:
-                return HomotopyFailure(k, d)
-            cols.append(q)
-        maps.append(
-            tuple(tuple(cols[j][i] for j in range(F.ranks[k])) for i in range(E.rank(k + 1)))
-        )
+        lifted, _ = _lift_columns(E, k + 1, d, F.ranks[k], order)
+        if lifted is None:
+            return HomotopyFailure(k, d)
+        maps.append(lifted)
     return Homotopy(F, E, tuple(maps))
+
+
+def _lift_columns(E: ChainComplex, k: int, M: Matrix, ncols: int, order):
+    """(L, None) with phi_k L = M for E's k-th differential phi_k, or
+    (None, j) when column j of M is the first outside its image."""
+    ring = E.ring
+    lifter = ModuleLifter(
+        ring, E.rank(k - 1), mat_columns(ring, E.diff(k), E.rank(k - 1), E.rank(k)), order
+    )
+    cols = []
+    for j in range(ncols):
+        q = lifter.lift(PolyVector(ring, tuple(M[i][j] for i in range(E.rank(k - 1)))))
+        if q is None:
+            return None, j
+        cols.append(q)
+    return tuple(tuple(q[i] for q in cols) for i in range(E.rank(k))), None
 
 
 # ---------------------------------------------------------------------------

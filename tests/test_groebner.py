@@ -28,7 +28,15 @@ from residua.groebner import (
     saturation,
     syzygies,
 )
-from residua.polyring import LEX, Polynomial, PolynomialRing, PolyVector, divide
+from residua.polyring import (
+    LEX,
+    Polynomial,
+    PolynomialRing,
+    PolyVector,
+    divide,
+    from_terms,
+    to_terms,
+)
 
 R2 = PolynomialRing(("x", "y"))
 R3 = PolynomialRing(("x", "y", "z"))
@@ -291,14 +299,17 @@ def loop_prune(cands, ring, rank, context=None):
     return kept
 
 
-def spy_graded(monkeypatch):
-    """Record (candidates, shifts, result) of every graded-prune call."""
+def spy_graded(monkeypatch, ring):
+    """Record (candidates, shifts, result) of every graded-prune call, the
+    candidate term maps turned into PolyVectors over ring."""
     calls = []
     real = groebner._graded_prune
 
     def spy(cands, keyfn, rank, shifts):
         out = real(cands, keyfn, rank, shifts)
-        calls.append((list(cands), shifts, out))
+        zero = PolyVector(ring, [ring.zero()] * rank)
+        vecs = None if out is None else [from_terms(zero, tm) for tm in out]
+        calls.append(([from_terms(zero, tm) for tm in cands], shifts, vecs))
         return out
 
     monkeypatch.setattr(groebner, "_graded_prune", spy)
@@ -307,13 +318,13 @@ def spy_graded(monkeypatch):
 
 def count_module_member(monkeypatch):
     calls = []
-    real = groebner.module_member
+    real = groebner._member_terms
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "module_member", counted)
+    monkeypatch.setattr(groebner, "_member_terms", counted)
     return calls
 
 
@@ -336,7 +347,7 @@ def graded_syzygies(monkeypatch, obj):
     """syzygies of obj through the graded test, checked against the loop:
     same generators in the same order, and no module_member call.
     Returns (candidates, shifts, syzygies)."""
-    calls = spy_graded(monkeypatch)
+    calls = spy_graded(monkeypatch, obj.ring)
     members = count_module_member(monkeypatch)
     syz = syzygies(obj)
     assert len(calls) == 1
@@ -395,7 +406,7 @@ def test_graded_prune_drops_by_both_steps(monkeypatch):
 
 def test_inhomogeneous_candidates_take_the_loop(monkeypatch):
     gens = [RZW.poly("z^3 - w^2"), RZW.poly("z*w"), RZW.poly("w^3")]
-    calls = spy_graded(monkeypatch)
+    calls = spy_graded(monkeypatch, RZW)
     members = count_module_member(monkeypatch)
     syz = syzygies(Ideal(RZW, gens))
     assert [out for _, _, out in calls] == [None]
@@ -408,7 +419,7 @@ def test_inhomogeneous_candidates_take_the_loop(monkeypatch):
 def test_context_takes_the_loop(monkeypatch):
     ctx = QuotientContext(R3, Ideal(R3, (R3.poly("x*y - z^2"),)))
     gens = [R3.poly("x^2"), R3.poly("x*z"), R3.poly("y*z")]
-    calls = spy_graded(monkeypatch)
+    calls = spy_graded(monkeypatch, R3)
     members = count_module_member(monkeypatch)
     syz = syzygies(Ideal(R3, gens), context=ctx)
     assert not calls and members
@@ -452,13 +463,126 @@ def test_graded_prune_matches_loop_seeded(monkeypatch, binomial):
             continue
         # second syzygies: vector inputs, graded or not for lead-term shifts
         second = SubmoduleBasis(R4, len(I.gens), syz.gens)
-        calls = spy_graded(monkeypatch)
+        calls = spy_graded(monkeypatch, R4)
         syz2 = syzygies(second)
         monkeypatch.undo()
         cands, _, _ = calls[0]
         assert list(syz2.gens) == loop_prune(cands, R4, len(syz.gens))
         assert syz2.gens == loop_syzygies(monkeypatch, second).gens
         assert_irredundant(syz2)
+
+
+# ---------------------------------------------------------------------------
+# the candidate pipeline of syzygies
+
+
+def reference_syzygies(obj, context=None):
+    """The PolyVector candidate pipeline syzygies used to run, kept as the
+    reference: each candidate a PolyVector, reduced modulo the context,
+    made monic and deduplicated on its entries, sorted by its Schreyer
+    leading term, and pruned by the per-candidate module_member loop."""
+    if isinstance(obj, Ideal):
+        ring, order, rank = obj.ring, obj.ring.default_order, 1
+    else:
+        ring, order, rank = obj.ring, obj.order, obj.rank
+    s = len(obj.gens)
+    inputs = [to_terms(g) for g in obj.gens]
+    if context is not None:
+        inputs += groebner._relation_terms(context, rank, order)
+    raw = groebner._syzygies_termmaps(inputs, order.term_key, rank)
+    zero = PolyVector(ring, [ring.zero()] * s)
+    vecs = []
+    for tm in raw:
+        v = from_terms(zero, {k: c for k, c in tm.items() if k[0] < s})
+        if context is not None:
+            v = context.reduce(v, order)
+        if not v.is_zero():
+            vecs.append(v.monic(order))
+    sch = order.schreyer([max(tm, key=order.term_key) for tm in inputs[:s]])
+    seen, unique = set(), []
+    for v in vecs:
+        if v.entries not in seen:
+            seen.add(v.entries)
+            unique.append(v)
+    if unique:
+        for v in groebner_basis(SubmoduleBasis(ring, s, unique, sch)):
+            if context is not None:
+                v = context.reduce(v, order)
+                if v.is_zero():
+                    continue
+            v = v.monic(sch)
+            if v.entries not in seen:
+                seen.add(v.entries)
+                unique.append(v)
+    unique.sort(key=lambda v: sch.term_key(v.leading(sch)[0]), reverse=True)
+    return loop_prune(unique, ring, s, context)
+
+
+CUSP = QuotientContext(RZW, Ideal(RZW, (RZW.poly("z^3 - w^2"),)))
+CONE = QuotientContext(R3, Ideal(R3, (R3.poly("x*y - z^2"),)))
+LEX_COLUMNS = SubmoduleBasis(
+    R3,
+    2,
+    [PolyVector(R3, (R3.poly(a), R3.poly(b))) for a, b in [("x", "y"), ("y", "z"), ("z^2", "x*y")]],
+    LEX,
+)
+
+
+@pytest.mark.parametrize(
+    "obj, context",
+    [
+        (Ideal(R2, (R2.poly("x^2"), R2.poly("x*y"), R2.poly("y^2"))), None),
+        (Ideal(RZW, (RZW.poly("z^3 - w^2"), RZW.poly("z*w"), RZW.poly("w^3"))), None),
+        (Ideal(R3, (R3.poly("x^2"), R3.poly("x*z"), R3.poly("y*z"))), CONE),
+        (Ideal(RZW, (RZW.poly("z"), RZW.poly("w"))), CUSP),
+        (LEX_COLUMNS, None),
+    ],
+    ids=["monomial", "inhomogeneous", "cone", "cusp", "lex-module"],
+)
+def test_syzygies_match_reference_pipeline(obj, context):
+    syz = syzygies(obj, context)
+    assert syz.gens
+    assert list(syz.gens) == reference_syzygies(obj, context)
+
+
+@pytest.mark.parametrize("binomial", [False, True], ids=["monomial", "binomial"])
+def test_syzygies_match_reference_pipeline_seeded(binomial):
+    rng = random.Random(11 + binomial)
+    for _ in range(4):
+        I = random_monomial_ideal(rng, binomial)
+        syz = syzygies(I)
+        assert list(syz.gens) == reference_syzygies(I)
+        if syz.gens:
+            second = SubmoduleBasis(R4, len(I.gens), syz.gens)
+            assert list(syzygies(second).gens) == reference_syzygies(second)
+
+
+@pytest.mark.parametrize(
+    "ring, gens",
+    [(R4, ["x^2", "x*y", "y^2"]), (RZW, ["z^3 - w^2", "z*w", "w^3"])],
+    ids=["homogeneous", "inhomogeneous"],
+)
+def test_syzygies_build_vectors_for_kept_generators_only(monkeypatch, ring, gens):
+    built, bases = [], []
+    members = []
+    real_from_terms, real_init = groebner.from_terms, SubmoduleBasis.__init__
+
+    def spy_from_terms(like, tm):
+        built.append(tm)
+        return real_from_terms(like, tm)
+
+    def spy_init(self, *args, **kwargs):
+        bases.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "from_terms", spy_from_terms)
+    monkeypatch.setattr(SubmoduleBasis, "__init__", spy_init)
+    monkeypatch.setattr(groebner, "module_member", lambda *args: members.append(args))
+    syz = syzygies(Ideal(ring, [ring.poly(g) for g in gens]))
+    assert syz.gens
+    assert len(built) == len(syz.gens)
+    assert len(bases) == 1
+    assert not members
 
 
 # ---------------------------------------------------------------------------
