@@ -14,9 +14,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 from typing import Optional, Sequence, Tuple
 
+from residua import kernel
 from residua.groebner import (
     INFINITE_CODIM,
     Context,
@@ -526,19 +526,6 @@ def _integer_rows(M, rows, cols):
     return entries, scales
 
 
-def _add_product(acc, a, b, sign):
-    """acc += sign * a * b on integer term maps; cancelled terms stay as 0."""
-    for m1, c1 in a.items():
-        c1 *= sign
-        for m2, c2 in b.items():
-            m = tuple(map(add, m1, m2))
-            acc[m] = acc.get(m, 0) + c1 * c2
-
-
-def _nonzero_terms(acc):
-    return {m: c for m, c in acc.items() if c}
-
-
 class _MinorTable:
     """Minors of one integer matrix, each expanded along its first row.
 
@@ -567,34 +554,19 @@ class _MinorTable:
                     if sub:
                         # the sign of the entry's place among the columns
                         odd = (cols & (bit - 1)).bit_count() & 1
-                        _add_product(acc, e, sub, -1 if odd else 1)
-            d = self.memo[(rows, cols)] = _nonzero_terms(acc) if acc else acc
+                        kernel.add_product(acc, e, sub, -1 if odd else 1)
+            d = self.memo[(rows, cols)] = acc
         return d
 
 
-def _exact_quotient(f, g):
-    """f / g on integer term maps when g divides f in Z[x]; a remainder, a
-    fractional coefficient or a negative exponent shift is a broken
-    invariant of the caller."""
-    lead = max(g)
-    lc = g[lead]
-    f = dict(f)
-    q = {}
-    while f:
-        m = max(f)
-        c, rem = divmod(f[m], lc)
-        shift = tuple(map(sub, m, lead))
-        if rem or min(shift) < 0:
-            raise InvariantError("fraction-free elimination met an inexact division")
-        q[shift] = c
-        for m2, c2 in g.items():
-            mm = tuple(map(add, shift, m2))
-            v = f.get(mm, 0) - c * c2
-            if v:
-                f[mm] = v
-            else:
-                del f[mm]
-    return q
+def _exact_quotient(f, divisor, keys):
+    """f / g on ring term maps, for the kernel divisor (lead key, lead
+    coefficient, term map) of g, when g divides f in Z[x]; a remainder or
+    a multiplier other than 1 is a broken invariant of the caller."""
+    quots, rem, mult = kernel.reduce_terms({(0, m): c for m, c in f.items()}, (divisor,), keys, True)
+    if rem or mult != 1:
+        raise InvariantError("fraction-free elimination met an inexact division")
+    return quots[0]
 
 
 def determinant(ring: PolynomialRing, M: Matrix, n: int) -> Polynomial:
@@ -627,10 +599,7 @@ def minors_ideal(ring, M, rows, cols, r) -> Ideal:
             if not d:
                 continue
             # minors equal up to a scalar have one monic form
-            g = math.gcd(*d.values())
-            if d[max(d)] < 0:
-                g = -g
-            key = frozenset((m, c // g) for m, c in d.items())
+            key = frozenset(kernel.primitive(d, max(d))[0].items())
             if key not in seen:
                 seen.add(key)
                 lc = d[max(d, key=order.ring_key)]
@@ -645,7 +614,8 @@ def generic_rank(ring, M, rows, cols) -> int:
     A = _integer_rows(M, rows, cols)[0]
     live_rows = list(range(rows))
     live_cols = list(range(cols))
-    prev = None  # the previous pivot; None before the first
+    keys = kernel.HeapKeys(ring.default_order.term_key)
+    prev = None  # the kernel divisor of the previous pivot; None before the first
     rank = 0
     while True:
         pivot = next(((i, j) for j in live_cols for i in live_rows if A[i][j]), None)
@@ -659,14 +629,11 @@ def generic_rank(ring, M, rows, cols) -> int:
             row = A[i]
             a = row[pj]
             for j in live_cols:
-                acc = {}
-                if row[j]:
-                    _add_product(acc, p, row[j], 1)
-                if a and prow[j]:
-                    _add_product(acc, a, prow[j], -1)
-                acc = _nonzero_terms(acc)
-                row[j] = _exact_quotient(acc, prev) if acc and prev else acc
-        prev = p
+                acc = kernel.add_product({}, p, row[j])
+                kernel.add_product(acc, a, prow[j], -1)
+                row[j] = _exact_quotient(acc, prev, keys) if acc and prev else acc
+        lead = max(p, key=ring.default_order.ring_key)
+        prev = ((0, lead), p[lead], {(0, m): c for m, c in p.items()})
         rank += 1
 
 

@@ -1,9 +1,15 @@
-"""Term-arithmetic kernel: the few functions that division, Buchberger,
-syzygies and resolutions spend their time in.  They work on plain data:
+"""Term-arithmetic kernel: the few functions that polynomial products,
+division, Buchberger, syzygies, resolutions and minors spend their time
+in.  They work on plain data:
 
-    term key  = (position, exponent-tuple)        position 0 for ring elements
-    term map  = dict {term key: coefficient}      empty dict = zero
-    divisor   = (lead key, lead coeff, term map)
+    term key       = (position, exponent-tuple)   position 0 for ring elements
+    term map       = dict {term key: coefficient} empty dict = zero
+    ring term map  = dict {exponent-tuple: coefficient}
+    divisor        = (lead key, lead coeff, term map)
+
+Division and the engine work on term maps.  Products and powers work on
+ring term maps: add_product and power are the one multiplication of
+Polynomial, the parser, determinants, minors and generic ranks.
 
 Term maps are integer inside the engine.  Division is fraction-free: a step
 scales the work set by an integer instead of dividing by a divisor's lead
@@ -63,6 +69,43 @@ def add_scaled_inplace(dst, src, coeff, mono, fresh=None):
                 dst[k] = acc
             else:
                 del dst[k]
+
+
+def add_product(dst, a, b, coeff=1):
+    """dst += coeff * a * b on ring term maps, dropping cancelled terms; a's
+    terms run outside, b's inside, so new keys come in that order.  Returns
+    dst."""
+    get = dst.get
+    for m1, c1 in a.items():
+        c1 *= coeff
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            acc = get(m)
+            if acc is None:
+                dst[m] = c1 * c2
+            else:
+                acc += c1 * c2
+                if acc:
+                    dst[m] = acc
+                else:
+                    del dst[m]
+    return dst
+
+
+def power(tm, e, one):
+    """tm ** e as a new ring term map, by square and multiply from one, the
+    ring term map of 1; a single term is raised in one step."""
+    if len(tm) == 1:
+        ((m, c),) = tm.items()
+        return {tuple([x * e for x in m]): c**e}
+    out = dict(one)
+    while e:
+        if e & 1:
+            out = add_product({}, out, tm)
+        if e > 1:
+            tm = add_product({}, tm, tm)
+        e >>= 1
+    return out
 
 
 def integer_terms(tm):

@@ -281,30 +281,14 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = kernel.exp_add(m1, m2)
-                acc = terms.get(m, 0) + c1 * c2
-                if acc:
-                    terms[m] = acc
-                else:
-                    terms.pop(m, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, kernel.add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return Polynomial(self.ring, kernel.power(self.terms, e, self.ring.one().terms))
 
     # -- structure
 
@@ -573,12 +557,11 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
 #   factor := atom ('^' uint)*
 #   atom   := ident | uint ('/' uint)? | '(' expr ')'
 #
-# The parser computes on kernel term maps and builds one Polynomial per
-# expression, not one per factor and power.  Its sums, products and
-# powers take the steps of Polynomial's +, * and ** in the same order,
-# so the parsed polynomial has the same terms in the same dict order; a
-# product of two single terms, or a power of one, is one exponent-tuple
-# operation.
+# The parser computes on ring term maps and builds one Polynomial per
+# expression, not one per factor and power.  Its products and powers call
+# kernel.add_product and kernel.power, as Polynomial's * and ** do, and
+# its sums add the terms in the order of Polynomial's +, so the parsed
+# polynomial has the same terms in the same dict order.
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
 
@@ -605,9 +588,9 @@ def _tokenize(text: str):
 
 
 class _PolyParser:
-    """Recursive descent over the token list.  The methods return kernel
-    term maps {(0, exponents): coefficient}, integer or Fraction, with
-    zero terms dropped; parse builds the one Polynomial at the end."""
+    """Recursive descent over the token list.  The methods return ring
+    term maps {exponents: coefficient}, integer or Fraction, with zero
+    terms dropped; parse builds the one Polynomial at the end."""
 
     def __init__(self, text: str, ring: PolynomialRing):
         self.text = text
@@ -634,7 +617,7 @@ class _PolyParser:
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"unexpected {val!r}", pos)
-        return Polynomial(self.ring, {m: Fraction(c) for (_, m), c in tm.items()})
+        return Polynomial(self.ring, {m: Fraction(c) for m, c in tm.items()})
 
     def expr(self) -> dict:
         kind, val, _ = self.peek()
@@ -649,7 +632,7 @@ class _PolyParser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                kernel.add_scaled_inplace(tm, self.term(), 1 if val == "+" else -1, self.zero)
+                kernel.add_product(tm, self.term(), {self.zero: 1}, 1 if val == "+" else -1)
             else:
                 return tm
 
@@ -659,11 +642,9 @@ class _PolyParser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                tm = self.mul(tm, self.factor())
-            elif kind in ("num", "name") or (kind == "op" and val == "("):
-                tm = self.mul(tm, self.factor())
-            else:
+            elif not (kind in ("num", "name") or (kind == "op" and val == "(")):
                 return tm
+            tm = kernel.add_product({}, tm, self.factor())
 
     def factor(self) -> dict:
         tm = self.atom()
@@ -674,7 +655,7 @@ class _PolyParser:
                 ekind, eval_, epos = self.take()
                 if ekind != "num":
                     raise ParseError("exponent must be a nonnegative integer", epos)
-                tm = self.power(tm, int(eval_))
+                tm = kernel.power(tm, int(eval_), {self.zero: 1})
             else:
                 return tm
 
@@ -689,44 +670,18 @@ class _PolyParser:
                 if k3 != "num" or int(v3) == 0:
                     raise ParseError("expected a nonzero integer denominator", p3)
                 c = Fraction(c, int(v3))
-            return {(0, self.zero): c} if c else {}
+            return {self.zero: c} if c else {}
         if kind == "name":
             if val not in self.ring.names:
                 raise ParseError(f"unknown identifier {val!r}", pos)
             exps = [0] * self.ring.n
             exps[self.ring.names.index(val)] = 1
-            return {(0, tuple(exps)): 1}
+            return {tuple(exps): 1}
         if kind == "op" and val == "(":
             tm = self.expr()
             self.expect_op(")")
             return tm
         raise ParseError(f"unexpected {val!r}" if kind else "unexpected end of input", pos)
-
-    @staticmethod
-    def mul(a: dict, b: dict) -> dict:
-        """a * b, convolved in the order of Polynomial.__mul__ (a's terms
-        outside, b's inside), so the keys come out in the same order."""
-        if len(a) == 1 and len(b) == 1:
-            ((_, m1), c1), = a.items()
-            ((_, m2), c2), = b.items()
-            return {(0, kernel.exp_add(m1, m2)): c1 * c2}
-        out: dict = {}
-        for (_, m), c in a.items():
-            kernel.add_scaled_inplace(out, b, c, m)
-        return out
-
-    def power(self, tm: dict, e: int) -> dict:
-        """tm ** e by the square-and-multiply steps of Polynomial.__pow__."""
-        if len(tm) == 1:
-            ((_, m), c), = tm.items()
-            return {(0, tuple(x * e for x in m)): c**e}
-        out = {(0, self.zero): 1}
-        while e:
-            if e & 1:
-                out = self.mul(out, tm)
-            tm = self.mul(tm, tm) if e > 1 else tm
-            e >>= 1
-        return out
 
 
 def poly_parse(text: str, ring: PolynomialRing) -> Polynomial:

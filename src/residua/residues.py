@@ -20,13 +20,11 @@ from residua.groebner import (
     ModuleLifter,
     QuotientContext,
     dimension,
-    groebner_basis,
     ideal_intersect,
     ideal_member,
     ideal_quotient,
     ideals_equal,
     lifted_ideal,
-    normal_form,
 )
 from residua.homalg import (
     ChainComplex,
@@ -553,7 +551,7 @@ def annihilator_member(recipe: CurrentRecipe, g: Polynomial) -> bool:
     """Does g annihilate the current?  Decided twice -- membership in the
     maximal lifting over the ambient ring, and membership in J over the
     quotient -- and the two answers must agree."""
-    ambient = normal_form(g, groebner_basis(recipe.lifted)).is_zero()
+    ambient = ideal_member(g, recipe.lifted)
     quotient = ideal_member(recipe.context.reduce(g), recipe.J, recipe.context)
     if ambient != quotient:
         raise InvariantError(

@@ -202,9 +202,12 @@ def test_broken_invariant_is_reported_per_statement(flags):
 
 
 def test_annihilator_route_mismatch_is_reported_per_statement(monkeypatch):
-    # the ambient route leaves every polynomial unreduced, so it answers
-    # "not a member" where the quotient route answers "member"
-    monkeypatch.setattr(residues, "normal_form", lambda f, basis: f)
+    # the ambient route (membership without a context) answers "not a
+    # member" where the quotient route answers "member"
+    member = residues.ideal_member
+    monkeypatch.setattr(
+        residues, "ideal_member", lambda f, I, context=None: context is not None and member(f, I, context)
+    )
     code, lines, doc = run_script(
         "ring R = Q[z,w]\nquotient Z = R/(z^3 - w^2)\nideal J = Z:(z, w)\n"
         "recipe X = recipe(Z, J)\nannmember(X, z)\nkoszul((z), over R)"
