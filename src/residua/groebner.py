@@ -181,25 +181,16 @@ def _spair_parts(lead_i, lead_j):
     return lcm, kernel.exp_sub(lcm, lead_i[1]), kernel.exp_sub(lcm, lead_j[1])
 
 
-def _cofactors(gi, li, gj, lj):
-    """(a_i, a_j) with a_i * lc(g_i) = a_j * lc(g_j) = lcm of the leads'
-    coefficients, so a_i x^u_i g_i - a_j x^u_j g_j is the S-polynomial."""
-    ci, cj = gi[li], gj[lj]
+def _cofactors(ci, cj):
+    """(a_i, a_j) with a_i * c_i = a_j * c_j = lcm(c_i, c_j) for lead
+    coefficients c_i, c_j, so a_i x^u_i g_i - a_j x^u_j g_j is the
+    S-polynomial."""
     h = gcd(ci, cj)
     return cj // h, ci // h
 
 
 def _scale_terms(tm: dict, c) -> dict:
     return {k: v * c for k, v in tm.items()}
-
-
-def _divisor(tm: dict, lk) -> tuple:
-    return (lk, tm[lk], tm)
-
-
-def _monic_terms(tm: dict, lk) -> dict:
-    """The monic Fraction term map of an integer term map with lead key lk."""
-    return kernel.rational_terms(tm, tm[lk])
 
 
 def _add_quotient_sum(dst: dict, quots, reps, sign: int) -> None:
@@ -209,14 +200,17 @@ def _add_quotient_sum(dst: dict, quots, reps, sign: int) -> None:
             kernel.add_scaled_inplace(dst, rep, sign * b, m)
 
 
-def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
+def _engine(inputs: Sequence[dict], keys: kernel.HeapKeys, rank: int, track: bool):
     """Reduced Groebner basis of nonzero term maps, with representations.
 
-    Returns (basis, leads, reps, exprs):
-      basis  the reduced basis as primitive integer term maps (content 1,
-             positive lead coefficient), sorted descending by leading key;
-             _monic_terms gives the monic basis over Q
-      leads  leading keys of basis entries
+    keys is the caller's kernel.HeapKeys memo and keys.keyfn the order; the
+    caller reduces against the basis with the same memo afterwards.
+
+    Returns (basis, reps, exprs):
+      basis  the reduced basis as kernel divisors (lead key, lead
+             coefficient, primitive integer term map: content 1, positive
+             lead coefficient), sorted descending by lead key;
+             kernel.rational_terms(tm, lc) is the monic basis element over Q
       reps   basis[k] = sum(reps[k]) over the inputs (Fraction term maps
              over positions 0..len(inputs)-1); None when track is false
       exprs  (d_j, quots_j) with d_j * inputs[j] = sum_k quots_j[k] *
@@ -226,8 +220,9 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
     The monic basis, and the reps divided by the lead coefficients, are
     exactly those of the same computation over Q (see the module docstring).
     """
-    keys = kernel.HeapKeys(keyfn)
-    items = []  # [terms, lead_key, rep]
+    keyfn = keys.keyfn
+    divisors = []  # (lead key, lead coefficient, primitive term map)
+    reps = []
     scaled = []  # (s_j, the integer term map s_j * inputs[j])
     for j, tm in enumerate(inputs):
         lk = kernel.leading_key(tm, keyfn)
@@ -237,27 +232,26 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
         p, c = kernel.primitive(num, lk)
         scale = Fraction(den, c)
         scaled.append((scale, p))
-        rep = {(j, _zero_mono(tm)): scale} if track else None
-        items.append([p, lk, rep])
-    divisors = [_divisor(it[0], it[1]) for it in items]
+        divisors.append((lk, p[lk], p))
+        reps.append({(j, _zero_mono(tm)): scale} if track else None)
 
     pairs = []  # heap of (selection key, i, j)
     done = set()
 
     def push_pair(i, j):
-        lcm, _, _ = _spair_parts(items[i][1], items[j][1])
-        heappush(pairs, (keyfn((items[i][1][0], lcm)), i, j))
+        lcm, _, _ = _spair_parts(divisors[i][0], divisors[j][0])
+        heappush(pairs, (keyfn((divisors[i][0][0], lcm)), i, j))
 
-    for j in range(len(items)):
+    for j in range(len(divisors)):
         for i in range(j):
-            if items[i][1][0] == items[j][1][0]:
+            if divisors[i][0][0] == divisors[j][0][0]:
                 push_pair(i, j)
 
     while pairs:
         _, i, j = heappop(pairs)
         done.add((i, j))
-        gi, li, rep_i = items[i]
-        gj, lj, rep_j = items[j]
+        li, ci, gi = divisors[i]
+        lj, cj, gj = divisors[j]
         pos = li[0]
         lcm, ui, uj = _spair_parts(li, lj)
         # coprime-lead criterion (valid for the ideal case only)
@@ -265,10 +259,9 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
             continue
         # chain criterion
         skip = False
-        for k in range(len(items)):
-            if k in (i, j) or items[k][1][0] != pos:
-                continue
-            if not kernel.exp_divides(items[k][1][1], lcm):
+        for k in range(len(divisors)):
+            lk = divisors[k][0]
+            if k in (i, j) or lk[0] != pos or not kernel.exp_divides(lk[1], lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -277,7 +270,7 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
                 break
         if skip:
             continue
-        ai, aj = _cofactors(gi, li, gj, lj)
+        ai, aj = _cofactors(ci, cj)
         spoly: dict = {}
         kernel.add_scaled_inplace(spoly, gi, ai, ui)
         kernel.add_scaled_inplace(spoly, gj, -aj, uj)
@@ -289,63 +282,58 @@ def _engine(inputs: Sequence[dict], keyfn, rank: int, track: bool):
         rep = None
         if track:
             rep = {}
-            kernel.add_scaled_inplace(rep, rep_i, mult * ai, ui)
-            kernel.add_scaled_inplace(rep, rep_j, -mult * aj, uj)
-            _add_quotient_sum(rep, quots, (it[2] for it in items), -1)
+            kernel.add_scaled_inplace(rep, reps[i], mult * ai, ui)
+            kernel.add_scaled_inplace(rep, reps[j], -mult * aj, uj)
+            _add_quotient_sum(rep, quots, reps, -1)
             if c != 1:
                 rep = _scale_terms(rep, Fraction(1, c))
-        t = len(items)
-        items.append([p, lk, rep])
-        divisors.append(_divisor(p, lk))
+        t = len(divisors)
+        divisors.append((lk, p[lk], p))
+        reps.append(rep)
         for k in range(t):
-            if items[k][1][0] == lk[0]:
+            if divisors[k][0][0] == lk[0]:
                 push_pair(k, t)
 
     # minimal pass: drop anything whose lead another kept element divides
-    order_asc = sorted(range(len(items)), key=lambda k: keyfn(items[k][1]))
     kept: list = []
-    for k in order_asc:
-        lk = items[k][1]
+    for k in sorted(range(len(divisors)), key=lambda k: keyfn(divisors[k][0])):
+        lk = divisors[k][0]
         if any(
-            items[m][1][0] == lk[0] and kernel.exp_divides(items[m][1][1], lk[1])
+            divisors[m][0][0] == lk[0] and kernel.exp_divides(divisors[m][0][1], lk[1])
             for m in kept
         ):
             continue
         kept.append(k)
-    items = [items[k] for k in kept]
+    divisors = [divisors[k] for k in kept]
+    reps = [reps[k] for k in kept]
 
     # interreduce tails (leads are now pairwise non-dividing, one pass)
-    for idx in range(len(items)):
-        others = [items[k] for k in range(len(items)) if k != idx]
-        if not others:
-            continue
-        g, lk, rep = items[idx]
-        divisors = [_divisor(it[0], it[1]) for it in others]
-        quots, rem, mult = kernel.reduce_terms(g, divisors, keys, track)
+    for idx, (lk, _, g) in enumerate(divisors):
+        if len(divisors) == 1:
+            break
+        others = divisors[:idx] + divisors[idx + 1 :]
+        quots, rem, mult = kernel.reduce_terms(g, others, keys, track)
         p, c = kernel.primitive(rem, lk)  # the lead is not reducible
         if track:
-            rep = _scale_terms(rep, mult)
-            _add_quotient_sum(rep, quots, (it[2] for it in others), -1)
+            rep = _scale_terms(reps[idx], mult)
+            _add_quotient_sum(rep, quots, reps[:idx] + reps[idx + 1 :], -1)
             if c != 1:
                 rep = _scale_terms(rep, Fraction(1, c))
-            items[idx][2] = rep
-        items[idx][0] = p
+            reps[idx] = rep
+        divisors[idx] = (lk, p[lk], p)
 
-    items.sort(key=lambda it: keyfn(it[1]), reverse=True)
-    basis = [it[0] for it in items]
-    leads = [it[1] for it in items]
-    reps = [it[2] for it in items] if track else None
-
-    exprs = None
-    if track:
-        divisors = [_divisor(it[0], it[1]) for it in items]
-        exprs = []
-        for scale, p in scaled:
-            quots, rem, mult = kernel.reduce_terms(p, divisors, keys, True)
-            if rem:
-                raise InvariantError("input does not reduce to zero against its own basis")
-            exprs.append((mult * scale, quots))
-    return basis, leads, reps, exprs
+    ranked = sorted(range(len(divisors)), key=lambda k: keyfn(divisors[k][0]), reverse=True)
+    basis = [divisors[k] for k in ranked]
+    if not track:
+        return basis, None, None
+    reps = [reps[k] for k in ranked]
+    exprs = []
+    for scale, p in scaled:
+        quots, rem, mult = kernel.reduce_terms(p, basis, keys, True)
+        if rem:
+            raise InvariantError("input does not reduce to zero against its own basis")
+        exprs.append((mult * scale, quots))
+    return basis, reps, exprs
 
 
 def _zero_mono(tm: dict):
@@ -365,8 +353,9 @@ def _relation_terms(context: QuotientContext, rank: int, order=None) -> list:
 def _ideal_groebner(gens, order, rank: int):
     if not gens:
         return []
-    basis, leads, _, _ = _engine([to_terms(g) for g in gens], order.term_key, rank, False)
-    return [from_terms(gens[0], _monic_terms(tm, lk)) for tm, lk in zip(basis, leads)]
+    keys = kernel.HeapKeys(order.term_key)
+    basis = _engine([to_terms(g) for g in gens], keys, rank, False)[0]
+    return [from_terms(gens[0], kernel.rational_terms(tm, lc)) for _, lc, tm in basis]
 
 
 def _reduce(f, divisors, keys):
@@ -437,48 +426,47 @@ def ideals_equal(I: Ideal, J: Ideal, context: Context = None) -> bool:
 
 def module_member(v: PolyVector, basis: SubmoduleBasis, context: Context = None) -> bool:
     gens = [to_terms(g) for g in basis.gens]
-    return _member_terms(to_terms(v), gens, basis.rank, basis.order.term_key, context)
+    keys = kernel.HeapKeys(basis.order.term_key)
+    return _member_terms(to_terms(v), gens, basis.rank, keys, context)
 
 
-def _member_terms(tm: dict, gens: list, rank: int, keyfn, context: Context) -> bool:
+def _member_terms(tm: dict, gens: list, rank: int, keys, context: Context) -> bool:
     """tm in the submodule generated by the term maps gens (plus the
-    relation multiples of each unit vector when a context is given)."""
+    relation multiples of each unit vector when a context is given);
+    keys is the kernel.HeapKeys memo of the order."""
     if context is not None:
         gens = gens + _relation_terms(context, rank)
     if not gens:
         return not tm
-    gb, leads, _, _ = _engine(gens, keyfn, rank, False)
     num, _ = kernel.integer_terms(tm)
-    divisors = list(map(_divisor, gb, leads))
-    _, rem, _ = kernel.reduce_terms(num, divisors, kernel.HeapKeys(keyfn), False)
+    _, rem, _ = kernel.reduce_terms(num, _engine(gens, keys, rank, False)[0], keys, False)
     return not rem
 
 
 # -- syzygies ----------------------------------------------------------------
 
 
-def _syzygies_termmaps(inputs: Sequence[dict], keyfn, rank: int):
-    """Generators of the syzygy module of the given nonzero term maps.
+def _syzygies_termmaps(inputs: Sequence[dict], keys, rank: int):
+    """Generators of the syzygy module of the given nonzero term maps,
+    under the order of the kernel.HeapKeys memo keys.
 
     Schreyer's construction on the reduced basis, pushed back through the
     transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B).
     """
-    basis, leads, reps, exprs = _engine(inputs, keyfn, rank, True)
-    keys = kernel.HeapKeys(keyfn)
+    basis, reps, exprs = _engine(inputs, keys, rank, True)
     zero = _zero_mono(inputs[0])
     out = []  # each syzygy up to a nonzero rational factor
     # pair syzygies of the reduced basis, mapped through A
-    divisors = list(map(_divisor, basis, leads))
-    for j in range(len(basis)):
-        for i in range(j):
-            if leads[i][0] != leads[j][0]:
+    for j, (lj, cj, gj) in enumerate(basis):
+        for i, (li, ci, gi) in enumerate(basis[:j]):
+            if li[0] != lj[0]:
                 continue
-            lcm, ui, uj = _spair_parts(leads[i], leads[j])
-            ai, aj = _cofactors(basis[i], leads[i], basis[j], leads[j])
+            lcm, ui, uj = _spair_parts(li, lj)
+            ai, aj = _cofactors(ci, cj)
             sp: dict = {}
-            kernel.add_scaled_inplace(sp, basis[i], ai, ui)
-            kernel.add_scaled_inplace(sp, basis[j], -aj, uj)
-            quots, rem, mult = kernel.reduce_terms(sp, divisors, keys, True)
+            kernel.add_scaled_inplace(sp, gi, ai, ui)
+            kernel.add_scaled_inplace(sp, gj, -aj, uj)
+            quots, rem, mult = kernel.reduce_terms(sp, basis, keys, True)
             if rem:
                 raise InvariantError("S-pair of a Groebner basis must reduce to zero")
             syz: dict = {}
@@ -561,35 +549,37 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
             cands.append(tm)
 
     # syzygy coordinates beyond s belong to the relation multiples: drop them
-    for tm in _syzygies_termmaps(inputs, order.term_key, rank):
+    for tm in _syzygies_termmaps(inputs, kernel.HeapKeys(order.term_key), rank):
         offer({k: c for k, c in tm.items() if k[0] < s}, order.term_key)
     # the transformation formula can emit several multiples of one simpler
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
+    sch_keys = kernel.HeapKeys(sch.term_key)
     if cands:
-        gb_tm, gb_leads, _, _ = _engine(cands, sch.term_key, s, False)
-        for tm, lk in zip(gb_tm, gb_leads):
-            offer(_monic_terms(tm, lk), sch.term_key)
+        for _, lc, tm in _engine(cands, sch_keys, s, False)[0]:
+            offer(kernel.rational_terms(tm, lc), sch.term_key)
     cands.sort(key=lambda tm: max(map(sch.term_key, tm)), reverse=True)
     # drop generators the rest already produce (keeps iterated syzygy
     # computations from accumulating redundancy step after step)
     shifts = [sum(m) for _, m in leads]
-    kept = None if context is not None else _graded_prune(cands, sch.term_key, s, shifts)
+    kept = None if context is not None else _graded_prune(cands, sch_keys, s, shifts)
     if kept is None:
-        keyfn = ring.default_order.term_key
+        keys = kernel.HeapKeys(ring.default_order.term_key)
         kept = []
         for i, tm in enumerate(cands):
             others = kept + cands[i + 1 :]
-            if others and _member_terms(tm, others, s, keyfn, context):
+            if others and _member_terms(tm, others, s, keys, context):
                 continue
             kept.append(tm)
     return SubmoduleBasis(ring, s, [from_terms(zero, tm) for tm in kept])
 
 
-def _graded_prune(cands: list, keyfn, rank: int, shifts: list):
+def _graded_prune(cands: list, keys, rank: int, shifts: list):
     """The candidates the greedy rule of syzygies keeps, by graded
     Nakayama (see syzygies), or None when some candidate is not
-    homogeneous for the shifts (e_p has degree shifts[p]).
+    homogeneous for the shifts (e_p has degree shifts[p]).  keys is the
+    kernel.HeapKeys memo of the Schreyer order, shared with every engine
+    run here.
 
     Within one degree the rule is greedy deletion of dependent normal
     forms in list order, which keeps the same vectors as greedy
@@ -604,27 +594,23 @@ def _graded_prune(cands: list, keyfn, rank: int, shifts: list):
             return None
         degrees.append(ds.pop())
     zero = _zero_mono(terms[0]) if terms else None
-    keys = kernel.HeapKeys(keyfn)
     kept = set()
     for D in sorted(set(degrees)):
         lower = [tm for tm, d in zip(terms, degrees) if d < D]
-        divisors = []
-        if lower:
-            gb, leads, _, _ = _engine(lower, keyfn, rank, False)
-            divisors = list(map(_divisor, gb, leads))
+        divisors = _engine(lower, keys, rank, False)[0] if lower else []
         pivots: dict = {}  # leading key -> primitive row, echelon over Q
         for i in reversed(range(len(terms))):
             if degrees[i] != D:
                 continue
             _, nf, _ = kernel.reduce_terms(terms[i], divisors, keys, False)
             while nf:
-                lk = kernel.leading_key(nf, keyfn)
+                lk = kernel.leading_key(nf, keys.keyfn)
                 row = pivots.get(lk)
                 if row is None:
                     pivots[lk] = kernel.primitive(nf, lk)[0]
                     kept.add(i)
                     break
-                a, b = _cofactors(nf, lk, row, lk)
+                a, b = _cofactors(nf[lk], row[lk])
                 nf = _scale_terms(nf, a)
                 kernel.add_scaled_inplace(nf, row, -b, zero)
     return [cands[i] for i in sorted(kept)]
@@ -644,12 +630,10 @@ class ModuleLifter:
         # coefficient vectors have one position per generator
         self._coeffs = PolyVector(ring, [ring.zero()] * len(self.gens))
         if self.gens:
-            basis, leads, reps, _ = _engine(
-                [to_terms(v) for v in self.gens], self.order.term_key, rank, True
-            )
-            self._divisors = list(map(_divisor, basis, leads))
-            self._reps = reps
             self._keys = kernel.HeapKeys(self.order.term_key)
+            self._divisors, self._reps, _ = _engine(
+                [to_terms(v) for v in self.gens], self._keys, rank, True
+            )
 
     def lift(self, target: PolyVector):
         """Coefficients over gens, or None when target is not in the image."""
@@ -696,15 +680,15 @@ def elimination(I: Ideal, keep: Sequence[str]) -> Ideal:
         exps = key[1]
         hi = tuple(exps[i] for i in elim_idx)
         lo = tuple(exps[i] for i in keep_idx)
-        return (-key[0], base.ring_key(hi), base.ring_key(lo))
+        return (-key[0], *base.ring_key(hi), *base.ring_key(lo))
 
     gens = [g for g in I.gens]
     if not gens:
         return Ideal(target, ())
-    basis, leads, _, _ = _engine([to_terms(g) for g in gens], block_key, 1, False)
+    basis, _, _ = _engine([to_terms(g) for g in gens], kernel.HeapKeys(block_key), 1, False)
     kept = []
-    for tm, lk in zip(basis, leads):
-        tm = _monic_terms(tm, lk)
+    for _, lc, tm in basis:
+        tm = kernel.rational_terms(tm, lc)
         if all(m[i] == 0 for _, m in tm for i in elim_idx):
             kept.append(
                 Polynomial(target, {tuple(m[i] for i in keep_idx): c for (_, m), c in tm.items()})

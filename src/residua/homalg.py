@@ -98,7 +98,9 @@ def canonical_matrix(ring: PolynomialRing, A: Matrix, rows: int, cols: int) -> M
 
     def col_key(v: PolyVector):
         lt = v.leading(order)
-        head = ((-1, ()),) if lt is None else (order.term_key(lt[0]),)
+        # a zero column's head (-1,) compares with flat order keys: it is a
+        # prefix of every pot key at position 1 and below every top key
+        head = ((-1,),) if lt is None else (order.term_key(lt[0]),)
         return (head, tuple(_poly_sort_key(e, order) for e in v.entries))
 
     def row_key(row):

@@ -6,10 +6,13 @@ in.  They work on plain data:
     term map       = dict {term key: coefficient} empty dict = zero
     ring term map  = dict {exponent-tuple: coefficient}
     divisor        = (lead key, lead coeff, term map)
+    order key      = flat tuple of ints, one length per order (the order's
+                     term_key of a term key); HeapKeys memoizes them negated
 
-Division and the engine work on term maps.  Products and powers work on
-ring term maps: add_product and power are the one multiplication of
-Polynomial, the parser, determinants, minors and generic ranks.
+Division and the engine work on term maps, under one HeapKeys memo per
+order within a top-level call.  Products and powers work on ring term
+maps: add_product and power are the one multiplication of Polynomial, the
+parser, determinants, minors and generic ranks.
 
 Term maps are integer inside the engine.  Division is fraction-free: a step
 scales the work set by an integer instead of dividing by a divisor's lead
@@ -131,14 +134,12 @@ def primitive(tm, lead):
     return {k: v // c for k, v in tm.items()}, c
 
 
-def _negated(key):
-    return tuple([-x if x.__class__ is int else _negated(x) for x in key])
-
-
 class HeapKeys(dict):
-    """Memo of heap keys, term key -> order key with every int negated, so
-    the largest term has the smallest heap key (the order keys of one order
-    all have the same shape)."""
+    """Memo of heap keys of one order, term key -> negated order key, so
+    the largest term has the smallest heap key.  keyfn is the order: it
+    maps a term key to a flat tuple of ints, all of one length.  One memo
+    serves each order within a call, shared by the engine and every
+    reduction after it."""
 
     __slots__ = ("keyfn",)
 
@@ -147,7 +148,7 @@ class HeapKeys(dict):
         self.keyfn = keyfn
 
     def __missing__(self, t):
-        v = self[t] = _negated(self.keyfn(t))
+        v = self[t] = tuple([-x for x in self.keyfn(t)])
         return v
 
 

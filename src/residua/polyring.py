@@ -44,6 +44,15 @@ class MonomialOrder:
     position first (lower position = greater), 'top' compares the ring
     monomial first, 'schreyer' compares monomial * parent-lead under the
     parent order with position as tie break.
+
+    The order is given by its keys: ring_key and term_key return one flat
+    tuple of ints, bigger term -> bigger key, and all keys of one order
+    (over one number of variables) have the same length, so tuples compare
+    the order directly:
+
+        ring_key   lex (*e)   grlex (deg, *e)   grevlex (deg, -e_n, ..., -e_1)
+        term_key   pot (-pos, *ring_key)        top (*ring_key, -pos)
+                   schreyer (*parent.term_key(pos's lead * e), -pos)
     """
 
     kind: str = "grevlex"
@@ -61,34 +70,33 @@ class MonomialOrder:
         ):
             raise ValueError("schreyer rule needs parent leads and parent order")
 
-    def ring_key(self, exps: Mono):
+    def ring_key(self, exps: Mono) -> tuple:
         """Sort key: bigger monomial -> bigger key."""
         if self.kind == "lex":
             return exps
         if self.kind == "grlex":
-            return (sum(exps), exps)
+            return (sum(exps), *exps)
         # grevlex: compare total degree, then reversed exponents, negated
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), *[-e for e in reversed(exps)])
 
-    def term_key(self, key):
+    def term_key(self, key) -> tuple:
         """Sort key for a module term key (pos, exps)."""
         pos, exps = key
         if self.module_rule == "pot":
-            return (-pos, self.ring_key(exps))
+            return (-pos, *self.ring_key(exps))
         if self.module_rule == "top":
-            return (self.ring_key(exps), -pos)
+            return (*self.ring_key(exps), -pos)
         ppos, pexps = self.schreyer_leads[pos]
-        shifted = (ppos, tuple(a + b for a, b in zip(pexps, exps)))
-        return (self.schreyer_parent.term_key(shifted), -pos)
+        shifted = (ppos, kernel.exp_add(pexps, exps))
+        return (*self.schreyer_parent.term_key(shifted), -pos)
 
     def with_module_rule(self, rule: str) -> "MonomialOrder":
         return MonomialOrder(self.kind, rule)
 
     def schreyer(self, leads: Iterable[tuple]) -> "MonomialOrder":
-        """Order induced on a syzygy module by the parent generators' leads."""
-        return MonomialOrder(
-            self.kind, "schreyer", tuple(leads), MonomialOrder(self.kind, self.module_rule)
-        )
+        """Order induced on a syzygy module by the parent generators' leads
+        (the parent may itself be a Schreyer order)."""
+        return MonomialOrder(self.kind, "schreyer", tuple(leads), self)
 
 
 GREVLEX = MonomialOrder("grevlex")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly, random_nonzero_poly
-from residua import groebner
+from residua import groebner, kernel
 from residua.groebner import (
     INFINITE_CODIM,
     Ideal,
@@ -305,8 +305,8 @@ def spy_graded(monkeypatch, ring):
     calls = []
     real = groebner._graded_prune
 
-    def spy(cands, keyfn, rank, shifts):
-        out = real(cands, keyfn, rank, shifts)
+    def spy(cands, keys, rank, shifts):
+        out = real(cands, keys, rank, shifts)
         zero = PolyVector(ring, [ring.zero()] * rank)
         vecs = None if out is None else [from_terms(zero, tm) for tm in out]
         calls.append(([from_terms(zero, tm) for tm in cands], shifts, vecs))
@@ -427,6 +427,41 @@ def test_context_takes_the_loop(monkeypatch):
     assert syz.gens == loop_syzygies(monkeypatch, Ideal(R3, gens), ctx).gens
 
 
+def count_heap_keys(monkeypatch):
+    """The keyfn of every kernel.HeapKeys memo built while patched."""
+    built = []
+
+    class Counted(kernel.HeapKeys):
+        __slots__ = ()
+
+        def __init__(self, keyfn):
+            super().__init__(keyfn)
+            built.append(keyfn)
+
+    monkeypatch.setattr(kernel, "HeapKeys", Counted)
+    return built
+
+
+def test_syzygies_builds_one_heap_key_memo_per_order(monkeypatch):
+    # the loop path: one memo for the input order, one for the Schreyer
+    # order (its reduced basis and the graded test), one for every loop test
+    gens = [RZW.poly("z^3 - w^2"), RZW.poly("z*w"), RZW.poly("w^3")]
+    members = count_module_member(monkeypatch)
+    built = count_heap_keys(monkeypatch)
+    syzygies(Ideal(RZW, gens))
+    assert len(members) > 1
+    assert len(built) == 3
+
+
+def test_syzygies_over_a_context_adds_only_the_relations_reducer_memo(monkeypatch):
+    cusp = QuotientContext(RZW, Ideal(RZW, (RZW.poly("z^3 - w^2"),)))
+    members = count_module_member(monkeypatch)
+    built = count_heap_keys(monkeypatch)
+    syzygies(Ideal(RZW, (RZW.poly("z"), RZW.poly("w"))), cusp)
+    assert members
+    assert len(built) == 4
+
+
 def random_monomial_ideal(rng, binomial):
     """3-6 monomials of degree 1-3 in Q[x,y,z,w], times a seeded linear
     binomial x_i + c x_j when binomial is set."""
@@ -489,7 +524,7 @@ def reference_syzygies(obj, context=None):
     inputs = [to_terms(g) for g in obj.gens]
     if context is not None:
         inputs += groebner._relation_terms(context, rank, order)
-    raw = groebner._syzygies_termmaps(inputs, order.term_key, rank)
+    raw = groebner._syzygies_termmaps(inputs, kernel.HeapKeys(order.term_key), rank)
     zero = PolyVector(ring, [ring.zero()] * s)
     vecs = []
     for tm in raw:

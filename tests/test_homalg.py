@@ -34,7 +34,7 @@ from residua.homalg import (
     rank_loci,
     tensor_complexes,
 )
-from residua.polyring import PolynomialRing, PolyVector
+from residua.polyring import MonomialOrder, PolynomialRing, PolyVector
 
 from conftest import random_nonzero_poly
 
@@ -508,6 +508,29 @@ def test_periodicity_complete_and_short_inputs():
     C = free_resolution(Ideal(XY, (P(XY, "x"),)), context=ctx, cap=3)
     with pytest.raises(ValueError):
         detect_periodicity(C)
+
+
+def test_canonical_matrix_sorts_a_zero_column_after_the_columns_led_at_row_one():
+    # a zero column's head must compare with every order key: below the
+    # columns led at position 0 or 1, above those led further down
+    assert canonical_matrix(XY, M(XY, [("0", "0", "x"), ("0", "y", "y")]), 2, 3) == M(
+        XY, [("x", "0", "0"), ("y", "y", "0")]
+    )
+
+
+def test_canonical_matrix_puts_a_zero_column_before_a_column_led_at_row_two():
+    A = M(XY, [("0", "x", "0"), ("0", "y", "0"), ("0", "0", "x + y")])
+    assert canonical_matrix(XY, A, 3, 3) == M(
+        XY, [("x", "0", "0"), ("0", "x + y", "0"), ("y", "0", "0")]
+    )
+
+
+def test_canonical_matrix_with_zero_columns_under_a_term_over_position_order():
+    top = PolynomialRing(("x", "y"), MonomialOrder("grevlex", "top"))
+    A = M(top, [("0", "0", "x"), ("0", "y", "y")])
+    assert canonical_matrix(top, A, 2, 3) == M(top, [("x", "0", "0"), ("y", "y", "0")])
+    B = M(top, [("0", "x", "0"), ("y", "y", "0")])  # A's columns permuted
+    assert matrices_equal_canonically(top, A, B, 2, 3, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, parsing, and division."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -102,6 +103,65 @@ def test_schreyer_order_uses_parent_leads():
     # equal products fall back to the lower position
     sch2 = GREVLEX.schreyer([(0, (1, 0)), (0, (1, 0))])
     assert sch2.term_key((0, (0, 0))) > sch2.term_key((1, (0, 0)))
+
+
+def reference_ring_cmp(kind, a, b):
+    """-1, 0, 1 comparing exponent tuples as the MonomialOrder docstring
+    says: lex, degree then lex, or degree then the last differing
+    variable, where the smaller exponent wins."""
+    if kind != "lex" and sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    if kind == "grevlex":
+        for x, y in reversed(list(zip(a, b))):
+            if x != y:
+                return 1 if x < y else -1
+        return 0
+    return (a > b) - (a < b)
+
+
+def reference_term_cmp(order, s, t):
+    """-1, 0, 1 comparing term keys (pos, exps) under a module order: the
+    lower position is greater under pot and breaks ties under top and
+    schreyer; schreyer compares the terms times their leads first."""
+    (p, a), (q, b) = s, t
+    by_pos = (p < q) - (p > q)
+    if order.module_rule == "pot":
+        return by_pos or reference_ring_cmp(order.kind, a, b)
+    if order.module_rule == "top":
+        return reference_ring_cmp(order.kind, a, b) or by_pos
+    (lp, la), (lq, lb) = order.schreyer_leads[p], order.schreyer_leads[q]
+    shifted = ((lp, tuple(map(sum, zip(la, a)))), (lq, tuple(map(sum, zip(lb, b)))))
+    return reference_term_cmp(order.schreyer_parent, *shifted) or by_pos
+
+
+def _orders_under_test():
+    rng = random.Random(11)
+
+    def leads():
+        # positions 0 and 1 share a lead, so the position tie-break decides
+        first = (rng.randrange(3), tuple(rng.randrange(3) for _ in range(3)))
+        return (first, first, (rng.randrange(3), tuple(rng.randrange(3) for _ in range(3))))
+
+    orders = [o.with_module_rule(r) for o in (LEX, GRLEX, GREVLEX) for r in ("pot", "top")]
+    orders.append(GREVLEX.schreyer(leads()).schreyer(leads()))
+    return orders
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("order", _orders_under_test(), ids=lambda o: f"{o.kind}-{o.module_rule}")
+def test_order_keys_are_flat_and_sort_like_the_reference_comparator(order, seed):
+    rng = random.Random(seed)
+    terms = [
+        (rng.randrange(3), tuple(rng.randrange(3) for _ in range(3))) for _ in range(60)
+    ]
+    keys = [order.term_key(t) for t in terms]
+    assert all(type(k) is tuple and all(type(x) is int for x in k) for k in keys)
+    assert len({len(k) for k in keys}) == 1
+    ring_keys = [order.ring_key(e) for _, e in terms]
+    assert all(type(k) is tuple and all(type(x) is int for x in k) for k in ring_keys)
+    assert len({len(k) for k in ring_keys}) == 1
+    reference = functools.cmp_to_key(lambda s, t: reference_term_cmp(order, s, t))
+    assert sorted(terms, key=order.term_key) == sorted(terms, key=reference)
 
 
 # ---------------------------------------------------------------------------
