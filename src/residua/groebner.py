@@ -500,8 +500,10 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     once, for the kept generators.
 
     Without a context, when every candidate is homogeneous for the
-    grading in which e_p has the total degree of the lead term of
-    generator p, the rule is decided by graded Nakayama instead of one
+    grading in which e_p has the degree of the lead term of generator p
+    (its total degree plus the degree of its basis vector, for basis
+    degrees that make every generator homogeneous when there are such,
+    else plus zero), the rule is decided by graded Nakayama instead of one
     module Groebner basis per candidate.  N and v_i span the whole
     module, and R*v_i lives in degrees >= D = deg v_i, so N contains
     every candidate of degree < D and the submodule L they generate.
@@ -561,8 +563,11 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     cands.sort(key=lambda tm: max(map(sch.term_key, tm)), reverse=True)
     # drop generators the rest already produce (keeps iterated syzygy
     # computations from accumulating redundancy step after step)
-    shifts = [sum(m) for _, m in leads]
-    kept = None if context is not None else _graded_prune(cands, sch_keys, s, shifts)
+    kept = None
+    if context is None:
+        degrees = _basis_degrees(inputs, rank) or [0] * rank
+        shifts = [sum(m) + degrees[pos] for pos, m in leads]
+        kept = _graded_prune(cands, sch_keys, s, shifts)
     if kept is None:
         keys = kernel.HeapKeys(ring.default_order.term_key)
         kept = []
@@ -572,6 +577,35 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
                 continue
             kept.append(tm)
     return SubmoduleBasis(ring, s, [from_terms(zero, tm) for tm in kept])
+
+
+def _basis_degrees(inputs: Sequence[dict], rank: int):
+    """Degrees a of the basis vectors e_0..e_{rank-1} for which every input
+    term map is homogeneous (sum(m) + a[pos] is one value over its terms),
+    or None when there are none.  Positions that no input links are put
+    at degree 0 relative to each other; that shifts every degree of one
+    linked class by a constant, which no homogeneity test sees."""
+    links = [[] for _ in range(rank)]  # (q, a[q] - a[p]) for each position p
+    for tm in inputs:
+        (p, m), *rest = tm
+        for q, mq in rest:
+            links[p].append((q, sum(m) - sum(mq)))
+            links[q].append((p, sum(mq) - sum(m)))
+    degrees = [None] * rank
+    for root in range(rank):
+        if degrees[root] is not None:
+            continue
+        degrees[root] = 0
+        stack = [root]
+        while stack:
+            p = stack.pop()
+            for q, step in links[p]:
+                if degrees[q] is None:
+                    degrees[q] = degrees[p] + step
+                    stack.append(q)
+                elif degrees[q] != degrees[p] + step:
+                    return None
+    return degrees
 
 
 def _graded_prune(cands: list, keys, rank: int, shifts: list):
@@ -762,27 +796,68 @@ def saturation(I: Ideal, f: Polynomial) -> Ideal:
 # -- dimension ---------------------------------------------------------------
 
 
+def _support(m) -> int:
+    """The variables dividing the monomial m, as a bit mask."""
+    mask = 0
+    for i, e in enumerate(m):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def _cover_number(supports, n: int):
+    """The fewest of the n variables that meet every support (bit masks),
+    or None when a support is empty: no variable divides a constant.
+
+    For the supports of the generators of a monomial ideal this is its
+    codimension: the minimal primes of a monomial ideal are generated by
+    the variable sets that meet every generator."""
+    best = None
+    for mask in range(1 << n):
+        size = mask.bit_count()
+        if (best is None or size < best) and all(s & mask for s in supports):
+            best = size
+    return best
+
+
 def dimension(I: Ideal):
     """(Krull dimension of ring/I, codimension of V(I)).
 
-    Computed as the largest variable subset independent modulo the
-    leading-term ideal. The unit ideal gets (-1, inf); (0) gets (n, 0).
+    The unit ideal gets (-1, inf); (0) gets (n, 0).  The value is exact,
+    decided by a certificate when it can be and by a Groebner basis
+    otherwise:
+
+    - Lower bound.  The lead monomials of the generators lie in the
+      leading-term ideal in(I), and codim I = codim in(I), so codim I is
+      at least the cover number of their supports.
+    - Upper bound.  When every term of every generator is divisible by
+      some x_i with i in S, I lies in the prime (x_i : i in S) of
+      codimension |S|, so codim I <= |S|; and by Krull's height theorem
+      codim I <= mu, the number of generators.  A constant term leaves
+      no such S, and the certificate does not apply.
+    - When the lower bound equals min(|S|, mu), it is codim I.
+
+    Otherwise codim I is the cover number of the lead supports of the
+    reduced basis: the largest variable set independent modulo in(I) has
+    the n - codim variables outside a smallest cover.
     """
-    ring = I.ring
-    gb = I.groebner()
-    if any(g.is_constant() for g in gb):
+    leads = {_support(g.lm()) for g in I.gens}
+    terms = {_support(m) for g in I.gens for m in g.terms}
+    return _dimension(I, leads, terms)
+
+
+def _dimension(I: Ideal, leads: set, terms: set):
+    """dimension(I) through its certificate, given the supports of the lead
+    monomials of I's generators under the default order (leads) and of
+    every term of the generators of an ideal that contains I (terms): I's
+    own generators, or the entries of a matrix, whose ideal holds every
+    r x r minor with r >= 1."""
+    n = I.ring.n
+    if 0 not in terms:  # a constant term: no prime (x_i : i in S) contains I
+        codim = _cover_number(leads, n)
+        if codim == min(_cover_number(terms, n), len(I.gens)):
+            return (n - codim, codim)
+    codim = _cover_number({_support(g.lm()) for g in I.groebner()}, n)
+    if codim is None:
         return (-1, INFINITE_CODIM)
-    supports = []
-    for g in gb:
-        lm = g.lm()
-        supports.append(frozenset(i for i, e in enumerate(lm) if e))
-    n = ring.n
-    best = 0
-    for mask in range(1 << n):
-        size = bin(mask).count("1")
-        if size <= best:
-            continue
-        subset = {i for i in range(n) if mask >> i & 1}
-        if all(not sup <= subset for sup in supports):
-            best = size
-    return (best, n - best)
+    return (n - codim, codim)

@@ -24,6 +24,9 @@ from residua.groebner import (
     InvariantError,
     QuotientContext,
     SubmoduleBasis,
+    _cover_number,
+    _dimension,
+    _support,
     dimension,
     ideal_member,
     syzygies,
@@ -582,17 +585,17 @@ def determinant(ring: PolynomialRing, M: Matrix, n: int) -> Polynomial:
     return Polynomial(ring, {m: Fraction(c, s) for m, c in d.items()})
 
 
-def minors_ideal(ring, M, rows, cols, r) -> Ideal:
-    """Ideal of the monic r x r minors, rows/columns enumerated
-    lexicographically, each generator kept at its first occurrence."""
+def _minors(ring, M, rows, cols, r):
+    """Each distinct r x r minor of M up to a scalar, as (the monic minor,
+    its lead monomial under the default order): rows and columns
+    enumerated lexicographically, each minor at its first occurrence.  For
+    r <= 0 the one minor is 1; for r > min(rows, cols) there is none."""
     if r <= 0:
-        return Ideal(ring, (ring.one(),))
-    if r > min(rows, cols):
-        return Ideal(ring, ())
+        yield ring.one(), (0,) * ring.n
+        return
     minor = _MinorTable(_integer_rows(M, rows, cols)[0]).minor
-    order = ring.default_order
+    key = ring.default_order.ring_key
     seen = set()
-    gens = []
     col_sets = [sum(cs) for cs in itertools.combinations([1 << c for c in range(cols)], r)]
     for rs in itertools.combinations([1 << i for i in range(rows)], r):
         row_set = sum(rs)
@@ -601,12 +604,28 @@ def minors_ideal(ring, M, rows, cols, r) -> Ideal:
             if not d:
                 continue
             # minors equal up to a scalar have one monic form
-            key = frozenset(kernel.primitive(d, max(d))[0].items())
-            if key not in seen:
-                seen.add(key)
-                lc = d[max(d, key=order.ring_key)]
-                gens.append(Polynomial(ring, {m: Fraction(c, lc) for m, c in d.items()}))
-    return Ideal(ring, gens)
+            sig = frozenset(kernel.primitive(d, max(d))[0].items())
+            if sig not in seen:
+                seen.add(sig)
+                lead = max(d, key=key)
+                lc = d[lead]
+                yield Polynomial(ring, {m: Fraction(c, lc) for m, c in d.items()}), lead
+
+
+def _entry_supports(M, rows, cols, r) -> set:
+    """The supports of the terms of the entries of M, which generate an
+    ideal containing every r x r minor when r >= 1; {0} (a constant) when
+    r <= 0, where the one minor is 1."""
+    if r <= 0:
+        return {0}
+    monomials = {m for row in M[:rows] for e in row[:cols] for m in e.terms}
+    return {_support(m) for m in monomials}
+
+
+def minors_ideal(ring, M, rows, cols, r) -> Ideal:
+    """Ideal of the monic r x r minors, rows/columns enumerated
+    lexicographically, each generator kept at its first occurrence."""
+    return Ideal(ring, [g for g, _ in _minors(ring, M, rows, cols, r)])
 
 
 def generic_rank(ring, M, rows, cols) -> int:
@@ -669,6 +688,14 @@ def fitting_loci(C: ChainComplex):
     meaning).  Over a quotient context the relation generators are added
     to every minor ideal.
     """
+    rk, loci = _fitting_loci(C)
+    return rk, tuple(I for I, _, _ in loci)
+
+
+def _fitting_loci(C: ChainComplex):
+    """fitting_loci, each locus with the lead supports of its generators
+    and the term supports of the entries of phi_k and the relations, which
+    groebner._dimension takes for its certificate."""
     ring = C.ring
     extra = C.context.relations.gens if C.context is not None else ()
     if C.complete:
@@ -678,18 +705,24 @@ def fitting_loci(C: ChainComplex):
             generic_rank(ring, C.diff(k), C.ranks[k - 1], C.ranks[k])
             for k in range(1, C.length + 1)
         ]
+    extra_leads = {_support(g.lm()) for g in extra}
+    extra_terms = {_support(m) for g in extra for m in g.terms}
     loci = []
     for k in range(1, C.length + 1):
-        m = minors_ideal(ring, C.diff(k), C.ranks[k - 1], C.ranks[k], rk[k - 1])
-        loci.append(Ideal(ring, m.gens + tuple(extra)))
+        rows, cols, r = C.ranks[k - 1], C.ranks[k], rk[k - 1]
+        minors = list(_minors(ring, C.diff(k), rows, cols, r))
+        leads = {_support(lead) for _, lead in minors} | extra_leads
+        terms = _entry_supports(C.diff(k), rows, cols, r) | extra_terms
+        loci.append((Ideal(ring, tuple(g for g, _ in minors) + tuple(extra)), leads, terms))
     return tuple(rk), tuple(loci)
 
 
 def rank_loci(C: ChainComplex) -> ResolutionDiagnostics:
     """The Fitting loci of fitting_loci with their ambient codimensions,
     the bound codim Z_k >= k, and whether locus k sits inside locus k+1."""
-    rk, loci = fitting_loci(C)
-    codims = tuple(dimension(loc)[1] for loc in loci)
+    rk, certified = _fitting_loci(C)
+    codims = tuple(_dimension(*locus)[1] for locus in certified)
+    loci = tuple(I for I, _, _ in certified)
     ok = tuple(cd >= k for k, cd in enumerate(codims, 1))
     contain = []
     for k in range(len(loci) - 1):
@@ -744,12 +777,31 @@ def buchsbaum_eisenbud_check(C: ChainComplex) -> ExactnessReport:
     passes = True
     for k in range(1, n + 1):
         rank_ok = rho[k] + rho[k + 1] == C.ranks[k]
-        m = minors_ideal(ring, C.diff(k), C.ranks[k - 1], C.ranks[k], rho[k])
-        cd = dimension(m)[1]
+        cd = _minors_codim(ring, C.diff(k), C.ranks[k - 1], C.ranks[k], rho[k])
         codim_ok = cd >= k
         levels.append(ExactnessLevel(k, rank_ok, cd, k, codim_ok))
         passes = passes and rank_ok and codim_ok
     return ExactnessReport(passes, tuple(rho[1 : n + 1]), tuple(levels))
+
+
+def _minors_codim(ring, M, rows, cols, r):
+    """codim of the ideal of the r x r minors of M.  Every such minor lies
+    in the prime (x_i : i in S) of the entries, so once the lead supports
+    of the minors met so far have cover number |S|, that is the codim (a
+    subideal has no larger codimension) and the rest are not enumerated;
+    otherwise groebner._dimension decides on all of them."""
+    n = ring.n
+    terms = _entry_supports(M, rows, cols, r)
+    prime = None if 0 in terms else _cover_number(terms, n)
+    gens, leads = [], set()
+    for g, lead in _minors(ring, M, rows, cols, r):
+        gens.append(g)
+        s = _support(lead)
+        if s not in leads:
+            leads.add(s)
+            if prime is not None and _cover_number(leads, n) == prime:
+                return prime
+    return _dimension(Ideal(ring, gens), leads, terms)[1]
 
 
 @dataclass(frozen=True)
@@ -766,15 +818,16 @@ def proper_intersection_check(
     the geometric condition for the tensor complex to stay a resolution."""
     if C.ring != D.ring or C.context != D.context:
         raise ValueError("complexes must share one ring and context")
-    dc = fitting_loci(C)[1]
-    dd = fitting_loci(D)[1]
+    dc = _fitting_loci(C)[1]
+    dd = _fitting_loci(D)[1]
     ring = C.ring
     pairs = []
     failures = []
     for k in range(max(1, codim_c), C.length + 1):
         for l in range(max(1, codim_d), D.length + 1):
-            sum_ideal = Ideal(ring, dc[k - 1].gens + dd[l - 1].gens)
-            cd = dimension(sum_ideal)[1]
+            (I, leads_i, terms_i), (J, leads_j, terms_j) = dc[k - 1], dd[l - 1]
+            sum_ideal = Ideal(ring, I.gens + J.gens)
+            cd = _dimension(sum_ideal, leads_i | leads_j, terms_i | terms_j)[1]
             ok = cd >= k + l
             pairs.append((k, l, cd, k + l, ok))
             if not ok:

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_poly, random_nonzero_poly
 from residua import groebner, kernel
+from residua.homalg import free_resolution
 from residua.groebner import (
     INFINITE_CODIM,
     Ideal,
@@ -496,15 +497,34 @@ def test_graded_prune_matches_loop_seeded(monkeypatch, binomial):
         assert_irredundant(syz)
         if not syz.gens:
             continue
-        # second syzygies: vector inputs, graded or not for lead-term shifts
+        # second syzygies: vector inputs, graded once e_p carries the
+        # degree of generator p
         second = SubmoduleBasis(R4, len(I.gens), syz.gens)
         calls = spy_graded(monkeypatch, R4)
         syz2 = syzygies(second)
         monkeypatch.undo()
-        cands, _, _ = calls[0]
+        cands, _, out = calls[0]
+        assert out is not None
         assert list(syz2.gens) == loop_prune(cands, R4, len(syz.gens))
         assert syz2.gens == loop_syzygies(monkeypatch, second).gens
         assert_irredundant(syz2)
+
+
+def test_graded_prune_reads_basis_degrees_off_vector_inputs(monkeypatch):
+    # generators of degrees 2 and 3: a syzygy vector of one level is
+    # homogeneous only when e_p carries the degree of generator p, so
+    # shifts read off the lead terms alone send levels 2 and 3 to the loop
+    I = Ideal(R4, [R4.poly(g) for g in ("x^2", "x*y", "y^3", "z^3", "x*z*w", "w^2")])
+    calls = spy_graded(monkeypatch, R4)
+    members = count_module_member(monkeypatch)
+    C = free_resolution(I, minimal=True)
+    assert C.ranks == (1, 6, 13, 11, 3)
+    assert [out is not None for _, _, out in calls] == [True] * 4
+    assert not members
+    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_graded_prune", lambda *args: None)
+        assert free_resolution(I, minimal=True) == C
 
 
 # ---------------------------------------------------------------------------
@@ -730,5 +750,6 @@ def test_dimension_examples():
     assert dimension(Ideal(R3, (R3.poly("x"), R3.poly("y"), R3.poly("z")))) == (0, 3)
     assert dimension(Ideal(R3, ())) == (3, 0)
     assert dimension(Ideal(R3, (R3.one(),))) == (-1, INFINITE_CODIM)
+    assert dimension(Ideal(R3, (R3.poly("x"), R3.poly("x + 1")))) == (-1, INFINITE_CODIM)
     assert dimension(Ideal(RZW, (RZW.poly("z^3 - w^2"),))) == (1, 1)
     assert dimension(Ideal(RZW, (RZW.poly("z"), RZW.poly("w")))) == (0, 2)

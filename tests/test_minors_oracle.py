@@ -17,7 +17,17 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
-from residua.homalg import determinant, generic_rank, minors_ideal
+from residua.groebner import Ideal, dimension
+from residua.homalg import (
+    ChainComplex,
+    _minors_codim,
+    buchsbaum_eisenbud_check,
+    determinant,
+    generic_rank,
+    minors_ideal,
+    proper_intersection_check,
+    rank_loci,
+)
 from residua.polyring import Polynomial, PolynomialRing
 
 R = PolynomialRing(("x", "y", "z"))
@@ -138,3 +148,26 @@ def test_minor_ideals_match_sympy(case):
 def test_generic_rank_matches_sympy(case):
     M, rows, cols = case
     assert generic_rank(R, M, rows, cols) == sympy_rank(sympy_matrix(M, rows, cols))
+
+
+@SETTINGS
+@given(matrices(st.tuples(st.integers(0, 3), st.integers(0, 4))))
+@example(case([], 0))
+@example(case([["x", "y", "z"], ["y", "z", "x"]]))
+@example(case([["x", "y"], ["1 + x", "z"]]))
+@example(case([["x", "0", "-1/4*y^2", "3"]]))
+def test_minor_codims_match_dimension(case):
+    # be-check stops enumerating minors once their leads certify the codim,
+    # and rank_loci and proper-check certify from leads and matrix entries:
+    # each must give the codim dimension finds on the whole minor ideal
+    M, rows, cols = case
+    for r in range(min(rows, cols) + 2):
+        assert _minors_codim(R, M, rows, cols, r) == dimension(minors_ideal(R, M, rows, cols, r))[1]
+    C = ChainComplex(R, (rows, cols), (M,))
+    rho = generic_rank(R, M, rows, cols)
+    (level,) = buchsbaum_eisenbud_check(C).levels
+    assert level.codim == dimension(minors_ideal(R, M, rows, cols, rho))[1]
+    diag = rank_loci(C)
+    assert diag.codims == (dimension(diag.loci[0])[1],)
+    ((_, _, cd, _, _),) = proper_intersection_check(C, C, 1, 1).pairs
+    assert cd == dimension(Ideal(R, diag.loci[0].gens * 2))[1]
