@@ -3,8 +3,12 @@
 Differential tests: seeded small matrices over Q[x,y,z] (fractional
 coefficients, zero rows and columns, empty and one-row shapes,
 rank-deficient stacks) go through residua.homalg and through sympy's
-Matrix.det and Matrix.rank, which share no code with residua.  Skipped
-when sympy or hypothesis is missing.
+Matrix.det and Matrix.rank, which share no code with residua.  On the
+same matrices the codims of be-check, rank_loci and proper-check, which
+stop early or skip the Groebner basis where a certificate allows, must
+equal dimension of the whole minor ideal (itself checked against sympy
+in test_dimension_oracle.py).  Skipped when sympy or hypothesis is
+missing.
 """
 
 from fractions import Fraction
