@@ -565,7 +565,8 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     # computations from accumulating redundancy step after step)
     kept = None
     if context is None:
-        degrees = _basis_degrees(inputs, rank) or [0] * rank
+        # an ideal has one basis vector, whose degree shifts nothing
+        degrees = (_basis_degrees(inputs, rank) if rank > 1 else None) or [0] * rank
         shifts = [sum(m) + degrees[pos] for pos, m in leads]
         kept = _graded_prune(cands, sch_keys, s, shifts)
     if kept is None:
@@ -843,10 +844,10 @@ def dimension(I: Ideal):
     """
     leads = {_support(g.lm()) for g in I.gens}
     terms = {_support(m) for g in I.gens for m in g.terms}
-    return _dimension(I, leads, terms)
+    return certified_dimension(I, leads, terms)
 
 
-def _dimension(I: Ideal, leads: set, terms: set):
+def certified_dimension(I: Ideal, leads: set, terms: set):
     """dimension(I) through its certificate, given the supports of the lead
     monomials of I's generators under the default order (leads) and of
     every term of the generators of an ideal that contains I (terms): I's

@@ -25,7 +25,7 @@ from residua.groebner import (
     QuotientContext,
     SubmoduleBasis,
     _cover_number,
-    _dimension,
+    certified_dimension,
     _support,
     dimension,
     ideal_member,
@@ -589,7 +589,8 @@ def _minors(ring, M, rows, cols, r):
     """Each distinct r x r minor of M up to a scalar, as (the monic minor,
     its lead monomial under the default order): rows and columns
     enumerated lexicographically, each minor at its first occurrence.  For
-    r <= 0 the one minor is 1; for r > min(rows, cols) there is none."""
+    r <= 0 the one minor is 1; for r > min(rows, cols) there is none.
+    Lazy, so that minors_codim can stop early; minors lists them all."""
     if r <= 0:
         yield ring.one(), (0,) * ring.n
         return
@@ -622,10 +623,15 @@ def _entry_supports(M, rows, cols, r) -> set:
     return {_support(m) for m in monomials}
 
 
+def minors(ring, M, rows, cols, r) -> list:
+    """Every (monic minor, lead monomial) of _minors, in its order."""
+    return list(_minors(ring, M, rows, cols, r))
+
+
 def minors_ideal(ring, M, rows, cols, r) -> Ideal:
     """Ideal of the monic r x r minors, rows/columns enumerated
     lexicographically, each generator kept at its first occurrence."""
-    return Ideal(ring, [g for g, _ in _minors(ring, M, rows, cols, r)])
+    return Ideal(ring, [g for g, _ in minors(ring, M, rows, cols, r)])
 
 
 def generic_rank(ring, M, rows, cols) -> int:
@@ -695,7 +701,7 @@ def fitting_loci(C: ChainComplex):
 def _fitting_loci(C: ChainComplex):
     """fitting_loci, each locus with the lead supports of its generators
     and the term supports of the entries of phi_k and the relations, which
-    groebner._dimension takes for its certificate."""
+    groebner.certified_dimension takes for its certificate."""
     ring = C.ring
     extra = C.context.relations.gens if C.context is not None else ()
     if C.complete:
@@ -710,10 +716,10 @@ def _fitting_loci(C: ChainComplex):
     loci = []
     for k in range(1, C.length + 1):
         rows, cols, r = C.ranks[k - 1], C.ranks[k], rk[k - 1]
-        minors = list(_minors(ring, C.diff(k), rows, cols, r))
-        leads = {_support(lead) for _, lead in minors} | extra_leads
+        pairs = minors(ring, C.diff(k), rows, cols, r)
+        leads = {_support(lead) for _, lead in pairs} | extra_leads
         terms = _entry_supports(C.diff(k), rows, cols, r) | extra_terms
-        loci.append((Ideal(ring, tuple(g for g, _ in minors) + tuple(extra)), leads, terms))
+        loci.append((Ideal(ring, tuple(g for g, _ in pairs) + tuple(extra)), leads, terms))
     return tuple(rk), tuple(loci)
 
 
@@ -721,7 +727,7 @@ def rank_loci(C: ChainComplex) -> ResolutionDiagnostics:
     """The Fitting loci of fitting_loci with their ambient codimensions,
     the bound codim Z_k >= k, and whether locus k sits inside locus k+1."""
     rk, certified = _fitting_loci(C)
-    codims = tuple(_dimension(*locus)[1] for locus in certified)
+    codims = tuple(certified_dimension(*locus)[1] for locus in certified)
     loci = tuple(I for I, _, _ in certified)
     ok = tuple(cd >= k for k, cd in enumerate(codims, 1))
     contain = []
@@ -777,19 +783,19 @@ def buchsbaum_eisenbud_check(C: ChainComplex) -> ExactnessReport:
     passes = True
     for k in range(1, n + 1):
         rank_ok = rho[k] + rho[k + 1] == C.ranks[k]
-        cd = _minors_codim(ring, C.diff(k), C.ranks[k - 1], C.ranks[k], rho[k])
+        cd = minors_codim(ring, C.diff(k), C.ranks[k - 1], C.ranks[k], rho[k])
         codim_ok = cd >= k
         levels.append(ExactnessLevel(k, rank_ok, cd, k, codim_ok))
         passes = passes and rank_ok and codim_ok
     return ExactnessReport(passes, tuple(rho[1 : n + 1]), tuple(levels))
 
 
-def _minors_codim(ring, M, rows, cols, r):
+def minors_codim(ring, M, rows, cols, r):
     """codim of the ideal of the r x r minors of M.  Every such minor lies
     in the prime (x_i : i in S) of the entries, so once the lead supports
     of the minors met so far have cover number |S|, that is the codim (a
     subideal has no larger codimension) and the rest are not enumerated;
-    otherwise groebner._dimension decides on all of them."""
+    otherwise groebner.certified_dimension decides on all of them."""
     n = ring.n
     terms = _entry_supports(M, rows, cols, r)
     prime = None if 0 in terms else _cover_number(terms, n)
@@ -801,7 +807,7 @@ def _minors_codim(ring, M, rows, cols, r):
             leads.add(s)
             if prime is not None and _cover_number(leads, n) == prime:
                 return prime
-    return _dimension(Ideal(ring, gens), leads, terms)[1]
+    return certified_dimension(Ideal(ring, gens), leads, terms)[1]
 
 
 @dataclass(frozen=True)
@@ -827,7 +833,7 @@ def proper_intersection_check(
         for l in range(max(1, codim_d), D.length + 1):
             (I, leads_i, terms_i), (J, leads_j, terms_j) = dc[k - 1], dd[l - 1]
             sum_ideal = Ideal(ring, I.gens + J.gens)
-            cd = _dimension(sum_ideal, leads_i | leads_j, terms_i | terms_j)[1]
+            cd = certified_dimension(sum_ideal, leads_i | leads_j, terms_i | terms_j)[1]
             ok = cd >= k + l
             pairs.append((k, l, cd, k + l, ok))
             if not ok:

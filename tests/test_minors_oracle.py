@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from residua.groebner import Ideal, dimension
 from residua.homalg import (
     ChainComplex,
-    _minors_codim,
+    minors_codim,
     buchsbaum_eisenbud_check,
     determinant,
     generic_rank,
@@ -166,7 +166,7 @@ def test_minor_codims_match_dimension(case):
     # each must give the codim dimension finds on the whole minor ideal
     M, rows, cols = case
     for r in range(min(rows, cols) + 2):
-        assert _minors_codim(R, M, rows, cols, r) == dimension(minors_ideal(R, M, rows, cols, r))[1]
+        assert minors_codim(R, M, rows, cols, r) == dimension(minors_ideal(R, M, rows, cols, r))[1]
     C = ChainComplex(R, (rows, cols), (M,))
     rho = generic_rank(R, M, rows, cols)
     (level,) = buchsbaum_eisenbud_check(C).levels

@@ -52,14 +52,19 @@ def digest_lines(seeds):
             yield f"{name} {seed} {digest(name, seed)}"
 
 
+def extract(rev, tree):
+    """Write the files of git revision rev into the directory tree."""
+    archive = ["git", "-C", str(ROOT), "archive", rev]
+    with subprocess.Popen(archive, stdout=subprocess.PIPE) as git:
+        subprocess.run(["tar", "-x", "-C", tree], stdin=git.stdout, check=True)
+    if git.returncode:
+        raise SystemExit(f"git archive {rev} failed")
+
+
 def digest_lines_at(rev, seeds):
     """The digest lines of the tree of git revision rev, for the seeds."""
     with tempfile.TemporaryDirectory() as tree:
-        archive = ["git", "-C", str(ROOT), "archive", rev]
-        with subprocess.Popen(archive, stdout=subprocess.PIPE) as git:
-            subprocess.run(["tar", "-x", "-C", tree], stdin=git.stdout, check=True)
-        if git.returncode:
-            raise SystemExit(f"git archive {rev} failed")
+        extract(rev, tree)
         tool = Path(tree) / "tools" / "answer_digest.py"
         if not tool.is_file():
             raise SystemExit(f"{rev} has no tools/answer_digest.py")

@@ -1,14 +1,14 @@
 """Alternating pairs of benchmark runs of a git revision and of this tree.
 
     python3 tools/bench_pairs.py --against REV --workload W --pairs N
-                                 [--seed S] [--seconds T] [--out FILE]
+                                 [--seed S] [--out FILE]
 
 The git revision REV is extracted with git archive into a temporary
 directory ("parent"); this tree is the "change".  Each pair runs
-perfbench/run.py --trace 0 once in each tree, the parent first in odd
-pairs and the change first in even ones.  T defaults to run_seconds of
-BENCHMARK.json; both trees must hold the same perfbench/ and
-BENCHMARK.json, so both sides run identical benchmark code.
+perfbench/run.py --trace 0 for run_seconds of BENCHMARK.json once in each
+tree, the parent first in odd pairs and the change first in even ones.
+Both trees must hold the same perfbench/ and BENCHMARK.json, so both
+sides run identical benchmark code.
 
 For each end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the pairs the change won (ties count for neither side), and
@@ -35,8 +35,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+from answer_digest import extract
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = BENCHMARK["run_seconds"]
 METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 
 
@@ -44,14 +47,6 @@ def git(*args):
     return subprocess.run(
         ["git", "-C", str(ROOT), *args], stdout=subprocess.PIPE, text=True, check=True
     ).stdout.strip()
-
-
-def extract(rev, tree):
-    """Write the files of git revision rev into the directory tree."""
-    with subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE) as arc:
-        subprocess.run(["tar", "-x", "-C", tree], stdin=arc.stdout, check=True)
-    if arc.returncode:
-        raise SystemExit(f"git archive {rev} failed")
 
 
 def benchmark_files(tree):
@@ -62,10 +57,10 @@ def benchmark_files(tree):
     return {str(f.relative_to(tree)): f.read_bytes() for f in files}
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed):
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
     ]
     out = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = out.stdout.strip().splitlines()
@@ -127,7 +122,6 @@ def main(argv):
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -144,7 +138,7 @@ def main(argv):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             pair = {}
             for side in order:
-                pair[side] = run_once(trees[side], args.workload, args.seed, args.seconds)
+                pair[side] = run_once(trees[side], args.workload, args.seed)
                 runs.append({"tree": side, "workload": args.workload, "seed": args.seed,
                              "pair": i, "result": pair[side]})
                 jps = pair[side]["metrics"].get("jobs_per_s", {}).get("value")
@@ -156,7 +150,7 @@ def main(argv):
         print("a run failed its answer checks; no summary", file=sys.stderr)
         return 1
     metrics = summarize(pairs)
-    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {args.seconds:g} s runs, "
+    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {SECONDS:g} s runs, "
           f"{rev} (parent) against this tree (change)")
     for name, entry in metrics.items():
         p, c = entry["parent"], entry["change"]
@@ -170,14 +164,14 @@ def main(argv):
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
-                                  f"--seconds {args.seconds:g} --trace 0")
+                                  f"--seconds {SECONDS:g} --trace 0")
         doc.setdefault("machine", f"{os.cpu_count()} cores, Python {platform.python_version()}; "
                                   "parent and change alternated (odd pairs parent first)")
         doc["parent"] = rev
         doc.setdefault("workloads", {})[f"{args.workload}:{args.seed}"] = {
             "seed": args.seed,
             "pairs": args.pairs,
-            "seconds": args.seconds,
+            "seconds": SECONDS,
             "order": "alternating (odd pairs parent first)",
             "all_correct": all_correct,
             "metrics": metrics,
