@@ -40,7 +40,7 @@ from residua.homalg import (
     proper_intersection_check,
     tensor_complexes,
 )
-from residua.polyring import Polynomial, PolynomialRing, order_by_name
+from residua.polyring import Polynomial, PolynomialRing, _coeff_str, order_by_name
 from residua.residues import (
     ChainMap,
     CurrentRecipe,
@@ -307,12 +307,12 @@ def encode(v):
     if isinstance(v, float):
         return "inf" if v == float("inf") else v
     if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return _coeff_str(v.numerator, v.denominator)
     if isinstance(v, Polynomial):
         return {
             "vars": list(v.ring.names),
             "terms": [
-                {"coeff": encode(c), "exps": list(m)} for m, c in v.sorted_terms()
+                {"coeff": _coeff_str(v.num[m], v.den), "exps": list(m)} for m in v.monomials()
             ],
         }
     if isinstance(v, Ideal):

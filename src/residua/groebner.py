@@ -11,10 +11,13 @@ positive lead coefficient), S-polynomials use the integer cofactors
 lc_j/g and lc_i/g with g = gcd(lc_i, lc_j), and reduction is the kernel's
 fraction-free pseudo-division.  Each step is a nonzero rational multiple
 of the same step over Q with monic elements: the same pair, the same
-largest term, the same first dividing lead.  Answers are converted to
-Fraction only on the way out (bases made monic, remainders and quotients
-divided by their multipliers), so they are exactly those of the
-computation over Q, byte for byte.
+largest term, the same first dividing lead.  Polynomials come in and go
+out in their own integer form (polyring.to_terms and from_terms: a term
+map over one denominator), bases made monic by taking the lead
+coefficient as the denominator, remainders and quotients by taking the
+multiplier into it, so answers are exactly those of the computation over
+Q, byte for byte.  Only the tracked representations (reps) of the engine
+carry Fraction coefficients.
 
 Quotient rings Q[x]/I_Z appear as contexts: membership, normal forms and
 syzygies over the quotient are computed by appending I_Z relations to the
@@ -200,8 +203,10 @@ def _add_quotient_sum(dst: dict, quots, reps, sign: int) -> None:
             kernel.add_scaled_inplace(dst, rep, sign * b, m)
 
 
-def _engine(inputs: Sequence[dict], keys: kernel.HeapKeys, rank: int, track: bool):
-    """Reduced Groebner basis of nonzero term maps, with representations.
+def _engine(inputs: Sequence[tuple], keys: kernel.HeapKeys, rank: int, track: bool):
+    """Reduced Groebner basis of nonzero elements, with representations.
+    Input j is a pair (tm, den) of a nonzero integer term map and a
+    positive int, for the element tm / den (see polyring.to_terms).
 
     keys is the caller's kernel.HeapKeys memo and keys.keyfn the order; the
     caller reduces against the basis with the same memo afterwards.
@@ -210,7 +215,7 @@ def _engine(inputs: Sequence[dict], keys: kernel.HeapKeys, rank: int, track: boo
       basis  the reduced basis as kernel divisors (lead key, lead
              coefficient, primitive integer term map: content 1, positive
              lead coefficient), sorted descending by lead key;
-             kernel.rational_terms(tm, lc) is the monic basis element over Q
+             tm / lc is the monic basis element over Q
       reps   basis[k] = sum(reps[k]) over the inputs (Fraction term maps
              over positions 0..len(inputs)-1); None when track is false
       exprs  (d_j, quots_j) with d_j * inputs[j] = sum_k quots_j[k] *
@@ -224,12 +229,11 @@ def _engine(inputs: Sequence[dict], keys: kernel.HeapKeys, rank: int, track: boo
     divisors = []  # (lead key, lead coefficient, primitive term map)
     reps = []
     scaled = []  # (s_j, the integer term map s_j * inputs[j])
-    for j, tm in enumerate(inputs):
+    for j, (tm, den) in enumerate(inputs):
         lk = kernel.leading_key(tm, keyfn)
         if lk is None:
             raise InvariantError("engine inputs must be nonzero")
-        num, den = kernel.integer_terms(tm)
-        p, c = kernel.primitive(num, lk)
+        p, c = kernel.primitive(tm, lk)
         scale = Fraction(den, c)
         scaled.append((scale, p))
         divisors.append((lk, p[lk], p))
@@ -342,9 +346,10 @@ def _zero_mono(tm: dict):
 
 
 def _relation_terms(context: QuotientContext, rank: int, order=None) -> list:
-    """Term maps of z * e_pos for each relation basis element z and position."""
+    """Engine inputs (tm, den) of z * e_pos for each relation basis element
+    z and position."""
     return [
-        {(pos, m): c for m, c in z.terms.items()}
+        ({(pos, m): c for m, c in z.num.items()}, z.den)
         for z in context.relations.groebner(order)
         for pos in range(rank)
     ]
@@ -355,7 +360,7 @@ def _ideal_groebner(gens, order, rank: int):
         return []
     keys = kernel.HeapKeys(order.term_key)
     basis = _engine([to_terms(g) for g in gens], keys, rank, False)[0]
-    return [from_terms(gens[0], kernel.rational_terms(tm, lc)) for _, lc, tm in basis]
+    return [from_terms(gens[0], tm, lc) for _, lc, tm in basis]
 
 
 def _reduce(f, divisors, keys):
@@ -364,9 +369,9 @@ def _reduce(f, divisors, keys):
     the kernel.HeapKeys memo of the order."""
     if not divisors:
         return f
-    num, den = kernel.integer_terms(to_terms(f))
+    num, den = to_terms(f)
     _, rem, mult = kernel.reduce_terms(num, divisors, keys, False)
-    return from_terms(f, kernel.rational_terms(rem, mult * den))
+    return from_terms(f, rem, mult * den)
 
 
 # ---------------------------------------------------------------------------
@@ -427,34 +432,34 @@ def ideals_equal(I: Ideal, J: Ideal, context: Context = None) -> bool:
 def module_member(v: PolyVector, basis: SubmoduleBasis, context: Context = None) -> bool:
     gens = [to_terms(g) for g in basis.gens]
     keys = kernel.HeapKeys(basis.order.term_key)
-    return _member_terms(to_terms(v), gens, basis.rank, keys, context)
+    return _member_terms(to_terms(v)[0], gens, basis.rank, keys, context)
 
 
 def _member_terms(tm: dict, gens: list, rank: int, keys, context: Context) -> bool:
-    """tm in the submodule generated by the term maps gens (plus the
-    relation multiples of each unit vector when a context is given);
-    keys is the kernel.HeapKeys memo of the order."""
+    """The integer term map tm in the submodule generated by the engine
+    inputs gens (plus the relation multiples of each unit vector when a
+    context is given); keys is the kernel.HeapKeys memo of the order."""
     if context is not None:
         gens = gens + _relation_terms(context, rank)
     if not gens:
         return not tm
-    num, _ = kernel.integer_terms(tm)
-    _, rem, _ = kernel.reduce_terms(num, _engine(gens, keys, rank, False)[0], keys, False)
+    _, rem, _ = kernel.reduce_terms(tm, _engine(gens, keys, rank, False)[0], keys, False)
     return not rem
 
 
 # -- syzygies ----------------------------------------------------------------
 
 
-def _syzygies_termmaps(inputs: Sequence[dict], keys, rank: int):
-    """Generators of the syzygy module of the given nonzero term maps,
-    under the order of the kernel.HeapKeys memo keys.
+def _syzygies_termmaps(inputs: Sequence[tuple], keys, rank: int):
+    """Generators of the syzygy module of the given engine inputs (nonzero
+    tm, den), as Fraction term maps, under the order of the
+    kernel.HeapKeys memo keys.
 
     Schreyer's construction on the reduced basis, pushed back through the
     transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B).
     """
     basis, reps, exprs = _engine(inputs, keys, rank, True)
-    zero = _zero_mono(inputs[0])
+    zero = _zero_mono(inputs[0][0])
     out = []  # each syzygy up to a nonzero rational factor
     # pair syzygies of the reduced basis, mapped through A
     for j, (lj, cj, gj) in enumerate(basis):
@@ -495,9 +500,10 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     are pruned by one greedy rule: in list order, candidate v_i is
     dropped when it lies in the span N of the candidates kept before it
     and all candidates after it.  No kept generator is then produced by
-    the other kept ones.  Candidates stay Fraction term maps from
-    Schreyer's construction to the end of pruning; PolyVectors are built
-    once, for the kept generators.
+    the other kept ones.  Each candidate is a pair (p, lc) for the monic
+    vector p / lc, p a primitive integer term map over positions 0..s-1,
+    from Schreyer's construction to the end of pruning; PolyVectors are
+    built once, for the kept generators.
 
     Without a context, when every candidate is homogeneous for the
     grading in which e_p has the degree of the lead term of generator p
@@ -529,38 +535,38 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
         inputs += _relation_terms(context, rank, order)
     # canonical output: dedupe, sort descending under the Schreyer order
     # induced by the input generators' leading terms
-    leads = [max(tm, key=order.term_key) for tm in inputs[:s]]
+    leads = [max(tm, key=order.term_key) for tm, _ in inputs[:s]]
     sch = order.schreyer(leads)
     zero = PolyVector(ring, [ring.zero()] * s)
     seen = set()
     cands = []
 
     def offer(tm, keyfn):
-        """Reduce tm modulo the context, make it monic under keyfn and
-        keep it unless it is zero or already a candidate."""
+        """Reduce the integer term map tm modulo the context, make it
+        monic under keyfn and keep it unless it is zero or already a
+        candidate."""
         if context is not None:
-            tm = to_terms(context.reduce(from_terms(zero, tm), order))
+            tm = to_terms(context.reduce(from_terms(zero, tm), order))[0]
         if not tm:
             return
-        lc = tm[max(tm, key=keyfn)]
-        if lc != 1:
-            tm = {k: c / lc for k, c in tm.items()}
-        sig = frozenset(tm.items())
+        lk = max(tm, key=keyfn)
+        p, _ = kernel.primitive(tm, lk)
+        sig = (frozenset(p.items()), p[lk])
         if sig not in seen:
             seen.add(sig)
-            cands.append(tm)
+            cands.append((p, p[lk]))
 
     # syzygy coordinates beyond s belong to the relation multiples: drop them
     for tm in _syzygies_termmaps(inputs, kernel.HeapKeys(order.term_key), rank):
-        offer({k: c for k, c in tm.items() if k[0] < s}, order.term_key)
+        offer(kernel.integer_terms({k: c for k, c in tm.items() if k[0] < s})[0], order.term_key)
     # the transformation formula can emit several multiples of one simpler
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
     sch_keys = kernel.HeapKeys(sch.term_key)
     if cands:
-        for _, lc, tm in _engine(cands, sch_keys, s, False)[0]:
-            offer(kernel.rational_terms(tm, lc), sch.term_key)
-    cands.sort(key=lambda tm: max(map(sch.term_key, tm)), reverse=True)
+        for _, _, tm in _engine(cands, sch_keys, s, False)[0]:
+            offer(tm, sch.term_key)
+    cands.sort(key=lambda cand: max(map(sch.term_key, cand[0])), reverse=True)
     # drop generators the rest already produce (keeps iterated syzygy
     # computations from accumulating redundancy step after step)
     kept = None
@@ -572,22 +578,23 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     if kept is None:
         keys = kernel.HeapKeys(ring.default_order.term_key)
         kept = []
-        for i, tm in enumerate(cands):
+        for i, cand in enumerate(cands):
             others = kept + cands[i + 1 :]
-            if others and _member_terms(tm, others, s, keys, context):
+            if others and _member_terms(cand[0], others, s, keys, context):
                 continue
-            kept.append(tm)
-    return SubmoduleBasis(ring, s, [from_terms(zero, tm) for tm in kept])
+            kept.append(cand)
+    return SubmoduleBasis(ring, s, [from_terms(zero, p, lc) for p, lc in kept])
 
 
-def _basis_degrees(inputs: Sequence[dict], rank: int):
-    """Degrees a of the basis vectors e_0..e_{rank-1} for which every input
-    term map is homogeneous (sum(m) + a[pos] is one value over its terms),
-    or None when there are none.  Positions that no input links are put
-    at degree 0 relative to each other; that shifts every degree of one
-    linked class by a constant, which no homogeneity test sees."""
+def _basis_degrees(inputs: Sequence[tuple], rank: int):
+    """Degrees a of the basis vectors e_0..e_{rank-1} for which the term
+    map of every engine input (tm, den) is homogeneous (sum(m) + a[pos] is
+    one value over its terms), or None when there are none.  Positions
+    that no input links are put at degree 0 relative to each other; that
+    shifts every degree of one linked class by a constant, which no
+    homogeneity test sees."""
     links = [[] for _ in range(rank)]  # (q, a[q] - a[p]) for each position p
-    for tm in inputs:
+    for tm, _ in inputs:
         (p, m), *rest = tm
         for q, mq in rest:
             links[p].append((q, sum(m) - sum(mq)))
@@ -610,7 +617,7 @@ def _basis_degrees(inputs: Sequence[dict], rank: int):
 
 
 def _graded_prune(cands: list, keys, rank: int, shifts: list):
-    """The candidates the greedy rule of syzygies keeps, by graded
+    """The candidates (p, lc) the greedy rule of syzygies keeps, by graded
     Nakayama (see syzygies), or None when some candidate is not
     homogeneous for the shifts (e_p has degree shifts[p]).  keys is the
     kernel.HeapKeys memo of the Schreyer order, shared with every engine
@@ -621,7 +628,7 @@ def _graded_prune(cands: list, keys, rank: int, shifts: list):
     insertion of independent ones in reverse order: both pick the basis
     that is lexicographically last.
     """
-    terms = [kernel.integer_terms(tm)[0] for tm in cands]
+    terms = [p for p, _ in cands]
     degrees = []
     for tm in terms:
         ds = {sum(m) + shifts[pos] for pos, m in tm}
@@ -631,7 +638,7 @@ def _graded_prune(cands: list, keys, rank: int, shifts: list):
     zero = _zero_mono(terms[0]) if terms else None
     kept = set()
     for D in sorted(set(degrees)):
-        lower = [tm for tm, d in zip(terms, degrees) if d < D]
+        lower = [cand for cand, d in zip(cands, degrees) if d < D]
         divisors = _engine(lower, keys, rank, False)[0] if lower else []
         pivots: dict = {}  # leading key -> primitive row, echelon over Q
         for i in reversed(range(len(terms))):
@@ -676,13 +683,14 @@ class ModuleLifter:
             raise ValueError("target rank mismatch")
         if not self.gens:
             return [] if target.is_zero() else None
-        num, den = kernel.integer_terms(to_terms(target))
+        num, den = to_terms(target)
         quots, rem, mult = kernel.reduce_terms(num, self._divisors, self._keys, True)
         if rem:
             return None
         out: dict = {}
         _add_quotient_sum(out, quots, self._reps, 1)
-        return list(from_terms(self._coeffs, _scale_terms(out, Fraction(1, mult * den))).entries)
+        out, d = kernel.integer_terms(out)  # the reps are Fraction term maps
+        return list(from_terms(self._coeffs, out, d * mult * den).entries)
 
 
 def module_lift(gens: Sequence[PolyVector], target: PolyVector, order=None):
@@ -723,11 +731,9 @@ def elimination(I: Ideal, keep: Sequence[str]) -> Ideal:
     basis, _, _ = _engine([to_terms(g) for g in gens], kernel.HeapKeys(block_key), 1, False)
     kept = []
     for _, lc, tm in basis:
-        tm = kernel.rational_terms(tm, lc)
         if all(m[i] == 0 for _, m in tm for i in elim_idx):
-            kept.append(
-                Polynomial(target, {tuple(m[i] for i in keep_idx): c for (_, m), c in tm.items()})
-            )
+            num = {tuple(m[i] for i in keep_idx): c for (_, m), c in tm.items()}
+            kept.append(Polynomial.from_kernel(target, num, lc))
     return Ideal(target, kept)
 
 
@@ -843,7 +849,7 @@ def dimension(I: Ideal):
     the n - codim variables outside a smallest cover.
     """
     leads = {_support(g.lm()) for g in I.gens}
-    terms = {_support(m) for g in I.gens for m in g.terms}
+    terms = {_support(m) for g in I.gens for m in g.num}
     return certified_dimension(I, leads, terms)
 
 

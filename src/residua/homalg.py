@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from residua import kernel
@@ -512,22 +511,18 @@ def extend_ring(C: ChainComplex, target: PolynomialRing) -> ChainComplex:
 
 
 # Minors and ranks work on integer term maps {exponent tuple: int}: each row
-# is scaled by the lcm of its coefficient denominators, so a minor on rows
-# rs is the integer minor divided by the product of those rows' scales.
+# is scaled by the lcm of its entries' denominators, so a minor on rows rs
+# is the integer minor divided by the product of those rows' scales.
 
 
 def _integer_rows(M, rows, cols):
     """Row-scaled integer term maps of the rows x cols block of M, and the
     scale of each row."""
-    entries = []
-    scales = []
-    for i in range(rows):
-        row = M[i][:cols]
-        s = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
-        entries.append(
-            [{m: c.numerator * (s // c.denominator) for m, c in e.terms.items()} for e in row]
-        )
-        scales.append(s)
+    scales = [math.lcm(*[e.den for e in row[:cols]]) for row in M[:rows]]
+    entries = [
+        [{m: c * (s // e.den) for m, c in e.num.items()} for e in row[:cols]]
+        for row, s in zip(M, scales)
+    ]
     return entries, scales
 
 
@@ -581,8 +576,7 @@ def determinant(ring: PolynomialRing, M: Matrix, n: int) -> Polynomial:
         return ring.one()
     entries, scales = _integer_rows(M, n, n)
     d = _MinorTable(entries).minor((1 << n) - 1, (1 << n) - 1)
-    s = math.prod(scales)
-    return Polynomial(ring, {m: Fraction(c, s) for m, c in d.items()})
+    return Polynomial.from_kernel(ring, d, math.prod(scales))
 
 
 def _minors(ring, M, rows, cols, r):
@@ -609,8 +603,7 @@ def _minors(ring, M, rows, cols, r):
             if sig not in seen:
                 seen.add(sig)
                 lead = max(d, key=key)
-                lc = d[lead]
-                yield Polynomial(ring, {m: Fraction(c, lc) for m, c in d.items()}), lead
+                yield Polynomial.from_kernel(ring, d, d[lead]), lead
 
 
 def _entry_supports(M, rows, cols, r) -> set:
@@ -619,7 +612,7 @@ def _entry_supports(M, rows, cols, r) -> set:
     r <= 0, where the one minor is 1."""
     if r <= 0:
         return {0}
-    monomials = {m for row in M[:rows] for e in row[:cols] for m in e.terms}
+    monomials = {m for row in M[:rows] for e in row[:cols] for m in e.num}
     return {_support(m) for m in monomials}
 
 
@@ -712,7 +705,7 @@ def _fitting_loci(C: ChainComplex):
             for k in range(1, C.length + 1)
         ]
     extra_leads = {_support(g.lm()) for g in extra}
-    extra_terms = {_support(m) for g in extra for m in g.terms}
+    extra_terms = {_support(m) for g in extra for m in g.num}
     loci = []
     for k in range(1, C.length + 1):
         rows, cols, r = C.ranks[k - 1], C.ranks[k], rk[k - 1]

@@ -10,20 +10,21 @@ in.  They work on plain data:
                      term_key of a term key); HeapKeys memoizes them negated
 
 Division and the engine work on term maps, under one HeapKeys memo per
-order within a top-level call.  Products and powers work on ring term
-maps: add_product and power are the one multiplication of Polynomial, the
-parser, determinants, minors and generic ranks.
+order within a top-level call.  Sums, products and powers work on ring
+term maps: add_product and power are the one addition and multiplication
+of Polynomial, the parser, determinants, minors and generic ranks.
 
-Term maps are integer inside the engine.  Division is fraction-free: a step
-scales the work set by an integer instead of dividing by a divisor's lead
-coefficient, and the Buchberger engine keeps its basis elements primitive.
-Fraction term maps exist only at the boundary, where polynomials come in
-and answers go out; integer_terms and rational_terms convert.
+Term maps are integer.  Division is fraction-free: a step scales the work
+set by an integer instead of dividing by a divisor's lead coefficient, and
+the Buchberger engine keeps its basis elements primitive.  A polynomial
+stores its integer ring term map over one denominator (polyring), so it
+enters and leaves the engine without conversion; integer_terms brings a
+term map with Fraction coefficients to that form, for outside input and
+for the Fraction representations the engine tracks.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
@@ -113,14 +114,10 @@ def power(tm, e, one):
 
 def integer_terms(tm):
     """(n, d): the integer term map n = d * tm, d the lcm of the
-    denominators of tm's coefficients."""
+    denominators of tm's int or Fraction coefficients; gcd(d, content of
+    n) = 1."""
     d = lcm(*[c.denominator for c in tm.values()])
     return {k: c.numerator * (d // c.denominator) for k, c in tm.items()}, d
-
-
-def rational_terms(tm, d):
-    """The Fraction term map tm / d."""
-    return {k: Fraction(c, d) for k, c in tm.items()}
 
 
 def primitive(tm, lead):

@@ -1,9 +1,12 @@
 """Multivariate polynomial rings over Q with exact arithmetic.
 
-Monomials are plain exponent tuples; polynomials are term maps keyed by
-monomial with Fraction coefficients, canonical under the ring's default
-monomial order.  Module elements (PolyVector) carry a position index so
-one division kernel serves both the ring and free-module cases.
+Monomials are plain exponent tuples.  A polynomial is stored in the
+kernel's form: an integer term map keyed by monomial over one positive
+denominator, in lowest terms, so each polynomial has one representation
+and the engine takes it as it is.  Fraction coefficients are a view, built
+on access for callers that ask for them.  Module elements (PolyVector)
+carry a position index so one division kernel serves both the ring and
+free-module cases.
 """
 
 from __future__ import annotations
@@ -11,12 +14,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from residua import kernel
 
 Mono = tuple  # exponent tuple, length == ring.n
-Coeff = Fraction
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -156,10 +160,11 @@ class PolynomialRing:
 
     def const(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self, {} if c == 0 else {self.zero_mono(): c})
+        num = {self.zero_mono(): c.numerator} if c else {}
+        return Polynomial.from_kernel(self, num, c.denominator)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial.from_kernel(self, {})
 
     def one(self) -> "Polynomial":
         return self.const(1)
@@ -171,7 +176,7 @@ class PolynomialRing:
             raise ValueError(f"no variable {name!r} in {self}") from None
         exps = [0] * self.n
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial.from_kernel(self, {tuple(exps): 1})
 
     def gens(self) -> tuple:
         return tuple(self.var(nm) for nm in self.names)
@@ -191,53 +196,89 @@ class PolynomialRing:
 
 
 class Polynomial:
-    """Element of a PolynomialRing; immutable by convention."""
+    """Element of a PolynomialRing; immutable by convention.
 
-    __slots__ = ("ring", "terms")
+    A polynomial is stored in the kernel's form num / den: num an integer
+    ring term map {exponents: int} without zero terms, den a positive int
+    with gcd(den, content of num) = 1.  Each polynomial has exactly one
+    such pair, and equality and hashing compare it.  The Fraction term
+    map .terms is a view built on access.
+    """
+
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: PolynomialRing, terms: dict):
+        """The polynomial with term map {exponent tuple: int or Fraction};
+        zero coefficients are dropped.  Raises ValueError when a monomial
+        is not a tuple of ring.n non-negative ints or a coefficient is not
+        an int or Fraction."""
+        if set(map(type, terms)) - {tuple} or set(map(len, terms)) - {ring.n}:
+            raise ValueError(f"a monomial is not a tuple of {ring.n} exponents")
+        exps = list(chain.from_iterable(terms))
+        if set(map(type, exps)) - {int} or min(exps, default=0) < 0:
+            raise ValueError("an exponent is not a non-negative int")
+        if set(map(type, terms.values())) - {int, Fraction}:
+            raise ValueError("a coefficient is not an int or Fraction")
+        num, self.den = kernel.integer_terms(terms)
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.num = {m: c for m, c in num.items() if c}
+
+    @staticmethod
+    def from_kernel(ring: PolynomialRing, num: dict, den: int = 1) -> "Polynomial":
+        """The polynomial num / den, for an integer ring term map num
+        without zero terms and a nonzero int den: the constructor of every
+        internal producer.  A sign flip and one gcd bring the pair to
+        lowest terms; num is kept, not copied, when it is there already."""
+        if den < 0:
+            num, den = {m: -c for m, c in num.items()}, -den
+        if den != 1 and (g := gcd(den, *num.values())) != 1:
+            num, den = {m: c // g for m, c in num.items()}, den // g
+        p = object.__new__(Polynomial)
+        p.ring, p.num, p.den = ring, num, den
+        return p
+
+    @property
+    def terms(self) -> dict:
+        """The Fraction term map {exponents: coefficient} (a new dict)."""
+        return {m: Fraction(c, self.den) for m, c in self.num.items()}
 
     # -- basic queries
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
+        return all(not any(m) for m in self.num)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(self.ring.zero_mono(), Fraction(0))
+        return Fraction(self.num.get(self.ring.zero_mono(), 0), self.den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.num)
+
+    def lm(self, order=None):
+        """The leading monomial; None when zero."""
+        if not self.num:
+            return None
+        return max(self.num, key=(order or self.ring.default_order).ring_key)
 
     def leading(self, order: Optional[MonomialOrder] = None):
         """(monomial, coefficient) of the leading term; None when zero."""
-        if not self.terms:
-            return None
-        order = order or self.ring.default_order
-        m = max(self.terms, key=order.ring_key)
-        return (m, self.terms[m])
-
-    def lm(self, order=None):
-        lt = self.leading(order)
-        return None if lt is None else lt[0]
+        m = self.lm(order)
+        return None if m is None else (m, Fraction(self.num[m], self.den))
 
     def lc(self, order=None):
         lt = self.leading(order)
         return None if lt is None else lt[1]
 
     def monic(self, order=None) -> "Polynomial":
-        lt = self.leading(order)
-        if lt is None or lt[1] == 1:
+        m = self.lm(order)
+        if m is None or self.num[m] == self.den:
             return self
-        inv = 1 / lt[1]
-        return Polynomial(self.ring, {m: c * inv for m, c in self.terms.items()})
+        return Polynomial.from_kernel(self.ring, self.num, self.num[m])
 
     # -- arithmetic
 
@@ -250,53 +291,46 @@ class Polynomial:
             return self.ring.const(other)
         return None
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, as the parser sums: both term maps added
+        into one by kernel.add_product, scaled to the lcm of the dens."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m, 0) + c
-            if acc:
-                terms[m] = acc
-            else:
-                terms.pop(m, None)
-        return Polynomial(self.ring, terms)
+        den = lcm(self.den, other.den)
+        zero = self.ring.zero_mono()
+        num = kernel.add_product({}, self.num, {zero: den // self.den})
+        kernel.add_product(num, other.num, {zero: den // other.den}, sign)
+        return Polynomial.from_kernel(self.ring, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return Polynomial.from_kernel(self.ring, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other.__add__(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return self.ring.zero()
-            return Polynomial(self.ring, {m: co * c for m, co in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial(self.ring, kernel.add_product({}, self.terms, other.terms))
+        num = kernel.add_product({}, self.num, other.num)
+        return Polynomial.from_kernel(self.ring, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return Polynomial(self.ring, kernel.power(self.terms, e, self.ring.one().terms))
+        num = kernel.power(self.num, e, {self.ring.zero_mono(): 1})
+        return Polynomial.from_kernel(self.ring, num, self.den**e)
 
     # -- structure
 
@@ -313,8 +347,8 @@ class Polynomial:
             else:
                 subs.append(None)  # plain number; handled below
         out = None
-        for m, c in sorted(self.terms.items()):
-            acc: Union[Polynomial, Fraction] = Fraction(c)
+        for m, c in sorted(self.num.items()):
+            acc: Union[Polynomial, Fraction] = Fraction(c, self.den)
             for i, e in enumerate(m):
                 if not e:
                     continue
@@ -331,13 +365,13 @@ class Polynomial:
 
     def differentiate(self, name: str) -> "Polynomial":
         i = self.ring.names.index(name)
-        terms = {}
-        for m, c in self.terms.items():
+        num = {}
+        for m, c in self.num.items():
             if m[i]:
                 mm = list(m)
                 mm[i] -= 1
-                terms[tuple(mm)] = c * m[i]
-        return Polynomial(self.ring, terms)
+                num[tuple(mm)] = c * m[i]
+        return Polynomial.from_kernel(self.ring, num, self.den)
 
     # -- comparison / hashing / printing
 
@@ -346,14 +380,18 @@ class Polynomial:
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.ring.names, tuple(sorted(self.terms.items()))))
+        return hash((self.ring.names, tuple(sorted(self.num.items())), self.den))
+
+    def monomials(self, order=None) -> list:
+        """The monomials of the terms, descending under order."""
+        return sorted(self.num, key=(order or self.ring.default_order).ring_key, reverse=True)
 
     def sorted_terms(self, order=None):
-        order = order or self.ring.default_order
-        return sorted(self.terms.items(), key=lambda it: order.ring_key(it[0]), reverse=True)
+        """(monomial, coefficient) pairs, descending under order."""
+        return [(m, Fraction(self.num[m], self.den)) for m in self.monomials(order)]
 
     def __str__(self):
         return poly_str(self)
@@ -361,8 +399,10 @@ class Polynomial:
     __repr__ = __str__
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _coeff_str(c: int, den: int) -> str:
+    """Text of the rational c / den (den > 0) in lowest terms."""
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
 def _mono_str(ring: PolynomialRing, m: Mono) -> str:
@@ -379,16 +419,17 @@ def poly_str(p: Polynomial) -> str:
     """Canonical text: terms descending under the default order, explicit * and ^."""
     if p.is_zero():
         return "0"
+    num, den = p.num, p.den
     chunks = []
-    for i, (m, c) in enumerate(p.sorted_terms()):
+    for i, m in enumerate(p.monomials()):
+        c = num[m]
         mono = _mono_str(p.ring, m)
-        mag = abs(c)
-        if mono and mag == 1:
+        if mono and abs(c) == den:
             body = mono
         elif mono:
-            body = f"{_coeff_str(mag)}*{mono}"
+            body = f"{_coeff_str(abs(c), den)}*{mono}"
         else:
-            body = _coeff_str(mag)
+            body = _coeff_str(abs(c), den)
         if i == 0:
             chunks.append(body if c > 0 else f"-{body}")
         else:
@@ -406,13 +447,13 @@ def transport(p: Polynomial, target: PolynomialRing) -> Polynomial:
     except ValueError:
         missing = [nm for nm in src.names if nm not in target.names]
         raise ValueError(f"target ring lacks variables {missing}") from None
-    terms = {}
-    for m, c in p.terms.items():
+    num = {}
+    for m, c in p.num.items():
         mm = [0] * target.n
         for j, e in zip(idx, m):
             mm[j] = e
-        terms[tuple(mm)] = c
-    return Polynomial(target, terms)
+        num[tuple(mm)] = c
+    return Polynomial.from_kernel(target, num, p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +482,18 @@ class PolyVector:
 
     def leading(self, order: Optional[MonomialOrder] = None):
         """((pos, monomial), coefficient) of the leading module term."""
-        tm = to_terms(self)
-        if not tm:
+        keys = [(pos, m) for pos, p in enumerate(self.entries) for m in p.num]
+        if not keys:
             return None
-        order = order or self.ring.default_order
-        k = max(tm, key=order.term_key)
-        return (k, tm[k])
+        pos, m = max(keys, key=(order or self.ring.default_order).term_key)
+        p = self.entries[pos]
+        return ((pos, m), Fraction(p.num[m], p.den))
 
     def monic(self, order=None) -> "PolyVector":
         lt = self.leading(order)
         if lt is None or lt[1] == 1:
             return self
-        inv = 1 / lt[1]
-        return PolyVector(self.ring, tuple(p * inv for p in self.entries))
+        return self.scale(1 / lt[1])
 
     def __add__(self, other):
         if not isinstance(other, PolyVector) or other.rank != self.rank:
@@ -490,22 +530,26 @@ class PolyVector:
 # -- the kernel term-map layer: keys (position, exponents), position 0 in a ring
 
 
-def to_terms(x) -> dict:
-    """Kernel term map of a Polynomial or PolyVector."""
+def to_terms(x) -> tuple:
+    """(tm, den) of a Polynomial or PolyVector x: the integer kernel term
+    map tm and the positive int den with x = tm / den, in lowest terms."""
     if isinstance(x, Polynomial):
-        return {(0, m): c for m, c in x.terms.items()}
-    return {(pos, m): c for pos, p in enumerate(x.entries) for m, c in p.terms.items()}
+        return {(0, m): c for m, c in x.num.items()}, x.den
+    den = lcm(*[p.den for p in x.entries])
+    scaled = [(pos, p.num, den // p.den) for pos, p in enumerate(x.entries)]
+    return {(pos, m): c * s for pos, num, s in scaled for m, c in num.items()}, den
 
 
-def from_terms(like, tm: dict):
-    """The element with term map tm, of the same kind, ring and rank as like."""
+def from_terms(like, tm: dict, den: int = 1):
+    """The element tm / den, for an integer term map tm without zero terms
+    and a positive int den, of the same kind, ring and rank as like."""
     ring = like.ring
     if isinstance(like, Polynomial):
-        return Polynomial(ring, {m: c for (_, m), c in tm.items()})
+        return Polynomial.from_kernel(ring, {m: c for (_, m), c in tm.items()}, den)
     per = [{} for _ in like.entries]
     for (pos, m), c in tm.items():
         per[pos][m] = c
-    return PolyVector(ring, tuple(Polynomial(ring, t) for t in per))
+    return PolyVector(ring, tuple(Polynomial.from_kernel(ring, t, den) for t in per))
 
 
 def kernel_divisors(elements, order: MonomialOrder) -> tuple:
@@ -514,12 +558,11 @@ def kernel_divisors(elements, order: MonomialOrder) -> tuple:
     i = d_i * element i."""
     out, dens = [], []
     for g in elements:
-        tm = to_terms(g)
+        tm, d = to_terms(g)
         if not tm:
             raise ValueError("zero divisor in division")
-        num, d = kernel.integer_terms(tm)
-        lk = max(num, key=order.term_key)
-        out.append((lk, num[lk], num))
+        lk = max(tm, key=order.term_key)
+        out.append((lk, tm[lk], tm))
         dens.append(d)
     return out, dens
 
@@ -546,15 +589,15 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
         if isinstance(f, PolyVector) and g.rank != f.rank:
             raise ValueError("divisor rank mismatch")
     order = order or f.ring.default_order
-    num, den = kernel.integer_terms(to_terms(f))
+    num, den = to_terms(f)
     divs, dens = kernel_divisors(divisors, order)
     quots, rem, mult = kernel.reduce_terms(num, divs, kernel.HeapKeys(order.term_key), True)
     # mult * den * f = sum(q_i * d_i * g_i) + rem
     d = mult * den
     return [
-        Polynomial(f.ring, {m: Fraction(c * di, d) for m, c in q.items()})
+        Polynomial.from_kernel(f.ring, {m: c * di for m, c in q.items()}, d)
         for q, di in zip(quots, dens)
-    ], from_terms(f, kernel.rational_terms(rem, d))
+    ], from_terms(f, rem, d)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +609,9 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
 #   atom   := ident | uint ('/' uint)? | '(' expr ')'
 #
 # The parser computes on ring term maps and builds one Polynomial per
-# expression, not one per factor and power.  Its products and powers call
-# kernel.add_product and kernel.power, as Polynomial's * and ** do, and
-# its sums add the terms in the order of Polynomial's +, so the parsed
-# polynomial has the same terms in the same dict order.
+# expression, not one per factor and power.  Its products, powers and
+# sums call kernel.add_product and kernel.power as Polynomial's *, ** and
+# + do, so the parsed polynomial has the same terms in the same dict order.
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
 
@@ -625,7 +667,7 @@ class _PolyParser:
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"unexpected {val!r}", pos)
-        return Polynomial(self.ring, {m: Fraction(c) for m, c in tm.items()})
+        return Polynomial.from_kernel(self.ring, *kernel.integer_terms(tm))
 
     def expr(self) -> dict:
         kind, val, _ = self.peek()

@@ -302,15 +302,16 @@ def loop_prune(cands, ring, rank, context=None):
 
 def spy_graded(monkeypatch, ring):
     """Record (candidates, shifts, result) of every graded-prune call, the
-    candidate term maps turned into PolyVectors over ring."""
+    candidates (term map, lead coefficient) turned into PolyVectors over
+    ring."""
     calls = []
     real = groebner._graded_prune
 
     def spy(cands, keys, rank, shifts):
         out = real(cands, keys, rank, shifts)
         zero = PolyVector(ring, [ring.zero()] * rank)
-        vecs = None if out is None else [from_terms(zero, tm) for tm in out]
-        calls.append(([from_terms(zero, tm) for tm in cands], shifts, vecs))
+        vecs = None if out is None else [from_terms(zero, *cand) for cand in out]
+        calls.append(([from_terms(zero, *cand) for cand in cands], shifts, vecs))
         return out
 
     monkeypatch.setattr(groebner, "_graded_prune", spy)
@@ -548,12 +549,12 @@ def reference_syzygies(obj, context=None):
     zero = PolyVector(ring, [ring.zero()] * s)
     vecs = []
     for tm in raw:
-        v = from_terms(zero, {k: c for k, c in tm.items() if k[0] < s})
+        v = from_terms(zero, *kernel.integer_terms({k: c for k, c in tm.items() if k[0] < s}))
         if context is not None:
             v = context.reduce(v, order)
         if not v.is_zero():
             vecs.append(v.monic(order))
-    sch = order.schreyer([max(tm, key=order.term_key) for tm in inputs[:s]])
+    sch = order.schreyer([max(tm, key=order.term_key) for tm, _ in inputs[:s]])
     seen, unique = set(), []
     for v in vecs:
         if v.entries not in seen:
@@ -622,9 +623,9 @@ def test_syzygies_build_vectors_for_kept_generators_only(monkeypatch, ring, gens
     members = []
     real_from_terms, real_init = groebner.from_terms, SubmoduleBasis.__init__
 
-    def spy_from_terms(like, tm):
+    def spy_from_terms(like, tm, den=1):
         built.append(tm)
-        return real_from_terms(like, tm)
+        return real_from_terms(like, tm, den)
 
     def spy_init(self, *args, **kwargs):
         bases.append(args)
