@@ -7,17 +7,20 @@ always finishing with the unique reduced basis: monic, auto-reduced,
 sorted descending by leading term.  Determinism is the contract.
 
 Inside the engine, elements are primitive integer term maps (content 1,
-positive lead coefficient), S-polynomials use the integer cofactors
-lc_j/g and lc_i/g with g = gcd(lc_i, lc_j), and reduction is the kernel's
-fraction-free pseudo-division.  Each step is a nonzero rational multiple
-of the same step over Q with monic elements: the same pair, the same
-largest term, the same first dividing lead.  Polynomials come in and go
-out in their own integer form (polyring.to_terms and from_terms: a term
-map over one denominator), bases made monic by taking the lead
-coefficient as the denominator, remainders and quotients by taking the
-multiplier into it, so answers are exactly those of the computation over
-Q, byte for byte.  Only the tracked representations (reps) of the engine
-carry Fraction coefficients.
+positive lead coefficient) over packed terms (kernel.Codec: one int per
+term, whose int order is the order's term_key order), S-polynomials use
+the integer cofactors lc_j/g and lc_i/g with g = gcd(lc_i, lc_j), and
+reduction is the kernel's fraction-free pseudo-division.  Each step is a
+nonzero rational multiple of the same step over Q with monic elements:
+the same pair, the same largest term, the same first dividing lead, since
+packed terms compare, multiply and divide exactly as the (position,
+exponents) terms they pack.  Polynomials come in and go out in their own
+integer form (polyring.to_terms and from_terms: a term map over one
+denominator, packed and unpacked by the codec), bases made monic by
+taking the lead coefficient as the denominator, remainders and quotients
+by taking the multiplier into it, so answers are exactly those of the
+computation over Q, byte for byte.  Only the tracked representations
+(reps) of the engine carry Fraction coefficients.
 
 Quotient rings Q[x]/I_Z appear as contexts: membership, normal forms and
 syzygies over the quotient are computed by appending I_Z relations to the
@@ -86,14 +89,14 @@ class Ideal:
         return hit
 
     def _reducer(self, order: Optional[MonomialOrder] = None) -> tuple:
-        """(integer kernel divisors of the reduced basis, heap-key memo),
+        """(integer kernel divisors of the reduced basis, their codec),
         cached per order for repeated reductions against this ideal."""
         order = order or self.ring.default_order
         key = ("reducer", order)
         hit = self._gb_cache.get(key)
         if hit is None:
-            divisors, _ = kernel_divisors(self.groebner(order), order)
-            hit = (divisors, kernel.HeapKeys(order.term_key))
+            codec = order.codec(self.ring.n)
+            hit = (kernel_divisors(self.groebner(order), codec)[0], codec)
             self._gb_cache[key] = hit
         return hit
 
@@ -126,10 +129,10 @@ class QuotientContext:
 
     def reduce(self, f, order: Optional[MonomialOrder] = None):
         """Normal form modulo the relations (entrywise on vectors)."""
-        divisors, keys = self.relations._reducer(order)
+        divisors, codec = self.relations._reducer(order)
         if isinstance(f, PolyVector):
-            return PolyVector(self.ring, tuple(_reduce(p, divisors, keys) for p in f.entries))
-        return _reduce(f, divisors, keys)
+            return PolyVector(self.ring, tuple(_reduce(p, divisors, codec) for p in f.entries))
+        return _reduce(f, divisors, codec)
 
     def __eq__(self, other):
         return (
@@ -179,11 +182,6 @@ class SubmoduleBasis:
 # the Buchberger engine (term-map level)
 
 
-def _spair_parts(lead_i, lead_j):
-    lcm = kernel.exp_lcm(lead_i[1], lead_j[1])
-    return lcm, kernel.exp_sub(lcm, lead_i[1]), kernel.exp_sub(lcm, lead_j[1])
-
-
 def _cofactors(ci, cj):
     """(a_i, a_j) with a_i * c_i = a_j * c_j = lcm(c_i, c_j) for lead
     coefficients c_i, c_j, so a_i x^u_i g_i - a_j x^u_j g_j is the
@@ -197,75 +195,78 @@ def _scale_terms(tm: dict, c) -> dict:
 
 
 def _add_quotient_sum(dst: dict, quots, reps, sign: int) -> None:
-    """dst += sign * sum_k quots[k] * reps[k], the quotients ring term maps."""
+    """dst += sign * sum_k quots[k] * reps[k], the quotients keyed by shift."""
     for q, rep in zip(quots, reps):
         for m, b in q.items():
             kernel.add_scaled_inplace(dst, rep, sign * b, m)
 
 
-def _engine(inputs: Sequence[tuple], keys: kernel.HeapKeys, rank: int, track: bool):
+def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool):
     """Reduced Groebner basis of nonzero elements, with representations.
-    Input j is a pair (tm, den) of a nonzero integer term map and a
-    positive int, for the element tm / den (see polyring.to_terms).
-
-    keys is the caller's kernel.HeapKeys memo and keys.keyfn the order; the
-    caller reduces against the basis with the same memo afterwards.
+    Input j is a pair (tm, den) of a nonzero integer term map of codec
+    and a positive int, for the element tm / den (see polyring.to_terms).
+    The caller reduces against the basis with the same codec afterwards.
 
     Returns (basis, reps, exprs):
-      basis  the reduced basis as kernel divisors (lead key, lead
+      basis  the reduced basis as kernel divisors (lead term, lead
              coefficient, primitive integer term map: content 1, positive
-             lead coefficient), sorted descending by lead key;
+             lead coefficient), sorted descending by lead;
              tm / lc is the monic basis element over Q
-      reps   basis[k] = sum(reps[k]) over the inputs (Fraction term maps
-             over positions 0..len(inputs)-1); None when track is false
+      reps   basis[k] = sum(reps[k]) over the inputs (Fraction maps keyed
+             by codec.rep(j) + shift for input j); None when track is false
       exprs  (d_j, quots_j) with d_j * inputs[j] = sum_k quots_j[k] *
-             basis[k] (d_j a Fraction, quotient integer term maps over ring
-             monomials); None when track is false
+             basis[k] (d_j a Fraction, quotients integer maps keyed by
+             shift); None when track is false
 
     The monic basis, and the reps divided by the lead coefficients, are
     exactly those of the same computation over Q (see the module docstring).
+
+    A pair is selected by the term of its lcm, then by (i, j).  The lcm
+    is not additive in packed terms, so each element keeps its lead
+    exponents beside its lead term; the coprime test and the chain
+    criterion are sums and masked tests on terms.
     """
-    keyfn = keys.keyfn
-    divisors = []  # (lead key, lead coefficient, primitive term map)
+    divisors = []  # (lead term, lead coefficient, primitive term map)
+    lead_exps = []
     reps = []
     scaled = []  # (s_j, the integer term map s_j * inputs[j])
     for j, (tm, den) in enumerate(inputs):
-        lk = kernel.leading_key(tm, keyfn)
-        if lk is None:
+        if not tm:
             raise InvariantError("engine inputs must be nonzero")
+        lk = max(tm)
         p, c = kernel.primitive(tm, lk)
         scale = Fraction(den, c)
         scaled.append((scale, p))
         divisors.append((lk, p[lk], p))
-        reps.append({(j, _zero_mono(tm)): scale} if track else None)
+        lead_exps.append(codec.decode(lk))
+        reps.append({codec.rep(j): scale} if track else None)
 
-    pairs = []  # heap of (selection key, i, j)
+    pairs = []  # heap of (lcm term, i, j)
     done = set()
+    divides = codec.divides
+    base0 = codec.base(0)
 
     def push_pair(i, j):
-        lcm, _, _ = _spair_parts(divisors[i][0], divisors[j][0])
-        heappush(pairs, (keyfn((divisors[i][0][0], lcm)), i, j))
+        (pos, ei), (_, ej) = lead_exps[i], lead_exps[j]
+        heappush(pairs, (codec.term(pos, kernel.exp_lcm(ei, ej)), i, j))
 
     for j in range(len(divisors)):
         for i in range(j):
-            if divisors[i][0][0] == divisors[j][0][0]:
+            if lead_exps[i][0] == lead_exps[j][0]:
                 push_pair(i, j)
 
     while pairs:
-        _, i, j = heappop(pairs)
+        lcm, i, j = heappop(pairs)
         done.add((i, j))
         li, ci, gi = divisors[i]
         lj, cj, gj = divisors[j]
-        pos = li[0]
-        lcm, ui, uj = _spair_parts(li, lj)
         # coprime-lead criterion (valid for the ideal case only)
-        if rank == 1 and lcm == kernel.exp_add(li[1], lj[1]):
+        if rank == 1 and lcm + base0 == li + lj:
             continue
         # chain criterion
         skip = False
         for k in range(len(divisors)):
-            lk = divisors[k][0]
-            if k in (i, j) or lk[0] != pos or not kernel.exp_divides(lk[1], lcm):
+            if k in (i, j) or not divides(divisors[k][0], lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -274,11 +275,12 @@ def _engine(inputs: Sequence[tuple], keys: kernel.HeapKeys, rank: int, track: bo
                 break
         if skip:
             continue
+        ui, uj = lcm - li, lcm - lj
         ai, aj = _cofactors(ci, cj)
         spoly: dict = {}
         kernel.add_scaled_inplace(spoly, gi, ai, ui)
         kernel.add_scaled_inplace(spoly, gj, -aj, uj)
-        quots, rem, mult = kernel.reduce_terms(spoly, divisors, keys, track)
+        quots, rem, mult = kernel.reduce_terms(spoly, divisors, codec, track)
         if not rem:
             continue
         lk = next(iter(rem))
@@ -293,19 +295,17 @@ def _engine(inputs: Sequence[tuple], keys: kernel.HeapKeys, rank: int, track: bo
                 rep = _scale_terms(rep, Fraction(1, c))
         t = len(divisors)
         divisors.append((lk, p[lk], p))
+        lead_exps.append(codec.decode(lk))
         reps.append(rep)
         for k in range(t):
-            if divisors[k][0][0] == lk[0]:
+            if lead_exps[k][0] == lead_exps[t][0]:
                 push_pair(k, t)
 
     # minimal pass: drop anything whose lead another kept element divides
     kept: list = []
-    for k in sorted(range(len(divisors)), key=lambda k: keyfn(divisors[k][0])):
+    for k in sorted(range(len(divisors)), key=lambda k: divisors[k][0]):
         lk = divisors[k][0]
-        if any(
-            divisors[m][0][0] == lk[0] and kernel.exp_divides(divisors[m][0][1], lk[1])
-            for m in kept
-        ):
+        if any(divides(divisors[m][0], lk) for m in kept):
             continue
         kept.append(k)
     divisors = [divisors[k] for k in kept]
@@ -316,7 +316,7 @@ def _engine(inputs: Sequence[tuple], keys: kernel.HeapKeys, rank: int, track: bo
         if len(divisors) == 1:
             break
         others = divisors[:idx] + divisors[idx + 1 :]
-        quots, rem, mult = kernel.reduce_terms(g, others, keys, track)
+        quots, rem, mult = kernel.reduce_terms(g, others, codec, track)
         p, c = kernel.primitive(rem, lk)  # the lead is not reducible
         if track:
             rep = _scale_terms(reps[idx], mult)
@@ -326,52 +326,62 @@ def _engine(inputs: Sequence[tuple], keys: kernel.HeapKeys, rank: int, track: bo
             reps[idx] = rep
         divisors[idx] = (lk, p[lk], p)
 
-    ranked = sorted(range(len(divisors)), key=lambda k: keyfn(divisors[k][0]), reverse=True)
+    ranked = sorted(range(len(divisors)), key=lambda k: divisors[k][0], reverse=True)
     basis = [divisors[k] for k in ranked]
     if not track:
         return basis, None, None
     reps = [reps[k] for k in ranked]
     exprs = []
     for scale, p in scaled:
-        quots, rem, mult = kernel.reduce_terms(p, basis, keys, True)
+        quots, rem, mult = kernel.reduce_terms(p, basis, codec, True)
         if rem:
             raise InvariantError("input does not reduce to zero against its own basis")
         exprs.append((mult * scale, quots))
     return basis, reps, exprs
 
 
-def _zero_mono(tm: dict):
-    some_key = next(iter(tm))
-    return (0,) * len(some_key[1])
+def _from_reps(tm: dict, codec: kernel.Codec, s: int) -> dict:
+    """The terms at positions below s of a representation map of codec
+    (keyed by codec.rep), as terms of codec, whose order must serve those
+    positions."""
+    shift = codec.rep_shift
+    moves = [codec.base(j) - codec.rep(j) for j in range(s)]
+    cut = s << shift
+    return {t + moves[t >> shift]: c for t, c in tm.items() if t < cut}
 
 
-def _relation_terms(context: QuotientContext, rank: int, order=None) -> list:
+def _relation_terms(context: QuotientContext, rank: int, codec: kernel.Codec, order=None) -> list:
     """Engine inputs (tm, den) of z * e_pos for each relation basis element
-    z and position."""
+    z and position, as terms of codec."""
     return [
-        ({(pos, m): c for m, c in z.num.items()}, z.den)
+        (codec.encode(z.num, pos), z.den)
         for z in context.relations.groebner(order)
         for pos in range(rank)
     ]
 
 
 def _ideal_groebner(gens, order, rank: int):
+    """The reduced basis of gens; polynomials keep their kernel divisor
+    for the codec of order."""
     if not gens:
         return []
-    keys = kernel.HeapKeys(order.term_key)
-    basis = _engine([to_terms(g) for g in gens], keys, rank, False)[0]
-    return [from_terms(gens[0], tm, lc) for _, lc, tm in basis]
+    codec = order.codec(gens[0].ring.n)
+    basis = _engine([to_terms(g, codec) for g in gens], codec, rank, False)[0]
+    out = [from_terms(gens[0], tm, lc, codec) for _, lc, tm in basis]
+    if isinstance(gens[0], Polynomial):
+        for p, divisor in zip(out, basis):
+            p._kernel = (codec, divisor)
+    return out
 
 
-def _reduce(f, divisors, keys):
+def _reduce(f, divisors, codec):
     """Remainder of a Polynomial or PolyVector against integer kernel
-    divisors (not canonical unless they form a Groebner basis); keys is
-    the kernel.HeapKeys memo of the order."""
-    if not divisors:
+    divisors of codec (not canonical unless they form a Groebner basis)."""
+    if not divisors or f.is_zero():
         return f
-    num, den = to_terms(f)
-    _, rem, mult = kernel.reduce_terms(num, divisors, keys, False)
-    return from_terms(f, rem, mult * den)
+    num, den = to_terms(f, codec)
+    _, rem, mult = kernel.reduce_terms(num, divisors, codec, False)
+    return from_terms(f, rem, mult * den, codec)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +409,8 @@ def normal_form(f, basis, order: Optional[MonomialOrder] = None, context: Contex
     basis = list(basis)
     if not basis:
         return f
-    order = order or f.ring.default_order
-    return _reduce(f, kernel_divisors(basis, order)[0], kernel.HeapKeys(order.term_key))
+    codec = (order or f.ring.default_order).codec(f.ring.n)
+    return _reduce(f, kernel_divisors(basis, codec)[0], codec)
 
 
 def lifted_ideal(I: Ideal, context: Context) -> Ideal:
@@ -419,7 +429,9 @@ def ideal_member(f: Polynomial, I: Ideal, context: Context = None) -> bool:
             combined = lifted_ideal(I, context)
             I._gb_cache[key] = combined
         I = combined
-    return _reduce(f, *I._reducer()).is_zero()
+    divisors, codec = I._reducer()
+    _, rem, _ = kernel.reduce_terms(to_terms(f, codec)[0], divisors, codec, False)
+    return not rem
 
 
 def ideals_equal(I: Ideal, J: Ideal, context: Context = None) -> bool:
@@ -430,48 +442,50 @@ def ideals_equal(I: Ideal, J: Ideal, context: Context = None) -> bool:
 
 
 def module_member(v: PolyVector, basis: SubmoduleBasis, context: Context = None) -> bool:
-    gens = [to_terms(g) for g in basis.gens]
-    keys = kernel.HeapKeys(basis.order.term_key)
-    return _member_terms(to_terms(v)[0], gens, basis.rank, keys, context)
+    codec = basis.order.codec(basis.ring.n)
+    gens = [to_terms(g, codec) for g in basis.gens]
+    return _member_terms(to_terms(v, codec)[0], gens, basis.rank, codec, context)
 
 
-def _member_terms(tm: dict, gens: list, rank: int, keys, context: Context) -> bool:
+def _member_terms(tm: dict, gens: list, rank: int, codec, context: Context) -> bool:
     """The integer term map tm in the submodule generated by the engine
     inputs gens (plus the relation multiples of each unit vector when a
-    context is given); keys is the kernel.HeapKeys memo of the order."""
+    context is given), all terms of codec."""
     if context is not None:
-        gens = gens + _relation_terms(context, rank)
+        gens = gens + _relation_terms(context, rank, codec)
     if not gens:
         return not tm
-    _, rem, _ = kernel.reduce_terms(tm, _engine(gens, keys, rank, False)[0], keys, False)
+    _, rem, _ = kernel.reduce_terms(tm, _engine(gens, codec, rank, False)[0], codec, False)
     return not rem
 
 
 # -- syzygies ----------------------------------------------------------------
 
 
-def _syzygies_termmaps(inputs: Sequence[tuple], keys, rank: int):
+def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
     """Generators of the syzygy module of the given engine inputs (nonzero
-    tm, den), as Fraction term maps, under the order of the
-    kernel.HeapKeys memo keys.
+    tm, den, terms of codec), as Fraction maps keyed by codec.rep(j) +
+    shift for input j.
 
     Schreyer's construction on the reduced basis, pushed back through the
     transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B).
     """
-    basis, reps, exprs = _engine(inputs, keys, rank, True)
-    zero = _zero_mono(inputs[0][0])
+    basis, reps, exprs = _engine(inputs, codec, rank, True)
+    leads = [codec.decode(lk) for lk, _, _ in basis]
     out = []  # each syzygy up to a nonzero rational factor
     # pair syzygies of the reduced basis, mapped through A
     for j, (lj, cj, gj) in enumerate(basis):
+        pos, ej = leads[j]
         for i, (li, ci, gi) in enumerate(basis[:j]):
-            if li[0] != lj[0]:
+            if leads[i][0] != pos:
                 continue
-            lcm, ui, uj = _spair_parts(li, lj)
+            lcm = codec.term(pos, kernel.exp_lcm(leads[i][1], ej))
+            ui, uj = lcm - li, lcm - lj
             ai, aj = _cofactors(ci, cj)
             sp: dict = {}
             kernel.add_scaled_inplace(sp, gi, ai, ui)
             kernel.add_scaled_inplace(sp, gj, -aj, uj)
-            quots, rem, mult = kernel.reduce_terms(sp, basis, keys, True)
+            quots, rem, mult = kernel.reduce_terms(sp, basis, codec, True)
             if rem:
                 raise InvariantError("S-pair of a Groebner basis must reduce to zero")
             syz: dict = {}
@@ -482,7 +496,7 @@ def _syzygies_termmaps(inputs: Sequence[tuple], keys, rank: int):
                 out.append(syz)
     # columns of Id - A*B
     for j, (d, quots) in enumerate(exprs):
-        col = {(j, zero): d}
+        col = {codec.rep(j): d}
         _add_quotient_sum(col, quots, reps, -1)
         if col:
             out.append(col)
@@ -530,72 +544,79 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     if s == 0:
         return SubmoduleBasis(ring, 0, ())
 
-    inputs = [to_terms(g) for g in obj.gens]
+    codec = order.codec(ring.n)
+    inputs = [to_terms(g, codec) for g in obj.gens]
     if context is not None:
-        inputs += _relation_terms(context, rank, order)
+        inputs += _relation_terms(context, rank, codec, order)
     # canonical output: dedupe, sort descending under the Schreyer order
     # induced by the input generators' leading terms
-    leads = [max(tm, key=order.term_key) for tm, _ in inputs[:s]]
+    leads = [codec.decode(max(tm)) for tm, _ in inputs[:s]]
     sch = order.schreyer(leads)
+    sch_codec = sch.codec(ring.n)
     zero = PolyVector(ring, [ring.zero()] * s)
     seen = set()
-    cands = []
+    cands = []  # (p, lc): terms of sch_codec
 
-    def offer(tm, keyfn):
-        """Reduce the integer term map tm modulo the context, make it
-        monic under keyfn and keep it unless it is zero or already a
-        candidate."""
+    def offer(tm, tm_codec):
+        """Reduce the integer term map tm of tm_codec modulo the context,
+        make it monic under the order of tm_codec and keep it, as terms of
+        the Schreyer order, unless it is zero or already a candidate."""
         if context is not None:
-            tm = to_terms(context.reduce(from_terms(zero, tm), order))[0]
+            tm = to_terms(context.reduce(from_terms(zero, tm, 1, tm_codec), order), tm_codec)[0]
         if not tm:
             return
-        lk = max(tm, key=keyfn)
+        lk = max(tm)
         p, _ = kernel.primitive(tm, lk)
-        sig = (frozenset(p.items()), p[lk])
+        lc = p[lk]
+        if tm_codec is not sch_codec:
+            p = sch_codec.transcode(p, tm_codec)
+        sig = (frozenset(p.items()), lc)
         if sig not in seen:
             seen.add(sig)
-            cands.append((p, p[lk]))
+            cands.append((p, lc))
 
     # syzygy coordinates beyond s belong to the relation multiples: drop them
-    for tm in _syzygies_termmaps(inputs, kernel.HeapKeys(order.term_key), rank):
-        offer(kernel.integer_terms({k: c for k, c in tm.items() if k[0] < s})[0], order.term_key)
+    for tm in _syzygies_termmaps(inputs, codec, rank):
+        offer(kernel.integer_terms(_from_reps(tm, codec, s))[0], codec)
     # the transformation formula can emit several multiples of one simpler
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
-    sch_keys = kernel.HeapKeys(sch.term_key)
     if cands:
-        for _, _, tm in _engine(cands, sch_keys, s, False)[0]:
-            offer(tm, sch.term_key)
-    cands.sort(key=lambda cand: max(map(sch.term_key, cand[0])), reverse=True)
+        for _, _, tm in _engine(cands, sch_codec, s, False)[0]:
+            offer(tm, sch_codec)
+    cands.sort(key=lambda cand: max(cand[0]), reverse=True)
     # drop generators the rest already produce (keeps iterated syzygy
     # computations from accumulating redundancy step after step)
     kept = None
     if context is None:
         # an ideal has one basis vector, whose degree shifts nothing
-        degrees = (_basis_degrees(inputs, rank) if rank > 1 else None) or [0] * rank
+        degrees = (_basis_degrees(inputs, rank, codec) if rank > 1 else None) or [0] * rank
         shifts = [sum(m) + degrees[pos] for pos, m in leads]
-        kept = _graded_prune(cands, sch_keys, s, shifts)
+        kept = _graded_prune(cands, sch_codec, s, shifts)
     if kept is None:
-        keys = kernel.HeapKeys(ring.default_order.term_key)
+        loop_codec = ring.default_order.codec(ring.n)
+        loop = [(loop_codec.transcode(p, sch_codec), lc) for p, lc in cands]
         kept = []
         for i, cand in enumerate(cands):
-            others = kept + cands[i + 1 :]
-            if others and _member_terms(cand[0], others, s, keys, context):
+            others = [loop[k] for k in kept] + loop[i + 1 :]
+            if others and _member_terms(loop[i][0], others, s, loop_codec, context):
                 continue
-            kept.append(cand)
-    return SubmoduleBasis(ring, s, [from_terms(zero, p, lc) for p, lc in kept])
+            kept.append(i)
+        kept = [cands[i] for i in kept]
+    return SubmoduleBasis(ring, s, [from_terms(zero, p, lc, sch_codec) for p, lc in kept])
 
 
-def _basis_degrees(inputs: Sequence[tuple], rank: int):
+def _basis_degrees(inputs: Sequence[tuple], rank: int, codec):
     """Degrees a of the basis vectors e_0..e_{rank-1} for which the term
-    map of every engine input (tm, den) is homogeneous (sum(m) + a[pos] is
-    one value over its terms), or None when there are none.  Positions
+    map of every engine input (tm, den, terms of codec) is homogeneous
+    (sum(m) + a[pos] is one value over its terms), or None when there are
+    none.  Positions
     that no input links are put at degree 0 relative to each other; that
     shifts every degree of one linked class by a constant, which no
     homogeneity test sees."""
     links = [[] for _ in range(rank)]  # (q, a[q] - a[p]) for each position p
     for tm, _ in inputs:
-        (p, m), *rest = tm
+        (p, m), *rest = codec.decode_terms(tm)
         for q, mq in rest:
             links[p].append((q, sum(m) - sum(mq)))
             links[q].append((p, sum(mq) - sum(m)))
@@ -616,12 +637,11 @@ def _basis_degrees(inputs: Sequence[tuple], rank: int):
     return degrees
 
 
-def _graded_prune(cands: list, keys, rank: int, shifts: list):
+def _graded_prune(cands: list, codec, rank: int, shifts: list):
     """The candidates (p, lc) the greedy rule of syzygies keeps, by graded
     Nakayama (see syzygies), or None when some candidate is not
-    homogeneous for the shifts (e_p has degree shifts[p]).  keys is the
-    kernel.HeapKeys memo of the Schreyer order, shared with every engine
-    run here.
+    homogeneous for the shifts (e_p has degree shifts[p]).  Their terms,
+    and every engine run here, are of codec, the Schreyer order's.
 
     Within one degree the rule is greedy deletion of dependent normal
     forms in list order, which keeps the same vectors as greedy
@@ -631,22 +651,21 @@ def _graded_prune(cands: list, keys, rank: int, shifts: list):
     terms = [p for p, _ in cands]
     degrees = []
     for tm in terms:
-        ds = {sum(m) + shifts[pos] for pos, m in tm}
+        ds = {sum(m) + shifts[pos] for pos, m in codec.decode_terms(tm)}
         if len(ds) != 1:
             return None
         degrees.append(ds.pop())
-    zero = _zero_mono(terms[0]) if terms else None
     kept = set()
     for D in sorted(set(degrees)):
         lower = [cand for cand, d in zip(cands, degrees) if d < D]
-        divisors = _engine(lower, keys, rank, False)[0] if lower else []
+        divisors = _engine(lower, codec, rank, False)[0] if lower else []
         pivots: dict = {}  # leading key -> primitive row, echelon over Q
         for i in reversed(range(len(terms))):
             if degrees[i] != D:
                 continue
-            _, nf, _ = kernel.reduce_terms(terms[i], divisors, keys, False)
+            _, nf, _ = kernel.reduce_terms(terms[i], divisors, codec, False)
             while nf:
-                lk = kernel.leading_key(nf, keys.keyfn)
+                lk = max(nf)
                 row = pivots.get(lk)
                 if row is None:
                     pivots[lk] = kernel.primitive(nf, lk)[0]
@@ -654,7 +673,7 @@ def _graded_prune(cands: list, keys, rank: int, shifts: list):
                     break
                 a, b = _cofactors(nf[lk], row[lk])
                 nf = _scale_terms(nf, a)
-                kernel.add_scaled_inplace(nf, row, -b, zero)
+                kernel.add_scaled_inplace(nf, row, -b, 0)
     return [cands[i] for i in sorted(kept)]
 
 
@@ -672,9 +691,9 @@ class ModuleLifter:
         # coefficient vectors have one position per generator
         self._coeffs = PolyVector(ring, [ring.zero()] * len(self.gens))
         if self.gens:
-            self._keys = kernel.HeapKeys(self.order.term_key)
+            self._codec = self.order.codec(ring.n)
             self._divisors, self._reps, _ = _engine(
-                [to_terms(v) for v in self.gens], self._keys, rank, True
+                [to_terms(v, self._codec) for v in self.gens], self._codec, rank, True
             )
 
     def lift(self, target: PolyVector):
@@ -683,14 +702,16 @@ class ModuleLifter:
             raise ValueError("target rank mismatch")
         if not self.gens:
             return [] if target.is_zero() else None
-        num, den = to_terms(target)
-        quots, rem, mult = kernel.reduce_terms(num, self._divisors, self._keys, True)
+        codec = self._codec
+        num, den = to_terms(target, codec)
+        quots, rem, mult = kernel.reduce_terms(num, self._divisors, codec, True)
         if rem:
             return None
         out: dict = {}
         _add_quotient_sum(out, quots, self._reps, 1)
-        out, d = kernel.integer_terms(out)  # the reps are Fraction term maps
-        return list(from_terms(self._coeffs, out, d * mult * den).entries)
+        out, d = kernel.integer_terms(out)  # the reps are Fraction maps
+        out = _from_reps(out, codec, len(self.gens))
+        return list(from_terms(self._coeffs, out, d * mult * den, codec).entries)
 
 
 def module_lift(gens: Sequence[PolyVector], target: PolyVector, order=None):
@@ -728,11 +749,13 @@ def elimination(I: Ideal, keep: Sequence[str]) -> Ideal:
     gens = [g for g in I.gens]
     if not gens:
         return Ideal(target, ())
-    basis, _, _ = _engine([to_terms(g) for g in gens], kernel.HeapKeys(block_key), 1, False)
+    codec = kernel.Codec(block_key, ring.n, 0)
+    basis, _, _ = _engine([to_terms(g, codec) for g in gens], codec, 1, False)
     kept = []
     for _, lc, tm in basis:
-        if all(m[i] == 0 for _, m in tm for i in elim_idx):
-            num = {tuple(m[i] for i in keep_idx): c for (_, m), c in tm.items()}
+        num = codec.ring_terms(tm)
+        if all(m[i] == 0 for m in num for i in elim_idx):
+            num = {tuple(m[i] for i in keep_idx): c for m, c in num.items()}
             kept.append(Polynomial.from_kernel(target, num, lc))
     return Ideal(target, kept)
 

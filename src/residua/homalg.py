@@ -559,14 +559,16 @@ class _MinorTable:
         return d
 
 
-def _exact_quotient(f, divisor, keys):
-    """f / g on ring term maps, for the kernel divisor (lead key, lead
-    coefficient, term map) of g, when g divides f in Z[x]; a remainder or
-    a multiplier other than 1 is a broken invariant of the caller."""
-    quots, rem, mult = kernel.reduce_terms({(0, m): c for m, c in f.items()}, (divisor,), keys, True)
+def _exact_quotient(f, divisor, codec):
+    """f / g on term maps of codec at position 0, for the kernel divisor
+    (lead term, lead coefficient, term map) of g, when g divides f in
+    Z[x]; a remainder or a multiplier other than 1 is a broken invariant
+    of the caller."""
+    quots, rem, mult = kernel.reduce_terms(f, (divisor,), codec, True)
     if rem or mult != 1:
         raise InvariantError("fraction-free elimination met an inexact division")
-    return quots[0]
+    base = codec.base(0)
+    return {m + base: c for m, c in quots[0].items()}
 
 
 def determinant(ring: PolynomialRing, M: Matrix, n: int) -> Polynomial:
@@ -631,10 +633,11 @@ def generic_rank(ring, M, rows, cols) -> int:
     """Rank over the fraction field, by fraction-free (Bareiss) elimination
     on the row-scaled integer matrix; each pivot is the first nonzero entry
     of the remaining block in column-major order."""
-    A = _integer_rows(M, rows, cols)[0]
+    codec = ring.default_order.codec(ring.n)
+    base = codec.base(0)
+    A = [[codec.encode(e) for e in row] for row in _integer_rows(M, rows, cols)[0]]
     live_rows = list(range(rows))
     live_cols = list(range(cols))
-    keys = kernel.HeapKeys(ring.default_order.term_key)
     prev = None  # the kernel divisor of the previous pivot; None before the first
     rank = 0
     while True:
@@ -649,11 +652,18 @@ def generic_rank(ring, M, rows, cols) -> int:
             row = A[i]
             a = row[pj]
             for j in live_cols:
-                acc = kernel.add_product({}, p, row[j])
-                kernel.add_product(acc, a, prow[j], -1)
-                row[j] = _exact_quotient(acc, prev, keys) if acc and prev else acc
-        lead = max(p, key=ring.default_order.ring_key)
-        prev = ((0, lead), p[lead], {(0, m): c for m, c in p.items()})
+                # p * row[j] - a * prow[j], a product of terms t1 + t2 - base
+                acc = {}
+                for t, c in p.items():
+                    kernel.add_scaled_inplace(acc, row[j], c, t - base)
+                for t, c in a.items():
+                    kernel.add_scaled_inplace(acc, prow[j], -c, t - base)
+                if prev is None:  # no division checks these products
+                    for t in acc:
+                        codec.check(t)
+                row[j] = _exact_quotient(acc, prev, codec) if acc and prev else acc
+        lead = max(p)
+        prev = (lead, p[lead], p)
         rank += 1
 
 

@@ -2,42 +2,61 @@
 division, Buchberger, syzygies, resolutions and minors spend their time
 in.  They work on plain data:
 
-    term key       = (position, exponent-tuple)   position 0 for ring elements
-    term map       = dict {term key: coefficient} empty dict = zero
+    term           = int, the packed order key of (position, exponents)
+                     under one Codec: int comparison is the order
+    shift          = int, the packed exponents of a monomial x^m: the
+                     term of t * x^m is t + shift, and the shift from a
+                     term a to a term b it divides is b - a
+    term map       = dict {term: coefficient}       empty dict = zero
     ring term map  = dict {exponent-tuple: coefficient}
-    divisor        = (lead key, lead coeff, term map)
-    order key      = flat tuple of ints, one length per order (the order's
-                     term_key of a term key); HeapKeys memoizes them negated
+    divisor        = (lead term, lead coeff, term map)
 
-Division and the engine work on term maps, under one HeapKeys memo per
-order within a top-level call.  Sums, products and powers work on ring
-term maps: add_product and power are the one addition and multiplication
-of Polynomial, the parser, determinants, minors and generic ranks.
+A Codec packs the order key of a monomial order (MonomialOrder.term_key,
+the public definition of the order) into fixed-width biased fields of
+one int, and back.  Every entry of an order key is affine in the
+exponents at a fixed position, so packing turns a product into an add, a
+comparison into an int compare, and a divisibility test into one masked
+subtraction.  Division and the engine work on term maps of one codec
+within a call; the (position, exponents) form appears only at the
+polynomial boundary (polyring.to_terms and from_terms).  Sums, products
+and powers of polynomials work on ring term maps: add_product and power
+are the one addition and multiplication of Polynomial, the parser,
+determinants and minors.
 
 Term maps are integer.  Division is fraction-free: a step scales the work
 set by an integer instead of dividing by a divisor's lead coefficient, and
 the Buchberger engine keeps its basis elements primitive.  A polynomial
 stores its integer ring term map over one denominator (polyring), so it
-enters and leaves the engine without conversion; integer_terms brings a
-term map with Fraction coefficients to that form, for outside input and
-for the Fraction representations the engine tracks.
+enters and leaves the engine with one packing each way; integer_terms
+brings a term map with Fraction coefficients to that form, for outside
+input and for the Fraction representations the engine tracks.
+
+Exponent limit: with FIELD_BITS = 64 every field of a packed order key
+must stay below 2^60 in absolute value (LIMIT).  Input whose terms have
+total degree LIMIT or more raises ExponentOverflowError (a ValueError)
+when it is packed, and a computation whose terms or S-pair lcms grow
+past it stops with the same error instead of carrying into the next
+field.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, le, mul
 
 BACKEND = "py"  # the one kernel there is; benchmark stamps record it
+
+FIELD_BITS = 64  # width of one packed order-key field
+
+
+class ExponentOverflowError(ValueError):
+    """A term whose order key does not fit the packed fields: input
+    beyond the exponent limit, or a computation whose terms grew past it."""
 
 
 def exp_add(a, b):
     return tuple(map(add, a, b))
-
-
-def exp_sub(a, b):
-    return tuple(map(sub, a, b))
 
 
 def exp_lcm(a, b):
@@ -49,24 +68,211 @@ def exp_divides(a, b):
     return all(map(le, a, b))
 
 
-def leading_key(terms, keyfn):
-    """Largest term key under keyfn, or None for the zero map."""
-    if not terms:
-        return None
-    return max(terms, key=keyfn)
+class Codec:
+    """Packed terms of one monomial order over n variables.
+
+    keyfn maps (pos, exps) to the order key, a flat tuple of L ints, each
+    affine in exps at a fixed pos (MonomialOrder.term_key), and the entry
+    at index pos_field is -pos.  A term packs the key into L fields of W =
+    FIELD_BITS bits, field 0 most significant, each entry plus the bias
+    2^(W-1):
+
+        term(pos, e) = base(pos) + sum(e_i * lin[i])
+
+    base(pos) packs keyfn((pos, 0)) and lin[i], the unbiased packed
+    difference keyfn((pos, unit_i)) - keyfn((pos, 0)), does not depend on
+    pos.  While every field stays in [0, 2^W), int order is tuple order.
+    A codec probes keyfn for these; the codec of a Schreyer order comes
+    from its parent's codec (schreyer).
+
+    The guard keeps every field in range.  A term is in range when every
+    entry lies in [-LIMIT, LIMIT), LIMIT = 2^(W-4): packing checks its
+    input (total degree below LIMIT, and under a Schreyer order, whose
+    base shifts the exponent fields, the packed term too), division checks
+    every term it pops and the engine every S-pair lcm.  Terms of kernel
+    maps are in range, and a product s + (t - a) of three of them moves
+    each entry by less than 3 * LIMIT, so no field carries.
+
+    divides(a, b) is one masked test on b - a: the positions agree (the
+    pos field of the difference is 0) and no exponent field of the
+    difference has the wrong sign.  The exponent field of variable i is
+    the last field in which lin[i] is +-1 and every other lin is 0;
+    within one order they all carry one sign (-e for grevlex, +e for lex
+    and grlex).
+
+    Representations tracked by the engine are keyed by rep(j) + shift:
+    position j above all L fields, the monomial's shift in the fields
+    (bias included), so they take the same shifts as terms.
+    """
+
+    __slots__ = (
+        "keyfn", "lin", "limit", "rep_shift", "_shifted",
+        "_zero", "_bases", "_bias", "_bias_all", "_pos_shift", "_full",
+        "_doff", "_dmask", "_dpat", "_goff", "_gmask", "_gpat",
+        "_var_shifts", "_sign", "_shifts", "_lins", "_var_fields",
+    )
+
+    def __init__(self, keyfn, n: int, pos_field: int):
+        self.keyfn = keyfn
+        self._zero = (0,) * n
+        k0 = keyfn((0, self._zero))
+        lins = []
+        for i in range(n):
+            unit = tuple(int(j == i) for j in range(n))
+            lins.append([a - b for a, b in zip(keyfn((0, unit)), k0)])
+        var_fields = [None] * n
+        for j, col in enumerate(zip(*lins)):
+            sizes = list(map(abs, col))
+            if sum(sizes) == 1:  # the last such field wins
+                var_fields[sizes.index(1)] = j
+        if None in var_fields:
+            raise ValueError("the order key has no field for a variable's exponent")
+        self._layout(lins, var_fields, pos_field % len(k0))
+        self._shifted = False
+        self._bases = []
+
+    def _layout(self, lins: list, var_fields: list, pos_field: int) -> None:
+        """Set the packing of keys whose entry j moves by lins[i][j] per
+        unit of exponent i, with variable i's exponent in field
+        var_fields[i] and -pos in field pos_field."""
+        signs = {lins[i][j] for i, j in enumerate(var_fields)}
+        if len(signs) != 1:
+            raise ValueError("the exponent fields of one order must carry one sign")
+        W, L = FIELD_BITS, len(lins[0])
+        self._lins, self._var_fields, self._sign = lins, var_fields, signs.pop()
+        self._shifts = shifts = [W * (L - 1 - j) for j in range(L)]
+        ones = sum(1 << s for s in shifts)
+        top = 1 << (W - 1)
+        self._bias, self._bias_all, self._full = top, top * ones, (1 << W) - 1
+        self._pos_shift = shifts[pos_field]
+        self.lin = tuple(sum(d << s for d, s in zip(diff, shifts)) for diff in lins)
+        doff = dmask = dpat = 0
+        for j, s in enumerate(shifts):
+            off, mask, pat = top, 0, 0
+            if j == pos_field:
+                mask, pat = self._full, top
+            elif j in var_fields:
+                # d >= 0 sets the top bit of d + 2^(W-1); d <= 0 clears it in d + 2^(W-1) - 1
+                off, mask, pat = (top, top, top) if self._sign > 0 else (top - 1, top, 0)
+            doff, dmask, dpat = doff | off << s, dmask | mask << s, dpat | pat << s
+        self._doff, self._dmask, self._dpat = doff, dmask, dpat
+        # in range: entry + 2^(W-1) + LIMIT has top three bits 100
+        self.limit = 1 << (W - 4)
+        self._goff, self._gmask, self._gpat = self.limit * ones, (7 << (W - 3)) * ones, top * ones
+        self._var_shifts = [shifts[j] for j in var_fields]
+        self.rep_shift = W * L
+
+    def schreyer(self, keyfn, leads: list) -> "Codec":
+        """The codec of the Schreyer order keyfn induced by the lead terms
+        leads of this codec.  Its key of (pos, e) is this order's key of
+        leads[pos] * x^e followed by -pos (MonomialOrder.term_key), so it
+        packs one field more, and base(pos) is leads[pos] moved up one
+        field above bias - pos; nothing is probed."""
+        c = object.__new__(Codec)
+        c.keyfn, c._zero = keyfn, self._zero
+        c._layout([diff + [0] for diff in self._lins], self._var_fields, len(self._lins[0]))
+        c._shifted = True
+        c._bases = [(lead << FIELD_BITS) + c._bias - pos for pos, lead in enumerate(leads)]
+        return c
+
+    def base(self, pos: int) -> int:
+        """The term of the unit vector e_pos (monomial 1)."""
+        bases = self._bases
+        while len(bases) <= pos:
+            p = len(bases)
+            key = self.keyfn((p, self._zero))
+            b = self._bias_all + sum(k << s for k, s in zip(key, self._shifts))
+            # a key with exponent entries at e = 0 (a Schreyer order's) needs
+            # the guard test on packed input, not only the degree bound
+            self._shifted |= b != self._bias_all - (p << self._pos_shift)
+            bases.append(b)
+        return bases[pos]
+
+    def rep(self, j: int) -> int:
+        """The representation key of e_j (monomial 1)."""
+        return (j << self.rep_shift) + self._bias_all
+
+    def encode(self, num: dict, pos: int = 0) -> dict:
+        """The term map at position pos of the ring term map num; raises
+        ExponentOverflowError for a term beyond the exponent limit."""
+        if not num:
+            return {}
+        if max(map(sum, num)) >= self.limit:
+            raise ExponentOverflowError(
+                f"a term of total degree {max(map(sum, num))} is beyond the exponent limit {self.limit}"
+            )
+        b, lin = self.base(pos), self.lin
+        tm = {sum(map(mul, m, lin), b): c for m, c in num.items()}
+        if self._shifted:
+            for t in tm:
+                self.check(t)
+        return tm
+
+    def term(self, pos: int, exps: tuple) -> int:
+        """The checked term of (pos, exps)."""
+        return self.check(sum(map(mul, exps, self.lin), self.base(pos)))
+
+    def check(self, t: int) -> int:
+        """t, or ExponentOverflowError when a field of t is out of range."""
+        if (t + self._goff) & self._gmask != self._gpat:
+            raise ExponentOverflowError("a term grew beyond the exponent limit")
+        return t
+
+    def exponents(self, shift: int) -> tuple:
+        """The exponent tuple of the monomial with the given shift."""
+        v, full, bias = shift + self._bias_all, self._full, self._bias
+        if self._sign > 0:
+            return tuple([(v >> s & full) - bias for s in self._var_shifts])
+        return tuple([bias - (v >> s & full) for s in self._var_shifts])
+
+    def decode(self, t: int) -> tuple:
+        """(pos, exps) of the term t."""
+        pos = self._bias - ((t >> self._pos_shift) & self._full)
+        return pos, self.exponents(t - self._bases[pos])
+
+    def _exponent_tuples(self, biased: list):
+        """The exponent tuples of shifts given plus the bias, built one
+        variable (one field) at a time: a column per variable, zipped."""
+        full, bias = self._full, self._bias
+        if self._sign > 0:
+            cols = [[(v >> s & full) - bias for v in biased] for s in self._var_shifts]
+        else:
+            cols = [[bias - (v >> s & full) for v in biased] for s in self._var_shifts]
+        return zip(*cols)
+
+    def ring_terms(self, tm: dict) -> dict:
+        """The ring term map of a term map at position 0."""
+        if not tm:
+            return {}
+        off = self._bias_all - self.base(0)
+        return dict(zip(self._exponent_tuples([t + off for t in tm]), tm.values()))
+
+    def decode_terms(self, tm: dict):
+        """(pos, exps) of each term of tm, in its order."""
+        full, bias, bases, ps, ba = self._full, self._bias, self._bases, self._pos_shift, self._bias_all
+        pos = [bias - (t >> ps & full) for t in tm]
+        return zip(pos, self._exponent_tuples([t - bases[p] + ba for t, p in zip(tm, pos)]))
+
+    def transcode(self, tm: dict, src: "Codec") -> dict:
+        """The term map tm of the codec src, as terms of this codec."""
+        term = self.term
+        return {term(*pe): c for pe, c in zip(src.decode_terms(tm), tm.values())}
+
+    def divides(self, a: int, b: int) -> bool:
+        """True when the term a divides the term b (same position)."""
+        return (b - a + self._doff) & self._dmask == self._dpat
 
 
-def add_scaled_inplace(dst, src, coeff, mono, fresh=None):
-    """dst += coeff * x^mono * src, dropping cancelled terms.  The keys it
-    adds to dst are appended to the list fresh when one is given."""
+def add_scaled_inplace(dst, src, coeff, shift):
+    """dst += coeff * x^m * src for the shift of x^m, on term maps of one
+    codec or representation maps keyed from Codec.rep, dropping cancelled
+    terms."""
     get = dst.get
-    for (pos, e), c in src.items():
-        k = (pos, tuple(map(add, e, mono)))
+    for t, c in src.items():
+        k = t + shift
         acc = get(k)
         if acc is None:
             dst[k] = coeff * c
-            if fresh is not None:
-                fresh.append(k)
         else:
             acc = acc + coeff * c
             if acc:
@@ -131,55 +337,46 @@ def primitive(tm, lead):
     return {k: v // c for k, v in tm.items()}, c
 
 
-class HeapKeys(dict):
-    """Memo of heap keys of one order, term key -> negated order key, so
-    the largest term has the smallest heap key.  keyfn is the order: it
-    maps a term key to a flat tuple of ints, all of one length.  One memo
-    serves each order within a call, shared by the engine and every
-    reduction after it."""
-
-    __slots__ = ("keyfn",)
-
-    def __init__(self, keyfn):
-        super().__init__()
-        self.keyfn = keyfn
-
-    def __missing__(self, t):
-        v = self[t] = tuple([-x for x in self.keyfn(t)])
-        return v
-
-
-def reduce_terms(f, divisors, keys, want_quotients):
+def reduce_terms(f, divisors, codec, want_quotients):
     """Full multivariate pseudo-division of an integer term map by integer
-    divisors.
+    divisors, all terms of codec.
 
     Returns (quotients, remainder, multiplier): integer term maps and a
     positive int m with m * f = sum(q_i * g_i) + remainder, no remainder
     term divisible by any divisor lead, and every step strictly
     decreasing, so lead(q_i * g_i) <= lead(f).  The remainder lists its
-    terms in decreasing order, lead first.  Quotients are ring term maps
-    {exponent-tuple: int} (no position), or None when want_quotients is
-    false.  keys is the HeapKeys memo of the order.
+    terms in decreasing order, lead first.  Quotients map shifts to
+    coefficients, or are None when want_quotients is false.
 
     Each step cancels the largest term of the work set against the first
     divisor whose lead divides it, exactly as division over Q does, so
     (remainder / m, q_i / m) is the rational division of f by the g_i.
+    The work set is a heap of negated terms, and every term popped from
+    it passes the codec's guard before it is divided.
     """
     work = dict(f)
-    heap = [(keys[t], t) for t in work]
+    get = work.get
+    heap = [-t for t in work]
     heapify(heap)
+    doff, dmask, dpat = codec._doff, codec._dmask, codec._dpat
+    goff, gmask, gpat = codec._goff, codec._gmask, codec._gpat
+    # t - (lead - doff) is the shift plus doff, which one mask tests
+    divs = [(lk - doff, lc, g) for lk, lc, g in divisors]
     mult = 1
     rem = []  # (term, coefficient, multiplier when it left the work set)
-    steps = []  # (divisor index, monomial, coefficient, multiplier after the step)
+    steps = []  # (divisor index, shift, coefficient, multiplier after the step)
     while heap:
-        t = heappop(heap)[1]
-        c = work.get(t)
+        t = -heappop(heap)
+        c = get(t)
         if c is None:  # cancelled, or pushed twice
             continue
-        tpos, texp = t
-        for i, (lk, lc, g) in enumerate(divisors):
-            if lk[0] != tpos or not all(map(le, lk[1], texp)):
+        if (t + goff) & gmask != gpat:
+            codec.check(t)
+        for i, (lkd, lc, g) in enumerate(divs):
+            m = t - lkd
+            if m & dmask != dpat:
                 continue
+            m -= doff
             h = gcd(c, lc)
             a, b = lc // h, c // h
             if a < 0:
@@ -188,11 +385,19 @@ def reduce_terms(f, divisors, keys, want_quotients):
                 mult *= a
                 for k in work:
                     work[k] *= a
-            m = tuple(map(sub, texp, lk[1]))
-            fresh = []
-            add_scaled_inplace(work, g, -b, m, fresh)
-            for k in fresh:
-                heappush(heap, (keys[k], k))
+            # work -= b * x^m * g, pushing the terms it adds
+            for s, cs in g.items():
+                k = s + m
+                acc = get(k)
+                if acc is None:
+                    work[k] = -b * cs
+                    heappush(heap, -k)
+                else:
+                    acc -= b * cs
+                    if acc:
+                        work[k] = acc
+                    else:
+                        del work[k]
             if want_quotients:
                 steps.append((i, m, b, mult))
             break

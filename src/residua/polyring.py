@@ -11,6 +11,7 @@ free-module cases.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,6 +58,10 @@ class MonomialOrder:
         ring_key   lex (*e)   grlex (deg, *e)   grevlex (deg, -e_n, ..., -e_1)
         term_key   pot (-pos, *ring_key)        top (*ring_key, -pos)
                    schreyer (*parent.term_key(pos's lead * e), -pos)
+
+    Every entry is affine in e at a fixed position, so codec(n) packs
+    term_key into one int per term (kernel.Codec), and the engine compares,
+    multiplies and divides terms as ints in exactly this order.
     """
 
     kind: str = "grevlex"
@@ -94,6 +99,11 @@ class MonomialOrder:
         shifted = (ppos, kernel.exp_add(pexps, exps))
         return (*self.schreyer_parent.term_key(shifted), -pos)
 
+    def codec(self, n: int) -> kernel.Codec:
+        """The kernel codec of this order over n variables: one shared per
+        base order and n, a new one for a Schreyer order."""
+        return _codec(self, n)
+
     def with_module_rule(self, rule: str) -> "MonomialOrder":
         return MonomialOrder(self.kind, rule)
 
@@ -101,6 +111,18 @@ class MonomialOrder:
         """Order induced on a syzygy module by the parent generators' leads
         (the parent may itself be a Schreyer order)."""
         return MonomialOrder(self.kind, "schreyer", tuple(leads), self)
+
+
+@functools.lru_cache(maxsize=64)
+def _base_codec(order: MonomialOrder, n: int) -> kernel.Codec:
+    return kernel.Codec(order.term_key, n, 0 if order.module_rule == "pot" else -1)
+
+
+def _codec(order: MonomialOrder, n: int) -> kernel.Codec:
+    if order.module_rule != "schreyer":
+        return _base_codec(order, n)
+    parent = _codec(order.schreyer_parent, n)
+    return parent.schreyer(order.term_key, [parent.term(*lead) for lead in order.schreyer_leads])
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -202,10 +224,12 @@ class Polynomial:
     ring term map {exponents: int} without zero terms, den a positive int
     with gcd(den, content of num) = 1.  Each polynomial has exactly one
     such pair, and equality and hashing compare it.  The Fraction term
-    map .terms is a view built on access.
+    map .terms is a view built on access.  An element of a reduced basis
+    built by the engine also keeps its kernel divisor, as (codec,
+    divisor) in _kernel, for kernel_divisors to reuse.
     """
 
-    __slots__ = ("ring", "num", "den")
+    __slots__ = ("ring", "num", "den", "_kernel")
 
     def __init__(self, ring: PolynomialRing, terms: dict):
         """The polynomial with term map {exponent tuple: int or Fraction};
@@ -527,41 +551,52 @@ class PolyVector:
     __repr__ = __str__
 
 
-# -- the kernel term-map layer: keys (position, exponents), position 0 in a ring
+# -- the kernel term-map layer: packed terms of one kernel.Codec
 
 
-def to_terms(x) -> tuple:
-    """(tm, den) of a Polynomial or PolyVector x: the integer kernel term
-    map tm and the positive int den with x = tm / den, in lowest terms."""
+def to_terms(x, codec: kernel.Codec) -> tuple:
+    """(tm, den) of a Polynomial or PolyVector x: the integer term map tm
+    of codec and the positive int den with x = tm / den, in lowest terms.
+    Raises kernel.ExponentOverflowError beyond the exponent limit."""
     if isinstance(x, Polynomial):
-        return {(0, m): c for m, c in x.num.items()}, x.den
+        return codec.encode(x.num), x.den
     den = lcm(*[p.den for p in x.entries])
-    scaled = [(pos, p.num, den // p.den) for pos, p in enumerate(x.entries)]
-    return {(pos, m): c * s for pos, num, s in scaled for m, c in num.items()}, den
+    tm = {}
+    for pos, p in enumerate(x.entries):
+        s = den // p.den
+        tm.update((t, c * s) for t, c in codec.encode(p.num, pos).items())
+    return tm, den
 
 
-def from_terms(like, tm: dict, den: int = 1):
-    """The element tm / den, for an integer term map tm without zero terms
-    and a positive int den, of the same kind, ring and rank as like."""
+def from_terms(like, tm: dict, den: int, codec: kernel.Codec):
+    """The element tm / den, for an integer term map tm of codec without
+    zero terms and a positive int den, of the same kind, ring and rank as
+    like."""
     ring = like.ring
     if isinstance(like, Polynomial):
-        return Polynomial.from_kernel(ring, {m: c for (_, m), c in tm.items()}, den)
+        return Polynomial.from_kernel(ring, codec.ring_terms(tm), den)
     per = [{} for _ in like.entries]
-    for (pos, m), c in tm.items():
+    for (pos, m), c in zip(codec.decode_terms(tm), tm.values()):
         per[pos][m] = c
     return PolyVector(ring, tuple(Polynomial.from_kernel(ring, t, den) for t in per))
 
 
-def kernel_divisors(elements, order: MonomialOrder) -> tuple:
-    """(divisors, dens): the integer kernel divisor (lead key, lead
-    coefficient, term map) of each nonzero element, and d_i with divisor
-    i = d_i * element i."""
+def kernel_divisors(elements, codec: kernel.Codec) -> tuple:
+    """(divisors, dens): the integer kernel divisor (lead term, lead
+    coefficient, term map) of each nonzero element under codec, and d_i
+    with divisor i = d_i * element i.  An engine-built basis element of
+    the same codec brings its divisor along."""
     out, dens = [], []
     for g in elements:
-        tm, d = to_terms(g)
+        kept = getattr(g, "_kernel", None)
+        if kept is not None and kept[0] is codec:
+            out.append(kept[1])
+            dens.append(g.den)
+            continue
+        tm, d = to_terms(g, codec)
         if not tm:
             raise ValueError("zero divisor in division")
-        lk = max(tm, key=order.term_key)
+        lk = max(tm)
         out.append((lk, tm[lk], tm))
         dens.append(d)
     return out, dens
@@ -588,16 +623,17 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
             raise RingMismatchError("divisor mismatch")
         if isinstance(f, PolyVector) and g.rank != f.rank:
             raise ValueError("divisor rank mismatch")
-    order = order or f.ring.default_order
-    num, den = to_terms(f)
-    divs, dens = kernel_divisors(divisors, order)
-    quots, rem, mult = kernel.reduce_terms(num, divs, kernel.HeapKeys(order.term_key), True)
+    codec = (order or f.ring.default_order).codec(f.ring.n)
+    num, den = to_terms(f, codec)
+    divs, dens = kernel_divisors(divisors, codec)
+    quots, rem, mult = kernel.reduce_terms(num, divs, codec, True)
     # mult * den * f = sum(q_i * d_i * g_i) + rem
     d = mult * den
+    exponents = codec.exponents
     return [
-        Polynomial.from_kernel(f.ring, {m: c * di for m, c in q.items()}, d)
+        Polynomial.from_kernel(f.ring, {exponents(m): c * di for m, c in q.items()}, d)
         for q, di in zip(quots, dens)
-    ], from_terms(f, rem, d)
+    ], from_terms(f, rem, d, codec)
 
 
 # ---------------------------------------------------------------------------

@@ -171,8 +171,8 @@ from residua.cli import run_script
 reduce_terms = groebner.kernel.reduce_terms
 armed = [True]
 
-def corrupted(f, divisors, keys, want_quotients):
-    quots, rem, mult = reduce_terms(f, divisors, keys, want_quotients)
+def corrupted(f, divisors, codec, want_quotients):
+    quots, rem, mult = reduce_terms(f, divisors, codec, want_quotients)
     if armed[0] and want_quotients and not rem:
         armed[0] = False
         rem = dict(f)

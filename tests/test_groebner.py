@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly, random_nonzero_poly
-from residua import groebner, kernel
+from residua import groebner, kernel, polyring
 from residua.homalg import free_resolution
 from residua.groebner import (
     INFINITE_CODIM,
@@ -31,6 +31,7 @@ from residua.groebner import (
 )
 from residua.polyring import (
     LEX,
+    MonomialOrder,
     Polynomial,
     PolynomialRing,
     PolyVector,
@@ -129,6 +130,37 @@ def test_normal_form_idempotent_randomized():
         f = random_poly(rng, R2, max_deg=5)
         r = normal_form(f, gb)
         assert normal_form(r, gb) == r
+
+
+def test_normal_form_reuses_the_divisors_of_an_engine_basis(monkeypatch):
+    # the basis keeps its packed divisors for the default order's codec:
+    # normal_form packs only f; under lex, or for a copied basis, it packs
+    # every element again and answers the same
+    I = Ideal(R2, (R2.poly("x^2 - y"), R2.poly("x*y - 1")))
+    gb = list(I.groebner())
+    copies = [Polynomial(R2, g.terms) for g in gb]
+    packed = []
+    real = polyring.to_terms
+
+    def spy(x, codec):
+        packed.append(x)
+        return real(x, codec)
+
+    monkeypatch.setattr(polyring, "to_terms", spy)
+    monkeypatch.setattr(groebner, "to_terms", spy)
+    f = R2.poly("x^3*y^2 + 2*x*y - y^3")
+    r = normal_form(f, gb)
+    assert packed == [f]
+    assert normal_form(f, copies) == r
+    assert len(packed) == 2 + len(gb)
+    lex = normal_form(f, gb, LEX)
+    assert lex == normal_form(f, copies, LEX)
+
+
+def test_rank_one_module_basis_matches_the_ideal_basis():
+    gens = [R2.poly("x^2 - y"), R2.poly("x*y - 1")]
+    vecs = groebner_basis(SubmoduleBasis(R2, 1, [PolyVector(R2, (g,)) for g in gens]))
+    assert [v.entries[0] for v in vecs] == groebner_basis(Ideal(R2, gens))
 
 
 def test_normal_form_through_context():
@@ -307,11 +339,11 @@ def spy_graded(monkeypatch, ring):
     calls = []
     real = groebner._graded_prune
 
-    def spy(cands, keys, rank, shifts):
-        out = real(cands, keys, rank, shifts)
+    def spy(cands, codec, rank, shifts):
+        out = real(cands, codec, rank, shifts)
         zero = PolyVector(ring, [ring.zero()] * rank)
-        vecs = None if out is None else [from_terms(zero, *cand) for cand in out]
-        calls.append(([from_terms(zero, *cand) for cand in cands], shifts, vecs))
+        vecs = None if out is None else [from_terms(zero, *cand, codec) for cand in out]
+        calls.append(([from_terms(zero, *cand, codec) for cand in cands], shifts, vecs))
         return out
 
     monkeypatch.setattr(groebner, "_graded_prune", spy)
@@ -429,27 +461,25 @@ def test_context_takes_the_loop(monkeypatch):
     assert syz.gens == loop_syzygies(monkeypatch, Ideal(R3, gens), ctx).gens
 
 
-def count_heap_keys(monkeypatch):
-    """The keyfn of every kernel.HeapKeys memo built while patched."""
+def count_codecs(monkeypatch):
+    """The order of every kernel codec asked for while patched."""
     built = []
+    real = MonomialOrder.codec
 
-    class Counted(kernel.HeapKeys):
-        __slots__ = ()
+    def counted(order, n):
+        built.append(order)
+        return real(order, n)
 
-        def __init__(self, keyfn):
-            super().__init__(keyfn)
-            built.append(keyfn)
-
-    monkeypatch.setattr(kernel, "HeapKeys", Counted)
+    monkeypatch.setattr(MonomialOrder, "codec", counted)
     return built
 
 
 def test_syzygies_builds_one_heap_key_memo_per_order(monkeypatch):
-    # the loop path: one memo for the input order, one for the Schreyer
+    # the loop path: one codec for the input order, one for the Schreyer
     # order (its reduced basis and the graded test), one for every loop test
     gens = [RZW.poly("z^3 - w^2"), RZW.poly("z*w"), RZW.poly("w^3")]
     members = count_module_member(monkeypatch)
-    built = count_heap_keys(monkeypatch)
+    built = count_codecs(monkeypatch)
     syzygies(Ideal(RZW, gens))
     assert len(members) > 1
     assert len(built) == 3
@@ -458,7 +488,7 @@ def test_syzygies_builds_one_heap_key_memo_per_order(monkeypatch):
 def test_syzygies_over_a_context_adds_only_the_relations_reducer_memo(monkeypatch):
     cusp = QuotientContext(RZW, Ideal(RZW, (RZW.poly("z^3 - w^2"),)))
     members = count_module_member(monkeypatch)
-    built = count_heap_keys(monkeypatch)
+    built = count_codecs(monkeypatch)
     syzygies(Ideal(RZW, (RZW.poly("z"), RZW.poly("w"))), cusp)
     assert members
     assert len(built) == 4
@@ -542,19 +572,20 @@ def reference_syzygies(obj, context=None):
     else:
         ring, order, rank = obj.ring, obj.order, obj.rank
     s = len(obj.gens)
-    inputs = [to_terms(g) for g in obj.gens]
+    codec = order.codec(ring.n)
+    inputs = [to_terms(g, codec) for g in obj.gens]
     if context is not None:
-        inputs += groebner._relation_terms(context, rank, order)
-    raw = groebner._syzygies_termmaps(inputs, kernel.HeapKeys(order.term_key), rank)
+        inputs += groebner._relation_terms(context, rank, codec, order)
+    raw = groebner._syzygies_termmaps(inputs, codec, rank)
     zero = PolyVector(ring, [ring.zero()] * s)
     vecs = []
     for tm in raw:
-        v = from_terms(zero, *kernel.integer_terms({k: c for k, c in tm.items() if k[0] < s}))
+        v = from_terms(zero, *kernel.integer_terms(groebner._from_reps(tm, codec, s)), codec)
         if context is not None:
             v = context.reduce(v, order)
         if not v.is_zero():
             vecs.append(v.monic(order))
-    sch = order.schreyer([max(tm, key=order.term_key) for tm, _ in inputs[:s]])
+    sch = order.schreyer([codec.decode(max(tm)) for tm, _ in inputs[:s]])
     seen, unique = set(), []
     for v in vecs:
         if v.entries not in seen:
@@ -623,9 +654,9 @@ def test_syzygies_build_vectors_for_kept_generators_only(monkeypatch, ring, gens
     members = []
     real_from_terms, real_init = groebner.from_terms, SubmoduleBasis.__init__
 
-    def spy_from_terms(like, tm, den=1):
+    def spy_from_terms(like, tm, den, codec):
         built.append(tm)
-        return real_from_terms(like, tm, den)
+        return real_from_terms(like, tm, den, codec)
 
     def spy_init(self, *args, **kwargs):
         bases.append(args)

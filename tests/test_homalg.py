@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from residua import groebner, homalg, kernel
+from residua import groebner, homalg
 from residua.groebner import (
     Ideal,
     InvariantError,
@@ -361,13 +361,21 @@ def test_generic_rank_of_a_wide_rank_three_matrix():
 
 
 def test_fraction_free_division_must_be_exact():
-    keys = kernel.HeapKeys(XY.default_order.term_key)
-    two_xy = ((0, (1, 1)), 2, {(0, (1, 1)): 2})
-    assert homalg._exact_quotient({(2, 1): 6, (1, 2): -4}, two_xy, keys) == {(1, 0): 3, (0, 1): -2}
-    two_x = ((0, (1, 0)), 2, {(0, (1, 0)): 2})
+    codec = XY.default_order.codec(XY.n)
+
+    def divisor(num):
+        ((lead, c),) = codec.encode(num).items()
+        return (lead, c, {lead: c})
+
+    def exact_quotient(f, g):
+        return codec.ring_terms(homalg._exact_quotient(codec.encode(f), g, codec))
+
+    two_xy = divisor({(1, 1): 2})
+    assert exact_quotient({(2, 1): 6, (1, 2): -4}, two_xy) == {(1, 0): 3, (0, 1): -2}
+    two_x = divisor({(1, 0): 2})
     for f in ({(2, 0): 3}, {(0, 2): 2}, {(2, 0): 2, (0, 0): 1}):
         with pytest.raises(InvariantError):
-            homalg._exact_quotient(f, two_x, keys)
+            exact_quotient(f, two_x)
 
 
 def test_expected_ranks_alternating_sum():
