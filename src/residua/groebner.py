@@ -265,8 +265,8 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
             continue
         # chain criterion
         skip = False
-        for k in range(len(divisors)):
-            if k in (i, j) or not divides(divisors[k][0], lcm):
+        for k in codec.dividing([d[0] for d in divisors], lcm):
+            if k == i or k == j:
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))

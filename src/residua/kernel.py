@@ -262,6 +262,11 @@ class Codec:
         """True when the term a divides the term b (same position)."""
         return (b - a + self._doff) & self._dmask == self._dpat
 
+    def dividing(self, terms: list, b: int) -> list:
+        """The indices of the terms that divide the term b."""
+        b, dmask, dpat = b + self._doff, self._dmask, self._dpat
+        return [k for k, a in enumerate(terms) if (b - a) & dmask == dpat]
+
 
 def add_scaled_inplace(dst, src, coeff, shift):
     """dst += coeff * x^m * src for the shift of x^m, on term maps of one
