@@ -243,7 +243,6 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
 
     pairs = []  # heap of (lcm term, i, j)
     done = set()
-    divides = codec.divides
     base0 = codec.base(0)
 
     def push_pair(i, j):
@@ -305,7 +304,7 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
     kept: list = []
     for k in sorted(range(len(divisors)), key=lambda k: divisors[k][0]):
         lk = divisors[k][0]
-        if any(divides(divisors[m][0], lk) for m in kept):
+        if codec.dividing([divisors[m][0] for m in kept], lk):
             continue
         kept.append(k)
     divisors = [divisors[k] for k in kept]

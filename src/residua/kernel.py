@@ -93,12 +93,12 @@ class Codec:
     maps are in range, and a product s + (t - a) of three of them moves
     each entry by less than 3 * LIMIT, so no field carries.
 
-    divides(a, b) is one masked test on b - a: the positions agree (the
-    pos field of the difference is 0) and no exponent field of the
-    difference has the wrong sign.  The exponent field of variable i is
-    the last field in which lin[i] is +-1 and every other lin is 0;
-    within one order they all carry one sign (-e for grevlex, +e for lex
-    and grlex).
+    A term a divides a term b when one masked test on b - a passes
+    (dividing): the positions agree (the pos field of the difference is
+    0) and no exponent field of the difference has the wrong sign.  The
+    exponent field of variable i is the last field in which lin[i] is +-1
+    and every other lin is 0; within one order they all carry one sign
+    (-e for grevlex, +e for lex and grlex).
 
     Representations tracked by the engine are keyed by rep(j) + shift:
     position j above all L fields, the monomial's shift in the fields
@@ -257,10 +257,6 @@ class Codec:
         """The term map tm of the codec src, as terms of this codec."""
         term = self.term
         return {term(*pe): c for pe, c in zip(src.decode_terms(tm), tm.values())}
-
-    def divides(self, a: int, b: int) -> bool:
-        """True when the term a divides the term b (same position)."""
-        return (b - a + self._doff) & self._dmask == self._dpat
 
     def dividing(self, terms: list, b: int) -> list:
         """The indices of the terms that divide the term b."""

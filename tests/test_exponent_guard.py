@@ -16,7 +16,7 @@ XY = PolynomialRing(("x", "y"))
 
 
 def test_trap_ideal_keeps_its_basis():
-    # exponents past 2^32: fields narrower than the exponents once gave
+    # exponents past 2^32: unguarded 32-bit fields would carry and give
     # x^1215752206 - y^3 here
     I = Ideal(XY, [XY.poly("x^99999999999*y - y^2"), XY.poly("x^3 - y^5")])
     assert [str(g) for g in groebner_basis(I)] == [

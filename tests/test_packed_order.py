@@ -61,6 +61,6 @@ def test_packed_terms_are_the_order(data):
     assert (es < et, es == et) == (ks < kt, ks == kt)
     lin_m = sum(map(mul, m, codec.lin))
     assert et + lin_m == codec.term(t[0], kernel.exp_add(t[1], m))
-    assert codec.divides(es, et) == (s[0] == t[0] and kernel.exp_divides(s[1], t[1]))
+    assert bool(codec.dividing([es], et)) == (s[0] == t[0] and kernel.exp_divides(s[1], t[1]))
     assert codec.decode(et) == t
     assert codec.encode({t[1]: 1}, t[0]) == {et: 1}
