@@ -596,7 +596,7 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
         loop_codec = ring.default_order.codec(ring.n)
         loop = [(loop_codec.transcode(p, sch_codec), lc) for p, lc in cands]
         kept = []
-        for i, cand in enumerate(cands):
+        for i in range(len(cands)):
             others = [loop[k] for k in kept] + loop[i + 1 :]
             if others and _member_terms(loop[i][0], others, s, loop_codec, context):
                 continue
@@ -609,10 +609,9 @@ def _basis_degrees(inputs: Sequence[tuple], rank: int, codec):
     """Degrees a of the basis vectors e_0..e_{rank-1} for which the term
     map of every engine input (tm, den, terms of codec) is homogeneous
     (sum(m) + a[pos] is one value over its terms), or None when there are
-    none.  Positions
-    that no input links are put at degree 0 relative to each other; that
-    shifts every degree of one linked class by a constant, which no
-    homogeneity test sees."""
+    none.  Positions that no input links are put at degree 0 relative to
+    each other; that shifts every degree of one linked class by a
+    constant, which no homogeneity test sees."""
     links = [[] for _ in range(rank)]  # (q, a[q] - a[p]) for each position p
     for tm, _ in inputs:
         (p, m), *rest = codec.decode_terms(tm)
