@@ -19,8 +19,10 @@ integer form (polyring.to_terms and from_terms: a term map over one
 denominator, packed and unpacked by the codec), bases made monic by
 taking the lead coefficient as the denominator, remainders and quotients
 by taking the multiplier into it, so answers are exactly those of the
-computation over Q, byte for byte.  Only the tracked representations
-(reps) of the engine carry Fraction coefficients.
+computation over Q, byte for byte.  The representations the engine
+tracks, of its basis elements over the inputs, take the same form: an
+integer map over one positive denominator (_combine), so no Fraction
+enters the engine.
 
 Quotient rings Q[x]/I_Z appear as contexts: membership, normal forms and
 syzygies over the quotient are computed by appending I_Z relations to the
@@ -29,9 +31,8 @@ ambient problem and projecting back.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from residua import kernel
@@ -190,15 +191,22 @@ def _cofactors(ci, cj):
     return cj // h, ci // h
 
 
-def _scale_terms(tm: dict, c) -> dict:
-    return {k: v * c for k, v in tm.items()}
-
-
-def _add_quotient_sum(dst: dict, quots, reps, sign: int) -> None:
-    """dst += sign * sum_k quots[k] * reps[k], the quotients keyed by shift."""
-    for q, rep in zip(quots, reps):
-        for m, b in q.items():
-            kernel.add_scaled_inplace(dst, rep, sign * b, m)
+def _combine(parts: list, c: int = 1, quots=(), reps=()) -> tuple:
+    """The representation (rep, den) of (sum(a * x^m * rep_i / den_i) -
+    sum_k quots[k] * reps[k]) / c, over the parts (a, shift m, (rep_i,
+    den_i)) and the quotients keyed by shift: the integer map rep over
+    den > 0, coprime to its content.  Each map is added once, scaled to
+    the lcm of the denominators."""
+    parts = parts + [(-b, m, rep) for q, rep in zip(quots, reps) for m, b in q.items()]
+    den = lcm(*[d for _, _, (_, d) in parts])
+    out: dict = {}
+    for a, m, (rep, d) in parts:
+        kernel.add_scaled_inplace(out, rep, a * (den // d), m)
+    den *= c
+    g = gcd(den, *out.values()) * (1 if c > 0 else -1)
+    if g == 1:
+        return out, den
+    return {k: v // g for k, v in out.items()}, den // g
 
 
 def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool):
@@ -212,11 +220,13 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
              coefficient, primitive integer term map: content 1, positive
              lead coefficient), sorted descending by lead;
              tm / lc is the monic basis element over Q
-      reps   basis[k] = sum(reps[k]) over the inputs (Fraction maps keyed
-             by codec.rep(j) + shift for input j); None when track is false
+      reps   (rep_k, den_k) with den_k * basis[k] = sum(rep_k) over the
+             inputs: rep_k an integer map keyed by codec.rep(j) + shift
+             for input j, den_k > 0 coprime to its content (see
+             _combine); None when track is false
       exprs  (d_j, quots_j) with d_j * inputs[j] = sum_k quots_j[k] *
-             basis[k] (d_j a Fraction, quotients integer maps keyed by
-             shift); None when track is false
+             basis[k] (d_j a positive int, quotients integer maps keyed
+             by shift); None when track is false
 
     The monic basis, and the reps divided by the lead coefficients, are
     exactly those of the same computation over Q (see the module docstring).
@@ -229,17 +239,14 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
     divisors = []  # (lead term, lead coefficient, primitive term map)
     lead_exps = []
     reps = []
-    scaled = []  # (s_j, the integer term map s_j * inputs[j])
     for j, (tm, den) in enumerate(inputs):
         if not tm:
             raise InvariantError("engine inputs must be nonzero")
         lk = max(tm)
-        p, c = kernel.primitive(tm, lk)
-        scale = Fraction(den, c)
-        scaled.append((scale, p))
+        p, c = kernel.primitive(tm, lk)  # c * p = den * inputs[j]
         divisors.append((lk, p[lk], p))
         lead_exps.append(codec.decode(lk))
-        reps.append({codec.rep(j): scale} if track else None)
+        reps.append(({codec.rep(j): den if c > 0 else -den}, abs(c)) if track else None)
 
     pairs = []  # heap of (lcm term, i, j)
     done = set()
@@ -286,12 +293,7 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
         p, c = kernel.primitive(rem, lk)
         rep = None
         if track:
-            rep = {}
-            kernel.add_scaled_inplace(rep, reps[i], mult * ai, ui)
-            kernel.add_scaled_inplace(rep, reps[j], -mult * aj, uj)
-            _add_quotient_sum(rep, quots, reps, -1)
-            if c != 1:
-                rep = _scale_terms(rep, Fraction(1, c))
+            rep = _combine([(mult * ai, ui, reps[i]), (-mult * aj, uj, reps[j])], c, quots, reps)
         t = len(divisors)
         divisors.append((lk, p[lk], p))
         lead_exps.append(codec.decode(lk))
@@ -318,11 +320,7 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
         quots, rem, mult = kernel.reduce_terms(g, others, codec, track)
         p, c = kernel.primitive(rem, lk)  # the lead is not reducible
         if track:
-            rep = _scale_terms(reps[idx], mult)
-            _add_quotient_sum(rep, quots, reps[:idx] + reps[idx + 1 :], -1)
-            if c != 1:
-                rep = _scale_terms(rep, Fraction(1, c))
-            reps[idx] = rep
+            reps[idx] = _combine([(mult, 0, reps[idx])], c, quots, reps[:idx] + reps[idx + 1 :])
         divisors[idx] = (lk, p[lk], p)
 
     ranked = sorted(range(len(divisors)), key=lambda k: divisors[k][0], reverse=True)
@@ -331,11 +329,11 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
         return basis, None, None
     reps = [reps[k] for k in ranked]
     exprs = []
-    for scale, p in scaled:
-        quots, rem, mult = kernel.reduce_terms(p, basis, codec, True)
+    for tm, den in inputs:
+        quots, rem, mult = kernel.reduce_terms(tm, basis, codec, True)
         if rem:
             raise InvariantError("input does not reduce to zero against its own basis")
-        exprs.append((mult * scale, quots))
+        exprs.append((mult * den, quots))
     return basis, reps, exprs
 
 
@@ -463,15 +461,15 @@ def _member_terms(tm: dict, gens: list, rank: int, codec, context: Context) -> b
 
 def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
     """Generators of the syzygy module of the given engine inputs (nonzero
-    tm, den, terms of codec), as Fraction maps keyed by codec.rep(j) +
-    shift for input j.
+    tm, den, terms of codec), each up to a nonzero rational factor as an
+    integer map keyed by codec.rep(j) + shift for input j.
 
     Schreyer's construction on the reduced basis, pushed back through the
     transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B).
     """
     basis, reps, exprs = _engine(inputs, codec, rank, True)
     leads = [codec.decode(lk) for lk, _, _ in basis]
-    out = []  # each syzygy up to a nonzero rational factor
+    out = []
     # pair syzygies of the reduced basis, mapped through A
     for j, (lj, cj, gj) in enumerate(basis):
         pos, ej = leads[j]
@@ -487,16 +485,12 @@ def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
             quots, rem, mult = kernel.reduce_terms(sp, basis, codec, True)
             if rem:
                 raise InvariantError("S-pair of a Groebner basis must reduce to zero")
-            syz: dict = {}
-            kernel.add_scaled_inplace(syz, reps[i], mult * ai, ui)
-            kernel.add_scaled_inplace(syz, reps[j], -mult * aj, uj)
-            _add_quotient_sum(syz, quots, reps, -1)
+            syz, _ = _combine([(mult * ai, ui, reps[i]), (-mult * aj, uj, reps[j])], 1, quots, reps)
             if syz:
                 out.append(syz)
     # columns of Id - A*B
     for j, (d, quots) in enumerate(exprs):
-        col = {codec.rep(j): d}
-        _add_quotient_sum(col, quots, reps, -1)
+        col, _ = _combine([(d, 0, ({codec.rep(j): 1}, 1))], 1, quots, reps)
         if col:
             out.append(col)
     return out
@@ -555,13 +549,21 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     zero = PolyVector(ring, [ring.zero()] * s)
     seen = set()
     cands = []  # (p, lc): terms of sch_codec
+    # z * e_p for each relation basis element z and p < s, as kernel
+    # divisors of either codec: a Groebner basis of I_Z * F under any
+    # module order that is the ring order at each position
+    relations = {}
+    if context is not None:
+        for c in (codec, sch_codec):
+            terms = [tm for tm, _ in _relation_terms(context, s, c, order)]
+            relations[c] = [(max(tm), tm[max(tm)], tm) for tm in terms]
 
     def offer(tm, tm_codec):
         """Reduce the integer term map tm of tm_codec modulo the context,
         make it monic under the order of tm_codec and keep it, as terms of
         the Schreyer order, unless it is zero or already a candidate."""
         if context is not None:
-            tm = to_terms(context.reduce(from_terms(zero, tm, 1, tm_codec), order), tm_codec)[0]
+            _, tm, _ = kernel.reduce_terms(tm, relations[tm_codec], tm_codec, False)
         if not tm:
             return
         lk = max(tm)
@@ -576,7 +578,7 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
 
     # syzygy coordinates beyond s belong to the relation multiples: drop them
     for tm in _syzygies_termmaps(inputs, codec, rank):
-        offer(kernel.integer_terms(_from_reps(tm, codec, s))[0], codec)
+        offer(_from_reps(tm, codec, s), codec)
     # the transformation formula can emit several multiples of one simpler
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
@@ -670,7 +672,7 @@ def _graded_prune(cands: list, codec, rank: int, shifts: list):
                     kept.add(i)
                     break
                 a, b = _cofactors(nf[lk], row[lk])
-                nf = _scale_terms(nf, a)
+                nf = {k: v * a for k, v in nf.items()}
                 kernel.add_scaled_inplace(nf, row, -b, 0)
     return [cands[i] for i in sorted(kept)]
 
@@ -679,37 +681,41 @@ def _graded_prune(cands: list, codec, rank: int, shifts: list):
 
 
 class ModuleLifter:
-    """Solves sum(q_i * gens_i) = target repeatedly over one generator list."""
+    """Solves sum(q_i * gens_i) = target repeatedly over one generator list.
+    A zero generator gets coefficient 0."""
 
     def __init__(self, ring, rank: int, gens: Sequence[PolyVector], order=None):
         self.ring = ring
         self.rank = rank
         self.order = order or ring.default_order
         self.gens = list(gens)
-        # coefficient vectors have one position per generator
-        self._coeffs = PolyVector(ring, [ring.zero()] * len(self.gens))
-        if self.gens:
+        # the engine runs on the nonzero generators, one position each
+        self._nonzero = [i for i, v in enumerate(self.gens) if not v.is_zero()]
+        self._coeffs = PolyVector(ring, [ring.zero()] * len(self._nonzero))
+        if self._nonzero:
             self._codec = self.order.codec(ring.n)
-            self._divisors, self._reps, _ = _engine(
-                [to_terms(v, self._codec) for v in self.gens], self._codec, rank, True
-            )
+            inputs = [to_terms(self.gens[i], self._codec) for i in self._nonzero]
+            self._divisors, self._reps, _ = _engine(inputs, self._codec, rank, True)
 
     def lift(self, target: PolyVector):
         """Coefficients over gens, or None when target is not in the image."""
         if target.rank != self.rank:
             raise ValueError("target rank mismatch")
-        if not self.gens:
-            return [] if target.is_zero() else None
+        coeffs = [self.ring.zero()] * len(self.gens)
+        if not self._nonzero:
+            return coeffs if target.is_zero() else None
         codec = self._codec
         num, den = to_terms(target, codec)
         quots, rem, mult = kernel.reduce_terms(num, self._divisors, codec, True)
         if rem:
             return None
-        out: dict = {}
-        _add_quotient_sum(out, quots, self._reps, 1)
-        out, d = kernel.integer_terms(out)  # the reps are Fraction maps
-        out = _from_reps(out, codec, len(self.gens))
-        return list(from_terms(self._coeffs, out, d * mult * den, codec).entries)
+        # target = sum_k quots[k] * basis[k] / (mult * den), and _combine
+        # subtracts the quotient sum: divide by -(mult * den)
+        out, d = _combine([], -mult * den, quots, self._reps)
+        out = _from_reps(out, codec, len(self._nonzero))
+        for i, q in zip(self._nonzero, from_terms(self._coeffs, out, d, codec).entries):
+            coeffs[i] = q
+        return coeffs
 
 
 def module_lift(gens: Sequence[PolyVector], target: PolyVector, order=None):

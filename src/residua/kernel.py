@@ -27,9 +27,10 @@ Term maps are integer.  Division is fraction-free: a step scales the work
 set by an integer instead of dividing by a divisor's lead coefficient, and
 the Buchberger engine keeps its basis elements primitive.  A polynomial
 stores its integer ring term map over one denominator (polyring), so it
-enters and leaves the engine with one packing each way; integer_terms
-brings a term map with Fraction coefficients to that form, for outside
-input and for the Fraction representations the engine tracks.
+enters and leaves the engine with one packing each way, and the
+representations the engine tracks are integer maps over one denominator
+as well; integer_terms brings a term map with Fraction coefficients to
+that form, for outside input (polyring).
 
 Exponent limit: with FIELD_BITS = 64 every field of a packed order key
 must stay below 2^60 in absolute value (LIMIT).  Input whose terms have

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import residua
-from residua import residues
+from residua import cli, residues
 from residua.cli import (
     ParseFailure,
     corpus_text,
@@ -236,6 +236,27 @@ def test_compare_across_rings_is_reported_per_statement():
     assert doc["statements"][2] == {"line": 3, "error": "complexes must share one ring"}
     assert doc["statements"][3]["command"] == "koszul"
     assert "error" not in doc["statements"][3]
+
+
+def test_compare_and_homotopy_lift_through_a_zero_column(monkeypatch):
+    made = []
+    real = cli.comparison_morphism
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "comparison_morphism", spy)
+    code, lines, _ = run_script(
+        "ring R = Q[x,y]\nK = koszul((x, 0), over R)\nF = resolve((x), over R)\n"
+        "A = compare(F, K)\nhomotopy(A, A)"
+    )
+    assert code == 0
+    assert lines[-2] == '4: A = compare -> {"levels": [[["1"]], [["1"], ["0"]]]}'
+    assert lines[-1].startswith('5: homotopy -> {"homotopic": true')
+    levels = [[[str(c) for c in row] for row in M] for M in made[0].levels]
+    assert levels == [[["1"]], [["1"], ["0"]]]
+    assert made[0].verify()
 
 
 def test_quotient_declared_arguments_run_over_their_quotient():

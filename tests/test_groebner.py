@@ -474,7 +474,7 @@ def count_codecs(monkeypatch):
     return built
 
 
-def test_syzygies_builds_one_heap_key_memo_per_order(monkeypatch):
+def test_syzygies_asks_for_one_codec_per_order(monkeypatch):
     # the loop path: one codec for the input order, one for the Schreyer
     # order (its reduced basis and the graded test), one for every loop test
     gens = [RZW.poly("z^3 - w^2"), RZW.poly("z*w"), RZW.poly("w^3")]
@@ -485,13 +485,15 @@ def test_syzygies_builds_one_heap_key_memo_per_order(monkeypatch):
     assert len(built) == 3
 
 
-def test_syzygies_over_a_context_adds_only_the_relations_reducer_memo(monkeypatch):
+def test_syzygies_over_a_context_asks_for_no_extra_codec(monkeypatch):
+    # the three codecs of the loop path: candidates are reduced modulo the
+    # relations on packed terms of the codecs syzygies already has
     cusp = QuotientContext(RZW, Ideal(RZW, (RZW.poly("z^3 - w^2"),)))
     members = count_module_member(monkeypatch)
     built = count_codecs(monkeypatch)
     syzygies(Ideal(RZW, (RZW.poly("z"), RZW.poly("w"))), cusp)
     assert members
-    assert len(built) == 4
+    assert len(built) == 3
 
 
 def random_monomial_ideal(rng, binomial):
@@ -677,21 +679,21 @@ def test_syzygies_build_vectors_for_kept_generators_only(monkeypatch, ring, gens
 
 
 def test_module_lift_roundtrip():
-    cols = [
-        PolyVector(R2, (R2.poly("x"), R2.poly("y"))),
-        PolyVector(R2, (R2.poly("y"), R2.poly("x"))),
-    ]
-    lifter = ModuleLifter(R2, 2, cols)
-    rng = random.Random(23)
-    for _ in range(20):
-        a = random_poly(rng, R2)
-        b = random_poly(rng, R2)
-        target = cols[0].scale(a) + cols[1].scale(b)
-        coeffs = lifter.lift(target)
-        assert coeffs is not None
-        recombined = cols[0].scale(coeffs[0]) + cols[1].scale(coeffs[1])
-        assert recombined == target
-    assert lifter.lift(PolyVector(R2, (R2.one(), R2.zero()))) is None
+    # the second columns are fractional and non-primitive: each input
+    # enters the engine over its own denominator and content
+    for columns in ([("x", "y"), ("y", "x")], [("2/3*x + 4*y", "6*y"), ("5/7*y", "10/3*x")]):
+        cols = [PolyVector(R2, (R2.poly(a), R2.poly(b))) for a, b in columns]
+        lifter = ModuleLifter(R2, 2, cols)
+        rng = random.Random(23)
+        for _ in range(20):
+            a = random_poly(rng, R2)
+            b = random_poly(rng, R2)
+            target = cols[0].scale(a) + cols[1].scale(b)
+            coeffs = lifter.lift(target)
+            assert coeffs is not None
+            recombined = cols[0].scale(coeffs[0]) + cols[1].scale(coeffs[1])
+            assert recombined == target
+        assert lifter.lift(PolyVector(R2, (R2.one(), R2.zero()))) is None
 
 
 def test_lift_scalar_case():
@@ -699,6 +701,17 @@ def test_lift_scalar_case():
     cols = [PolyVector(RZW, (RZW.poly("z"),)), PolyVector(RZW, (RZW.poly("w"),))]
     coeffs = module_lift(cols, target)
     assert [str(c) for c in coeffs] == ["z^2", "-w"]
+
+
+def test_lift_gives_a_zero_generator_coefficient_zero():
+    x, zero = PolyVector(R2, (R2.poly("x"),)), PolyVector(R2, (R2.zero(),))
+    assert module_lift([x, zero], x) == [R2.one(), R2.zero()]
+    y = R2.poly("y")
+    assert module_lift([zero, x, zero], x.scale(y)) == [R2.zero(), y, R2.zero()]
+    assert module_lift([x, zero], PolyVector(R2, (R2.poly("y"),))) is None
+    lifter = ModuleLifter(R2, 1, [zero, zero])
+    assert lifter.lift(zero) == [R2.zero(), R2.zero()]
+    assert lifter.lift(x) is None
 
 
 # ---------------------------------------------------------------------------
