@@ -3,9 +3,10 @@
 Complexes store explicit ranks and row-major differential matrices, with
 entries kept in normal form modulo the context relations.  Resolutions
 iterate syzygy computations; minimality is reached by eliminating pivot
-entries that are nonzero rational constants (an entry that is a unit
-locally but not a constant only raises a diagnostic flag -- constant
-terms of nonconstant entries are not inverted here).
+entries that are nonzero rational constants, one Schur-complement step
+each (an entry that is a unit locally but not a constant only raises a
+diagnostic flag -- constant terms of nonconstant entries are not
+inverted here).
 """
 
 from __future__ import annotations
@@ -288,81 +289,78 @@ def free_resolution(
 def minimalize(C: ChainComplex) -> ChainComplex:
     """Eliminate differential entries that are nonzero rational constants.
 
-    Each pivot splits off a trivial two-term summand; the complex shrinks
-    by one rank on each side of the pivot.  Entries that are invertible
-    locally without being constants (nonzero constant term) are left in
-    place and flagged via not_locally_minimal.
+    Each pivot c at (i, j) of phi_k splits off a trivial two-term summand
+    and the complex shrinks by one rank on each side of the pivot: phi_k
+    is replaced by its Schur complement, M[r][s] - M[r][j] * M[i][s] / c
+    without row i and column j, and phi_{k+1} and phi_{k-1} only lose row
+    j and column i.  Pivots are taken level by level from phi_1, in row-
+    major order within a level.  Entries that are invertible locally
+    without being constants (nonzero constant term) are left in place and
+    flagged via not_locally_minimal.
     """
     return _minimal_complex(C.ring, C.context, C.ranks, C.diffs, C.complete)
 
 
 def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
     """minimalize on plain level lists: strip the constant pivots, then
-    build (and so check) the one ChainComplex that is returned."""
+    build (and so check) the one ChainComplex that is returned.
+
+    A constant pivot c at (i, j) of phi_k is one Schur-complement step:
+    phi_k loses row i and column j and each other entry M[r][s] becomes
+    M[r][s] - M[r][j] * M[i][s] / c, phi_{k+1} loses row j and phi_{k-1}
+    loses column i.  That is the change of basis that clears row i and
+    column j of phi_k.  On phi_{k+1} and phi_{k-1} it rewrites only the
+    row and the column that are deleted, into row i of phi_k phi_{k+1} and
+    column j of phi_{k-1} phi_k (over c); the complex property makes both
+    zero modulo the context, and an InvariantError reports when they are
+    not.  A step puts no constant into phi_1 .. phi_{k-1}, so the scan
+    goes on at level k."""
     ranks = list(ranks)
     diffs = [[list(row) for row in M] for M in diffs]
 
     def reduce_entry(p):
         return ctx.reduce(p) if ctx is not None else p
 
-    while True:
-        pivot = None
-        for k in range(1, len(diffs) + 1):
-            M = diffs[k - 1]
-            for i in range(ranks[k - 1]):
-                for j in range(ranks[k]):
-                    e = M[i][j]
-                    if not e.is_zero() and e.is_constant():
-                        pivot = (k, i, j, e.constant_term())
-                        break
-                if pivot:
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        k, i, j, c = pivot
+    def vanishes(prod):
+        return all(reduce_entry(e).is_zero() for row in prod for e in row)
+
+    k = 1
+    while k <= len(diffs):
         M = diffs[k - 1]
-        up = diffs[k] if k < len(diffs) else None  # phi_{k+1}
-        down = diffs[k - 2] if k >= 2 else None  # phi_{k-1}
-        # clear row i with column operations; compensate on phi_{k+1} rows
-        for jp in range(ranks[k]):
-            if jp == j or M[i][jp].is_zero():
-                continue
-            f = M[i][jp] * (1 / c)
-            for r in range(ranks[k - 1]):
-                M[r][jp] = reduce_entry(M[r][jp] - f * M[r][j])
-            if up is not None:
-                for cc in range(ranks[k + 1]):
-                    up[j][cc] = reduce_entry(up[j][cc] + f * up[jp][cc])
-        # clear column j with row operations; compensate on phi_{k-1} columns
-        for ip in range(ranks[k - 1]):
-            if ip == i or M[ip][j].is_zero():
-                continue
-            g = M[ip][j] * (1 / c)
-            for cc in range(ranks[k]):
-                M[ip][cc] = reduce_entry(M[ip][cc] - g * M[i][cc])
-            if down is not None:
-                for r in range(ranks[k - 2]):
-                    down[r][i] = reduce_entry(down[r][i] + g * down[r][ip])
-        # the complex property forces the adjacent row/column to vanish
-        if up is not None and not all(up[j][cc].is_zero() for cc in range(ranks[k + 1])):
-            raise InvariantError("a unit pivot left a nonzero row in the next map")
-        if down is not None and not all(down[r][i].is_zero() for r in range(ranks[k - 2])):
-            raise InvariantError("a unit pivot left a nonzero column in the previous map")
-        # delete row i / column j of phi_k, row j of phi_{k+1}, column i of phi_{k-1}
+        pivot = next(
+            (
+                (i, j)
+                for i, row in enumerate(M)
+                for j, e in enumerate(row)
+                if not e.is_zero() and e.is_constant()
+            ),
+            None,
+        )
+        if pivot is None:
+            k += 1
+            continue
+        i, j = pivot
+        unit_row = [e * (1 / M[i][j].constant_term()) for e in M[i]]
+        col = [(row[j],) for row in M]
+        if k < len(diffs):
+            if not vanishes(mat_mul(ring, (unit_row,), diffs[k], 1, ranks[k], ranks[k + 1])):
+                raise InvariantError("a unit pivot left a nonzero row in the next map")
+            del diffs[k][j]
+        if k >= 2:
+            if not vanishes(mat_mul(ring, diffs[k - 2], col, ranks[k - 2], ranks[k - 1], 1)):
+                raise InvariantError("a unit pivot left a nonzero column in the previous map")
+            for row in diffs[k - 2]:
+                del row[i]
+        # entries are in normal form, so one with a zero correction stays as it is
         diffs[k - 1] = [
-            [M[r][cc] for cc in range(ranks[k]) if cc != j]
-            for r in range(ranks[k - 1])
+            [
+                e if a.is_zero() or f.is_zero() else reduce_entry(e - f * a)
+                for s, (e, f) in enumerate(zip(row, unit_row))
+                if s != j
+            ]
+            for r, (row, (a,)) in enumerate(zip(M, col))
             if r != i
         ]
-        if up is not None:
-            diffs[k] = [up[r] for r in range(ranks[k]) if r != j]
-        if down is not None:
-            diffs[k - 2] = [
-                [down[r][cc] for cc in range(ranks[k - 1]) if cc != i]
-                for r in range(ranks[k - 2])
-            ]
         ranks[k] -= 1
         ranks[k - 1] -= 1
 

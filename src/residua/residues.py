@@ -155,22 +155,7 @@ def comparison_morphism(F: ChainComplex, E: ChainComplex, order=None) -> ChainMa
         target = mat_mul(
             ring, levels[k - 1], F.diff(k), E.rank(k - 1), F.ranks[k - 1], F.ranks[k]
         )
-        if k > E.length:
-            if not mat_is_zero(target):
-                raise LiftingError(
-                    k, f"level {k}: target complex ended but the composite map has not"
-                )
-            levels.append(zero_matrix(ring, E.rank(k), F.ranks[k]))
-            continue
-        lifted, j = _lift_columns(E, k, target, F.ranks[k], order)
-        if lifted is None:
-            raise LiftingError(
-                k,
-                f"level {k}: column {j} is not in the image of the target "
-                "differential (target not exact, or the degree-zero map "
-                "does not extend)",
-            )
-        levels.append(lifted)
+        levels.append(_lift_columns(E, k, target, F.ranks[k], order))
     return ChainMap(F, E, tuple(levels))
 
 
@@ -195,22 +180,24 @@ def chain_homotopy(a: ChainMap, b: ChainMap, order=None):
                 d,
                 mat_mul(ring, maps[k - 1], F.diff(k), E.rank(k), F.ranks[k - 1], F.ranks[k]),
             )
-        if k + 1 > E.length:
-            if not mat_is_zero(d):
-                return HomotopyFailure(k, d)
-            maps.append(zero_matrix(ring, E.rank(k + 1), F.ranks[k]))
-            continue
-        lifted, _ = _lift_columns(E, k + 1, d, F.ranks[k], order)
-        if lifted is None:
+        try:
+            maps.append(_lift_columns(E, k + 1, d, F.ranks[k], order))
+        except LiftingError:
             return HomotopyFailure(k, d)
-        maps.append(lifted)
     return Homotopy(F, E, tuple(maps))
 
 
-def _lift_columns(E: ChainComplex, k: int, M: Matrix, ncols: int, order):
-    """(L, None) with phi_k L = M for E's k-th differential phi_k, or
-    (None, j) when column j of M is the first outside its image."""
+def _lift_columns(E: ChainComplex, k: int, M: Matrix, ncols: int, order) -> Matrix:
+    """L with phi_k L = M for E's k-th differential phi_k, the zero map
+    when k is past E's length.  A LiftingError at level k names the first
+    column of M outside the image of phi_k."""
     ring = E.ring
+    if k > E.length:
+        if not mat_is_zero(M):
+            raise LiftingError(
+                k, f"level {k}: target complex ended but the composite map has not"
+            )
+        return zero_matrix(ring, 0, ncols)
     lifter = ModuleLifter(
         ring, E.rank(k - 1), mat_columns(ring, E.diff(k), E.rank(k - 1), E.rank(k)), order
     )
@@ -218,9 +205,14 @@ def _lift_columns(E: ChainComplex, k: int, M: Matrix, ncols: int, order):
     for j in range(ncols):
         q = lifter.lift(PolyVector(ring, tuple(M[i][j] for i in range(E.rank(k - 1)))))
         if q is None:
-            return None, j
+            raise LiftingError(
+                k,
+                f"level {k}: column {j} is not in the image of the target "
+                "differential (target not exact, or the degree-zero map "
+                "does not extend)",
+            )
         cols.append(q)
-    return tuple(tuple(q[i] for q in cols) for i in range(E.rank(k))), None
+    return tuple(tuple(q[i] for q in cols) for i in range(E.rank(k)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from residua.cli import (
 )
 from residua.groebner import Ideal, InvariantError, QuotientContext
 from residua.homalg import (
+    ChainComplex,
     buchsbaum_eisenbud_check,
     cohen_macaulay_check,
     detect_periodicity,
@@ -257,6 +258,20 @@ def test_compare_and_homotopy_lift_through_a_zero_column(monkeypatch):
     levels = [[[str(c) for c in row] for row in M] for M in made[0].levels]
     assert levels == [[["1"]], [["1"], ["0"]]]
     assert made[0].verify()
+
+
+def test_compare_into_a_truncation_reports_the_level_past_its_length(monkeypatch):
+    real = cli.comparison_morphism
+
+    def into_truncation(F, E, order=None):
+        return real(F, ChainComplex(E.ring, E.ranks[:2], E.diffs[:1]), order=order)
+
+    monkeypatch.setattr(cli, "comparison_morphism", into_truncation)
+    code, lines, doc = run_script("F = resolve((x, y), over Q[x,y])\ncompare(F, F)")
+    assert code == 1
+    message = "level 2: target complex ended but the composite map has not"
+    assert lines[-1] == f"2: error: {message}"
+    assert doc["statements"][-1] == {"line": 2, "error": message}
 
 
 def test_quotient_declared_arguments_run_over_their_quotient():

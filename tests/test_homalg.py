@@ -218,9 +218,17 @@ def _single_path_cases():
     for _ in range(10):
         gens = [random_nonzero_poly(rng, XY, max_deg=2, max_terms=3) for _ in range(2)]
         yield Ideal(XY, tuple(gens)), None, 8
+    node = QuotientContext(XY, Ideal(XY, (P(XY, "x*y"),)))
+    for gens, ctx, cap in [
+        (("x", "y", "x + y", "x + 2*y"), None, 16),
+        (("x", "y", "x + y", "x*y + x"), None, 16),
+        (("x^2", "x*y", "x^2 + x*y", "y^2"), None, 16),
+        (("x", "y", "x + y"), node, 5),
+    ]:
+        yield Ideal(XY, tuple(P(XY, g) for g in gens)), ctx, cap
 
 
-@pytest.mark.parametrize("case", range(14))
+@pytest.mark.parametrize("case", range(18))
 def test_minimal_resolution_builds_one_complex_equal_to_the_two_step_path(monkeypatch, case):
     I, ctx, cap = list(_single_path_cases())[case]
     ref = minimalize(free_resolution(I, ctx, cap))
@@ -246,23 +254,152 @@ def test_minimal_resolution_builds_one_complex_equal_to_the_two_step_path(monkey
         assert not C.complete and C.length == 5
 
 
+def reference_minimalize(C: ChainComplex) -> ChainComplex:
+    """The pivot elimination minimalize used to run, kept as the reference:
+    rescan from phi_1 for the first constant pivot c at (i, j) of phi_k,
+    clear row i with column operations and column j with row operations,
+    compensate each operation on phi_{k+1} and phi_{k-1}, require the
+    compensated row j of phi_{k+1} and column i of phi_{k-1} to be zero,
+    and delete them with row i and column j of phi_k."""
+    ring, ctx = C.ring, C.context
+    ranks = list(C.ranks)
+    diffs = [[list(row) for row in M] for M in C.diffs]
+
+    def reduce_entry(p):
+        return ctx.reduce(p) if ctx is not None else p
+
+    while True:
+        pivot = None
+        for k in range(1, len(diffs) + 1):
+            M = diffs[k - 1]
+            for i in range(ranks[k - 1]):
+                for j in range(ranks[k]):
+                    e = M[i][j]
+                    if not e.is_zero() and e.is_constant():
+                        pivot = (k, i, j, e.constant_term())
+                        break
+                if pivot:
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        k, i, j, c = pivot
+        M = diffs[k - 1]
+        up = diffs[k] if k < len(diffs) else None
+        down = diffs[k - 2] if k >= 2 else None
+        for jp in range(ranks[k]):
+            if jp == j or M[i][jp].is_zero():
+                continue
+            f = M[i][jp] * (1 / c)
+            for r in range(ranks[k - 1]):
+                M[r][jp] = reduce_entry(M[r][jp] - f * M[r][j])
+            if up is not None:
+                for cc in range(ranks[k + 1]):
+                    up[j][cc] = reduce_entry(up[j][cc] + f * up[jp][cc])
+        for ip in range(ranks[k - 1]):
+            if ip == i or M[ip][j].is_zero():
+                continue
+            g = M[ip][j] * (1 / c)
+            for cc in range(ranks[k]):
+                M[ip][cc] = reduce_entry(M[ip][cc] - g * M[i][cc])
+            if down is not None:
+                for r in range(ranks[k - 2]):
+                    down[r][i] = reduce_entry(down[r][i] + g * down[r][ip])
+        if up is not None and not all(up[j][cc].is_zero() for cc in range(ranks[k + 1])):
+            raise InvariantError("a unit pivot left a nonzero row in the next map")
+        if down is not None and not all(down[r][i].is_zero() for r in range(ranks[k - 2])):
+            raise InvariantError("a unit pivot left a nonzero column in the previous map")
+        diffs[k - 1] = [
+            [M[r][cc] for cc in range(ranks[k]) if cc != j]
+            for r in range(ranks[k - 1])
+            if r != i
+        ]
+        if up is not None:
+            diffs[k] = [up[r] for r in range(ranks[k]) if r != j]
+        if down is not None:
+            diffs[k - 2] = [
+                [down[r][cc] for cc in range(ranks[k - 1]) if cc != i]
+                for r in range(ranks[k - 2])
+            ]
+        ranks[k] -= 1
+        ranks[k - 1] -= 1
+    flagged = any(
+        not e.is_zero() and not e.is_constant() and e.constant_term() != 0
+        for M in diffs
+        for row in M
+        for e in row
+    )
+    return ChainComplex(
+        ring, ranks, diffs, context=ctx, complete=C.complete, not_locally_minimal=flagged
+    )
+
+
+@pytest.mark.parametrize("case", range(18))
+def test_minimalization_matches_the_reference(case):
+    I, ctx, cap = list(_single_path_cases())[case]
+    C = free_resolution(I, ctx, cap)
+    ref = reference_minimalize(C)
+    for got in (minimalize(C), free_resolution(I, ctx, cap, minimal=True)):
+        assert (got.ranks, got.diffs, got.not_locally_minimal) == (
+            ref.ranks,
+            ref.diffs,
+            ref.not_locally_minimal,
+        )
+
+
+def test_minimalize_finds_a_pivot_in_the_normal_form_of_the_schur_complement():
+    # over Q[x,y]/(xy) the pivot 1 of [[1, x], [y, 1]] leaves 1 - xy = 1,
+    # a second pivot
+    node = QuotientContext(XY, Ideal(XY, (P(XY, "x*y"),)))
+    C = ChainComplex(XY, (2, 2), (M(XY, [["1", "x"], ["y", "1"]]),), context=node)
+    assert minimalize(C).ranks == reference_minimalize(C).ranks == (0, 0)
+
+
+def fake_syzygy_column(monkeypatch, column):
+    """Make the first syzygies call of free_resolution return the one
+    column given, and each later call none; returns the calls' bases."""
+    calls = []
+
+    def fake_syzygies(basis, context=None):
+        calls.append(basis)
+        gens = [PolyVector(ZW, tuple(P(ZW, e) for e in column))] if len(calls) == 1 else []
+        return SubmoduleBasis(ZW, len(basis.gens), gens)
+
+    monkeypatch.setattr(homalg, "syzygies", fake_syzygies)
+    return calls
+
+
 @pytest.mark.parametrize("minimal", [False, True], ids=["raw", "minimal"])
 @pytest.mark.parametrize("quotient", [False, True], ids=["ambient", "quotient"])
 @pytest.mark.parametrize("bad", ["1", "w"], ids=["constant", "nonconstant"])
 def test_resolution_with_a_non_syzygy_column_still_raises(monkeypatch, minimal, quotient, bad):
     # phi_1 = (z, w) and a second map whose one column (bad, 0) is no
-    # syzygy: z * bad != 0, also modulo z^3 - w^2
+    # syzygy: z * bad != 0, also modulo z^3 - w^2.  A constant bad is a
+    # pivot of phi_2, and column 0 of phi_1 phi_2 is z * bad
     ctx = QuotientContext(ZW, Ideal(ZW, (P(ZW, "z^3 - w^2"),))) if quotient else None
-    calls = []
-
-    def fake_syzygies(basis, context=None):
-        calls.append(basis)
-        gens = [PolyVector(ZW, (P(ZW, bad), ZW.zero()))] if len(calls) == 1 else []
-        return SubmoduleBasis(ZW, len(basis.gens), gens)
-
-    monkeypatch.setattr(homalg, "syzygies", fake_syzygies)
-    with pytest.raises((ValueError, InvariantError)):
+    calls = fake_syzygy_column(monkeypatch, (bad, "0"))
+    if minimal and bad == "1":
+        raises = pytest.raises(
+            InvariantError, match="^a unit pivot left a nonzero column in the previous map$"
+        )
+    else:
+        raises = pytest.raises(ValueError, match="^differentials 1 and 2 do not compose to zero$")
+    with raises:
         free_resolution(Ideal(ZW, (P(ZW, "z"), P(ZW, "w"))), ctx, minimal=minimal)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["ambient", "quotient"])
+def test_minimal_resolution_with_a_non_syzygy_column_after_a_pivot_raises(monkeypatch, quotient):
+    # phi_1 = (1, z) has the pivot 1 and the fake phi_2 = (w, 0) leaves
+    # row 0 of phi_1 phi_2 = w
+    ctx = QuotientContext(ZW, Ideal(ZW, (P(ZW, "z^3 - w^2"),))) if quotient else None
+    calls = fake_syzygy_column(monkeypatch, ("w", "0"))
+    with pytest.raises(
+        InvariantError, match="^a unit pivot left a nonzero row in the next map$"
+    ):
+        free_resolution(Ideal(ZW, (ZW.one(), P(ZW, "z"))), ctx, minimal=True)
     assert len(calls) == 2
 
 

@@ -111,6 +111,24 @@ def test_comparison_morphism_fails_without_containment():
         comparison_morphism(F, E)  # x is not a member of (x^2)
 
 
+def test_comparison_morphism_past_the_target_length_is_zero():
+    F = free_resolution(Ideal(XY, (P(XY, "x^2"), P(XY, "x*y"))))
+    E = free_resolution(Ideal(XY, (P(XY, "x"),)))
+    assert (F.length, E.length) == (2, 1)
+    a = comparison_morphism(F, E)
+    assert a.levels[2] == ()
+    assert a.verify()
+
+
+def test_comparison_morphism_into_a_truncation_fails_past_its_length():
+    F = free_resolution(Ideal(XY, (P(XY, "x"), P(XY, "y"))))
+    E = type(F)(XY, F.ranks[:2], F.diffs[:1])  # drop the syzygy level
+    with pytest.raises(LiftingError) as failure:
+        comparison_morphism(F, E)
+    assert failure.value.level == 2
+    assert str(failure.value) == "level 2: target complex ended but the composite map has not"
+
+
 def test_comparison_morphisms_under_different_orders_are_homotopic():
     from residua.polyring import order_by_name
 

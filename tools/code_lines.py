@@ -1,19 +1,28 @@
 """Code lines of each module of src/residua, and their total.
 
-    python3 tools/code_lines.py [DIR]          (default: src/residua)
+    python3 tools/code_lines.py [DIR]                (default: src/residua)
+    python3 tools/code_lines.py --against REV [DIR]
 
 A code line holds at least one token that is not part of a comment or a
 docstring (the string that opens a module, class or function body).
 Blank, comment-only and docstring lines are left out, so reformatting a
 docstring or a comment moves nothing.  Prints one line per module,
 "lines path", and then "lines total".
+
+With --against REV, the git revision REV is also extracted with git
+archive, the same DIR (which must lie in this checkout) is counted there,
+and each line reads "REV-lines this-lines delta path"; a module missing
+on one side counts 0.
 """
 
 import ast
 import io
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
+
+from answer_digest import extract
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,14 +57,39 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def tree_counts(top: Path) -> dict:
+    """{module path relative to top: code lines} of the .py files under top."""
+    return {
+        path.relative_to(top).as_posix(): code_lines(path.read_text(encoding="utf-8"))
+        for path in top.rglob("*.py")
+    }
+
+
+def rev_counts(rev: str, top: Path) -> dict:
+    """tree_counts of the directory top as it is at git revision rev."""
+    with tempfile.TemporaryDirectory() as tree:
+        extract(rev, tree)
+        return tree_counts(Path(tree) / top.resolve().relative_to(ROOT))
+
+
 def main(argv) -> int:
+    rev = None
+    if argv[:1] == ["--against"]:
+        if len(argv) < 2:
+            raise SystemExit("usage: code_lines.py [--against REV] [DIR]")
+        rev, argv = argv[1], argv[2:]
     top = Path(argv[0]) if argv else ROOT / "src" / "residua"
-    total = 0
-    for path in sorted(top.rglob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d} {path.relative_to(top)}")
-    print(f"{total:6d} total")
+    this = tree_counts(top)
+    if rev is None:
+        for name in sorted(this):
+            print(f"{this[name]:6d} {name}")
+        print(f"{sum(this.values()):6d} total")
+        return 0
+    old = rev_counts(rev, top)
+    rows = [(old.get(n, 0), this.get(n, 0), n) for n in sorted(old.keys() | this.keys())]
+    rows.append((sum(old.values()), sum(this.values()), "total"))
+    for before, after, name in rows:
+        print(f"{before:6d} {after:6d} {after - before:+6d} {name}")
     return 0
 
 
