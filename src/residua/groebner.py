@@ -1,10 +1,25 @@
 """Groebner bases, syzygies, and ideal arithmetic over Q[x1..xn].
 
-The engine is Buchberger's algorithm with the normal selection strategy
-(pairs kept in a heap by the key of their lcm) and both classical pair
-criteria (coprime leads for ideals, the chain criterion everywhere),
-always finishing with the unique reduced basis: monic, auto-reduced,
-sorted descending by leading term.  Determinism is the contract.
+The engine (_engine) always finishes with the unique reduced basis:
+monic, auto-reduced, sorted descending by leading term (_reduced, one
+minimal pass and one interreduction for both loops below).  Determinism
+is the contract.  Two loops build the Groebner basis it reduces, chosen
+by a property of the call, not by a switch:
+
+- An ideal basis without representations (Ideal.groebner, elimination,
+  membership, and rank-1 groebner_basis of a SubmoduleBasis) runs the
+  signature loop (_signature_loop, after Gao, Volny & Wang): J-pairs in
+  increasing signature under the Schreyer order, one per signature,
+  pruned by the syzygy, cover and singular criteria and reduced
+  regularly, so few pairs reduce to zero (none on the dense regular
+  sequences of the groebner benchmark).  Its criteria need the
+  principal syzygies v_j * u - v * u_j, which only an ideal has.
+- Calls that track representations (syzygies, lifts) and module bases
+  (rank > 1) run Buchberger's algorithm (_buchberger_loop) with the
+  normal selection strategy (pairs kept in a heap by the key of their
+  lcm) and both classical pair criteria (coprime leads for ideals, the
+  chain criterion everywhere).  Representations are not unique, and the
+  syzygy generators built from them are pinned by the corpus.
 
 Inside the engine, elements are primitive integer term maps (content 1,
 positive lead coefficient) over packed terms (kernel.Codec: one int per
@@ -31,7 +46,7 @@ ambient problem and projecting back.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -231,13 +246,16 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
     The monic basis, and the reps divided by the lead coefficients, are
     exactly those of the same computation over Q (see the module docstring).
 
-    A pair is selected by the term of its lcm, then by (i, j).  The lcm
-    is not additive in packed terms, so each element keeps its lead
-    exponents beside its lead term; the coprime test and the chain
-    criterion are sums and masked tests on terms.
+    Two loops build a Groebner basis, chosen by what the call needs: an
+    ideal (rank 1) without representations goes through _signature_loop,
+    whose criteria rest on the principal syzygies v_j * u - v * u_j that
+    only an ideal has; tracked calls (syzygies, lifts) and modules go
+    through _buchberger_loop, whose representations, and so the syzygies
+    built from them, the corpus pins.  The reduced basis over Q is
+    unique, so either loop gives the same answer; _reduced makes it in
+    place.
     """
     divisors = []  # (lead term, lead coefficient, primitive term map)
-    lead_exps = []
     reps = []
     for j, (tm, den) in enumerate(inputs):
         if not tm:
@@ -245,9 +263,33 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
         lk = max(tm)
         p, c = kernel.primitive(tm, lk)  # c * p = den * inputs[j]
         divisors.append((lk, p[lk], p))
-        lead_exps.append(codec.decode(lk))
         reps.append(({codec.rep(j): den if c > 0 else -den}, abs(c)) if track else None)
+    if rank == 1 and not track:
+        divisors = _signature_loop(divisors, codec)
+    else:
+        _buchberger_loop(divisors, reps, codec, rank, track)
+    _reduced(divisors, reps if track else None, codec)
+    if not track:
+        return divisors, None, None
+    exprs = []
+    for tm, den in inputs:
+        quots, rem, mult = kernel.reduce_terms(tm, divisors, codec, True)
+        if rem:
+            raise InvariantError("input does not reduce to zero against its own basis")
+        exprs.append((mult * den, quots))
+    return divisors, reps, exprs
 
+
+def _buchberger_loop(divisors: list, reps: list, codec: kernel.Codec, rank: int, track: bool):
+    """Extend the kernel divisors to a Groebner basis in place, with their
+    representations when track is true (reps, see _engine).
+
+    A pair is selected by the term of its lcm, then by (i, j).  The lcm
+    is not additive in packed terms, so each element keeps its lead
+    exponents beside its lead term; the coprime test and the chain
+    criterion are sums and masked tests on terms.
+    """
+    lead_exps = [codec.decode(lk) for lk, _, _ in divisors]
     pairs = []  # heap of (lcm term, i, j)
     done = set()
     base0 = codec.base(0)
@@ -302,15 +344,135 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
             if lead_exps[k][0] == lead_exps[t][0]:
                 push_pair(k, t)
 
+
+_SIG = 32  # a signature is (T << _SIG) + index, see _signature_loop
+_INDEX = (1 << _SIG) - 1
+
+
+def _signature_loop(inputs: list, codec: kernel.Codec) -> list:
+    """A Groebner basis, as kernel divisors, of the ideal of the kernel
+    divisors inputs (terms of codec at position 0), by signatures (Gao,
+    Volny & Wang, Math. Comp. 85, 2016), which spends no reduction on the
+    syzygies it can predict: the principal ones and multiples of those
+    found.
+
+    Each element v = sum u_i * f_i of the ideal stands for a pair (u, v)
+    over the free module with basis e_i, one per input f_i, of which only
+    v and the signature, the lead term of u, are kept.  The signature of
+    x^a * e_i is the int (T << _SIG) + i, T the term of x^a * lt(f_i):
+    the Schreyer order with the index as tie break.  Multiplying by x^m
+    adds m << _SIG, int order is signature order, and one signature
+    divides another when their indices agree and their T do.  Every term
+    of v lies at or below T, and key = sig - (lt(v) << _SIG) orders the
+    elements by signature over lead (Roune & Stillman, ISSAC 2012):
+    lt(v_l) * sig_k > lt(v_k) * sig_l exactly when key_k > key_l.
+
+    Pairs are processed in increasing signature, one per signature: the
+    inputs, at e_i, and for two basis elements k, l the larger of the
+    multiples (lcm / lt(v_k)) * v_k, (lcm / lt(v_l)) * v_l at the lcm of
+    their leads, the one of larger key; none when the keys are equal.  A
+    pair of signature s is dropped by
+      the syzygy criterion: the signature of a known syzygy divides s.
+        Those are the signatures of reductions to zero, minimal per
+        index as they come (no earlier one divides s, and s divides none
+        of them, all being smaller), and the leads max(lt(v_j) * s_k, lt(v_k) * s_j) of the
+        principal syzygies v_j * u_k - v_k * u_j, tested when a pair
+        comes up: s = x^m * s_k is a multiple of lt(v_j) * s_k when
+        lt(v_j) | x^m and key_j < key_k.  A pair of coprime leads is the
+        lead of its own principal syzygy and is never queued;
+      the cover criterion: an element k with s_k | s has (s / s_k) *
+        lt(v_k) below the pair's lead, that is key_k above the pair's.
+    A kept pair is reduced regularly, tails included: x^m * v_j may
+    cancel a term only when x^m * s_j < s (kernel.reduce_terms' below),
+    which keeps the signature s.  A zero result is a syzygy of signature
+    s; a result whose lead is x^m * lt(v_j) with x^m * s_j = s (the
+    singular criterion, key_j equal to its own) is dropped; the others
+    join the basis.  A constant ends the loop: the ideal is the unit
+    ideal.
+    """
+    if len(inputs) == 1:
+        return inputs
+    base0 = codec.base(0)
+    basis = []  # kernel divisors
+    leads, lead_exps = [], []
+    keys = []  # sig - (lead << _SIG) of each element
+    cover: dict = {}  # index -> ([T of each element's signature], [its key])
+    syz: dict = {}  # index -> T of the signatures of reductions to zero
+    queue = [((lk << _SIG) + i, lk, i, g, 0) for i, (lk, _, g) in enumerate(inputs)]
+    heapify(queue)  # (signature, lead, tie, term map, shift to multiply it by)
+    tie = len(queue)
+    last = None
+    sig_bits, index = _SIG, _INDEX
+    while queue:
+        s, lead, _, g, u = heappop(queue)
+        if s == last:
+            continue
+        last = s
+        i, T = s & index, s >> sig_bits
+        if i in syz and codec.dividing(syz[i], T):
+            continue
+        if i in cover:
+            Ts, ks = cover[i]
+            key = s - (lead << sig_bits)
+            # s = x^m * s_k: covered by k, or a multiple of the principal
+            # syzygy lt(v_j) * s_k when lt(v_j) | x^m and key_j < key_k
+            if any(
+                ks[k] > key or any(keys[j] < ks[k] for j in codec.dividing(leads, T - Ts[k] + base0))
+                for k in codec.dividing(Ts, T)
+            ):
+                continue
+        p = {t + u: c for t, c in g.items()} if u else g
+        if basis:  # else p is the first input, primitive, and lead its lead
+            below = [(s + index - k) >> sig_bits for k in keys]
+            p = kernel.reduce_terms(p, basis, codec, False, below)[1]
+            if not p:
+                syz.setdefault(i, []).append(T)
+                continue
+            lead = next(iter(p))  # a remainder lists its lead first
+            p = kernel.primitive(p, lead)[0]
+        key = s - (lead << sig_bits)
+        if any(keys[j] == key for j in codec.dividing(leads, lead)):
+            continue
+        if lead == base0:
+            return [(lead, 1, p)]
+        exps = codec.decode(lead)[1]
+        for j, (lj, ej) in enumerate(zip(leads, lead_exps)):
+            kj = keys[j]
+            if kj == key:
+                continue
+            lcm = codec.term(0, kernel.exp_lcm(ej, exps))
+            if lcm + base0 == lj + lead:  # the principal syzygy's lead
+                continue
+            top = max(kj, key) + (lcm << sig_bits)
+            codec.check(top >> sig_bits, wide=True)
+            src = (p, lcm - lead) if key > kj else (basis[j][2], lcm - lj)
+            heappush(queue, (top, lcm, tie, *src))
+            tie += 1
+        basis.append((lead, p[lead], p))
+        leads.append(lead)
+        lead_exps.append(exps)
+        keys.append(key)
+        Ts, ks = cover.setdefault(i, ([], []))
+        Ts.append(T)
+        ks.append(key)
+    return basis
+
+
+def _reduced(divisors: list, reps, codec: kernel.Codec) -> None:
+    """Make the Groebner basis divisors the reduced basis, sorted
+    descending by lead, in place, and reps (one per divisor, see _engine;
+    None when untracked) its representations.  What the minimal pass
+    drops is released before the interreduction."""
     # minimal pass: drop anything whose lead another kept element divides
     kept: list = []
     for k in sorted(range(len(divisors)), key=lambda k: divisors[k][0]):
-        lk = divisors[k][0]
-        if codec.dividing([divisors[m][0] for m in kept], lk):
+        if codec.dividing([divisors[m][0] for m in kept], divisors[k][0]):
             continue
         kept.append(k)
-    divisors = [divisors[k] for k in kept]
-    reps = [reps[k] for k in kept]
+    track = reps is not None
+    divisors[:] = [divisors[k] for k in kept]
+    if track:
+        reps[:] = [reps[k] for k in kept]
 
     # interreduce tails (leads are now pairwise non-dividing, one pass)
     for idx, (lk, _, g) in enumerate(divisors):
@@ -324,17 +486,9 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
         divisors[idx] = (lk, p[lk], p)
 
     ranked = sorted(range(len(divisors)), key=lambda k: divisors[k][0], reverse=True)
-    basis = [divisors[k] for k in ranked]
-    if not track:
-        return basis, None, None
-    reps = [reps[k] for k in ranked]
-    exprs = []
-    for tm, den in inputs:
-        quots, rem, mult = kernel.reduce_terms(tm, basis, codec, True)
-        if rem:
-            raise InvariantError("input does not reduce to zero against its own basis")
-        exprs.append((mult * den, quots))
-    return basis, reps, exprs
+    divisors[:] = [divisors[k] for k in ranked]
+    if track:
+        reps[:] = [reps[k] for k in ranked]
 
 
 def _from_reps(tm: dict, codec: kernel.Codec, s: int) -> dict:

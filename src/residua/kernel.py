@@ -92,7 +92,10 @@ class Codec:
     base shifts the exponent fields, the packed term too), division checks
     every term it pops and the engine every S-pair lcm.  Terms of kernel
     maps are in range, and a product s + (t - a) of three of them moves
-    each entry by less than 3 * LIMIT, so no field carries.
+    each entry by less than 3 * LIMIT, so no field carries.  The signature
+    terms of groebner._signature_loop, which lie above the terms they
+    sign, are checked against 2 * LIMIT instead (check(t, wide=True)):
+    one of them times the quotient of two terms stays below 4 * LIMIT.
 
     A term a divides a term b when one masked test on b - a passes
     (dividing): the positions agree (the pos field of the difference is
@@ -213,9 +216,14 @@ class Codec:
         """The checked term of (pos, exps)."""
         return self.check(sum(map(mul, exps, self.lin), self.base(pos)))
 
-    def check(self, t: int) -> int:
-        """t, or ExponentOverflowError when a field of t is out of range."""
-        if (t + self._goff) & self._gmask != self._gpat:
+    def check(self, t: int, wide: bool = False) -> int:
+        """t, or ExponentOverflowError when a field of t is out of range,
+        or with wide beyond twice the limit (a signature term)."""
+        goff, gmask, gpat = self._goff, self._gmask, self._gpat
+        if (t + goff) & gmask != gpat and not (
+            # within twice the limit: entry + 2^(W-1) + 2 * LIMIT has top two bits 10
+            wide and (t + 2 * goff) & gmask & (gmask << 1) == gpat
+        ):
             raise ExponentOverflowError("a term grew beyond the exponent limit")
         return t
 
@@ -339,9 +347,12 @@ def primitive(tm, lead):
     return {k: v // c for k, v in tm.items()}, c
 
 
-def reduce_terms(f, divisors, codec, want_quotients):
+def reduce_terms(f, divisors, codec, want_quotients, below=None):
     """Full multivariate pseudo-division of an integer term map by integer
-    divisors, all terms of codec.
+    divisors, all terms of codec.  With below, a list of one int per
+    divisor, divisor i may cancel only terms t < below[i] (the signature
+    engine's regular reduction, groebner._signature_loop); without it,
+    any term its lead divides.
 
     Returns (quotients, remainder, multiplier): integer term maps and a
     positive int m with m * f = sum(q_i * g_i) + remainder, no remainder
@@ -376,7 +387,7 @@ def reduce_terms(f, divisors, codec, want_quotients):
             codec.check(t)
         for i, (lkd, lc, g) in enumerate(divs):
             m = t - lkd
-            if m & dmask != dpat:
+            if m & dmask != dpat or below and t >= below[i]:
                 continue
             m -= doff
             h = gcd(c, lc)

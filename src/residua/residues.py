@@ -35,12 +35,11 @@ from residua.homalg import (
     identity_matrix,
     mat_add,
     mat_columns,
-    mat_is_zero,
     mat_mul,
     mat_sub,
     zero_matrix,
 )
-from residua.polyring import Polynomial, PolynomialRing, PolyVector
+from residua.polyring import Polynomial, PolyVector
 
 
 class LiftingError(ValueError):
@@ -72,12 +71,9 @@ class ChainMap:
             if len(M) != E.rank(k) or any(len(row) != F.ranks[k] for row in M):
                 return False
         for k in range(1, F.length + 1):
-            if k <= E.length:
-                left = mat_mul(
-                    ring, E.diff(k), self.levels[k], E.rank(k - 1), E.rank(k), F.ranks[k]
-                )
-            else:
-                left = zero_matrix(ring, E.rank(k - 1), F.ranks[k])
+            left = mat_mul(
+                ring, _differential(E, k), self.levels[k], E.rank(k - 1), E.rank(k), F.ranks[k]
+            )
             right = mat_mul(
                 ring, self.levels[k - 1], F.diff(k), E.rank(k - 1), F.ranks[k - 1], F.ranks[k]
             )
@@ -100,14 +96,9 @@ class Homotopy:
         if a.source != F or b.source != F or a.target != E or b.target != E:
             return False
         for k in range(F.length + 1):
-            total = zero_matrix(ring, E.rank(k), F.ranks[k])
-            if k + 1 <= E.length:
-                total = mat_add(
-                    total,
-                    mat_mul(
-                        ring, E.diff(k + 1), self.maps[k], E.rank(k), E.rank(k + 1), F.ranks[k]
-                    ),
-                )
+            total = mat_mul(
+                ring, _differential(E, k + 1), self.maps[k], E.rank(k), E.rank(k + 1), F.ranks[k]
+            )
             if k >= 1:
                 total = mat_add(
                     total,
@@ -187,24 +178,28 @@ def chain_homotopy(a: ChainMap, b: ChainMap, order=None):
     return Homotopy(F, E, tuple(maps))
 
 
+def _differential(E: ChainComplex, k: int) -> Matrix:
+    """E's k-th differential phi_k: E_k -> E_{k-1}; past E's length E_k is
+    0 and phi_k the map from it, a matrix with no columns."""
+    return E.diff(k) if k <= E.length else zero_matrix(E.ring, E.rank(k - 1), 0)
+
+
 def _lift_columns(E: ChainComplex, k: int, M: Matrix, ncols: int, order) -> Matrix:
-    """L with phi_k L = M for E's k-th differential phi_k, the zero map
-    when k is past E's length.  A LiftingError at level k names the first
-    column of M outside the image of phi_k."""
+    """L with phi_k L = M for E's k-th differential phi_k (_differential:
+    past E's length only M = 0 lifts, to the 0 x ncols matrix).  A
+    LiftingError at level k names the first column of M outside the
+    image of phi_k."""
     ring = E.ring
-    if k > E.length:
-        if not mat_is_zero(M):
-            raise LiftingError(
-                k, f"level {k}: target complex ended but the composite map has not"
-            )
-        return zero_matrix(ring, 0, ncols)
-    lifter = ModuleLifter(
-        ring, E.rank(k - 1), mat_columns(ring, E.diff(k), E.rank(k - 1), E.rank(k)), order
-    )
+    rows = E.rank(k - 1)
+    lifter = ModuleLifter(ring, rows, mat_columns(ring, _differential(E, k), rows, E.rank(k)), order)
     cols = []
     for j in range(ncols):
-        q = lifter.lift(PolyVector(ring, tuple(M[i][j] for i in range(E.rank(k - 1)))))
+        q = lifter.lift(PolyVector(ring, tuple(M[i][j] for i in range(rows))))
         if q is None:
+            if k > E.length:
+                raise LiftingError(
+                    k, f"level {k}: target complex ended but the composite map has not"
+                )
             raise LiftingError(
                 k,
                 f"level {k}: column {j} is not in the image of the target "

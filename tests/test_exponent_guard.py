@@ -9,8 +9,8 @@ import pytest
 
 from residua import kernel, polyring
 from residua.cli import run_script
-from residua.groebner import Ideal, groebner_basis, normal_form
-from residua.polyring import LEX, PolynomialRing, divide
+from residua.groebner import Ideal, _engine, groebner_basis, normal_form
+from residua.polyring import LEX, PolynomialRing, divide, to_terms
 
 XY = PolynomialRing(("x", "y"))
 
@@ -79,3 +79,36 @@ def test_guard_trips_on_a_division_term(narrow_fields):
         normal_form(XY.poly("x^5"), [XY.poly("x - y^1000")], LEX)
     with pytest.raises(kernel.ExponentOverflowError):
         divide(XY.poly("x^5"), [XY.poly("x - y^1000")], LEX)
+
+
+def test_guard_trips_on_a_later_j_pair_lcm(narrow_fields):
+    # the inputs' own lcm x^2000*y^2000 is in range; the J-pair of their
+    # S-polynomial's remainder x^1900*z - y^1900*z with them is not
+    XYZ = PolynomialRing(("x", "y", "z"))
+    gens = [XYZ.poly("x^2000*y^100 - z"), XYZ.poly("x^100*y^2000 - z")]
+    codec = XYZ.default_order.codec(3)
+    assert codec.check(codec.term(0, (2000, 2000, 0)))
+    with pytest.raises(kernel.ExponentOverflowError):
+        groebner_basis(Ideal(XYZ, gens))
+    # the Buchberger loop trips on the same input
+    with pytest.raises(kernel.ExponentOverflowError):
+        _engine([to_terms(g, codec) for g in gens], codec, 1, True)
+
+
+def test_signatures_past_the_limit_still_answer(narrow_fields):
+    # signatures reach total degree 6005 here, past the limit 4096 but
+    # within twice it; every term of the computation stays in range
+    XYZ = PolynomialRing(("x", "y", "z"))
+    gens = [XYZ.poly("x^1000*y^1000 - z"), XYZ.poly("y^1500*z - x"), XYZ.poly("x^1200 - y")]
+    codec = XYZ.default_order.codec(3)
+    inputs = [to_terms(g, codec) for g in gens]
+    basis = _engine(inputs, codec, 1, False)[0]
+    assert basis == _engine(inputs, codec, 1, True)[0]
+    assert len(basis) == 9
+    # the wide check passes total degree 6000 and stops 9000
+    packed = lambda exps: sum(e * lin for e, lin in zip(exps, codec.lin)) + codec.base(0)
+    assert codec.check(packed((3000, 3000, 0)), wide=True)
+    with pytest.raises(kernel.ExponentOverflowError):
+        codec.check(packed((3000, 3000, 0)))
+    with pytest.raises(kernel.ExponentOverflowError):
+        codec.check(packed((3000, 3000, 3000)), wide=True)

@@ -53,12 +53,15 @@ def digest_lines(seeds):
 
 
 def extract(rev, tree):
-    """Write the files of git revision rev into the directory tree."""
+    """Write the files of git revision rev into the directory tree; exit
+    with "git archive REV failed" when git cannot archive rev."""
     archive = ["git", "-C", str(ROOT), "archive", rev]
     with subprocess.Popen(archive, stdout=subprocess.PIPE) as git:
-        subprocess.run(["tar", "-x", "-C", tree], stdin=git.stdout, check=True)
+        tar = subprocess.run(["tar", "-x", "-C", tree], stdin=git.stdout, stderr=subprocess.PIPE)
     if git.returncode:
         raise SystemExit(f"git archive {rev} failed")
+    if tar.returncode:
+        raise SystemExit(f"tar could not unpack git archive {rev}: {tar.stderr.decode().strip()}")
 
 
 def digest_lines_at(rev, seeds):

@@ -126,11 +126,10 @@ def main(argv):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         raise SystemExit("--pairs must be positive")
-    rev = git("rev-parse", "--short", args.against)
-
     pairs, runs = [], []
     with tempfile.TemporaryDirectory() as parent:
-        extract(rev, parent)
+        extract(args.against, parent)
+        rev = git("rev-parse", "--short", args.against)
         if benchmark_files(parent) != benchmark_files(ROOT):
             raise SystemExit(f"perfbench/ or BENCHMARK.json differs between {rev} and this tree")
         trees = {"parent": parent, "change": str(ROOT)}
