@@ -5,13 +5,11 @@ rings, quotients, ideals, tuples and matrices to names; commands run the
 algebra and print one deterministic result line each.  `--json` emits the
 whole run as a canonical JSON document (sorted keys, rationals as strings,
 matrices as nested arrays of polynomial text), byte-identical across runs.
-A report dataclass encodes as an object whose keys are its field names.
-The exceptions, in `encode`: chain maps, homotopies and homotopy failures
-give their matrices as text and leave out the complexes they join; a
-formal current leaves out its context and internal data; a meromorphic
-form gives numerator and denominator as text and leaves out its context;
-a transformation-law report gives det as text; a current recipe leaves
-out its context and J, which are the statement's own arguments.
+One rule encodes every result: a polynomial is its text, and a report
+dataclass is an object of its fields, less those that hold the
+statement's own scope or arguments, or internal data (`context`, `data`,
+`source`, `target`, `J`); homotopies and homotopy failures add
+`homotopic`.
 
 Exit codes: 0 success, 1 any statement failed during execution, 2 the
 script did not parse.  Execution errors are reported with their line
@@ -44,11 +42,8 @@ from residua.polyring import Polynomial, PolynomialRing, _coeff_str, order_by_na
 from residua.residues import (
     ChainMap,
     CurrentRecipe,
-    FormalCurrent,
     Homotopy,
     HomotopyFailure,
-    MeromorphicForm,
-    TransformationLawReport,
     annihilator_member,
     build_current_recipe,
     chain_homotopy,
@@ -297,17 +292,9 @@ def _parse_statement(chunk: str, line: int):
 def encode(v):
     """Engine value -> canonical JSON-ready structure (plain dict/list/str).
 
-    A report dataclass encodes as its fields, each encoded in turn; the
-    explicit branches before that one are the values whose JSON differs.
+    A polynomial on its own encodes as its term list, which
+    `parse_polynomial` reads back; every other value follows `_encode`.
     """
-    if v is None or isinstance(v, (bool, str)):
-        return v
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return "inf" if v == float("inf") else v
-    if isinstance(v, Fraction):
-        return _coeff_str(v.numerator, v.denominator)
     if isinstance(v, Polynomial):
         return {
             "vars": list(v.ring.names),
@@ -315,67 +302,45 @@ def encode(v):
                 {"coeff": _coeff_str(v.num[m], v.den), "exps": list(m)} for m in v.monomials()
             ],
         }
+    return _encode(v)
+
+
+# report fields that hold the statement's own scope or arguments, or internal data
+_UNREPORTED = frozenset(["context", "data", "source", "target", "J"])
+
+
+def _encode(v):
+    """The one rule: polynomials as text, tuples as lists, and a report
+    dataclass as its fields less `_UNREPORTED`."""
+    if isinstance(v, Polynomial):
+        return str(v)
+    if isinstance(v, (tuple, list)):
+        return [_encode(x) for x in v]
+    if v is None or isinstance(v, (int, str)):
+        return v
+    if isinstance(v, float):
+        return "inf" if v == float("inf") else v
+    if isinstance(v, Fraction):
+        return _coeff_str(v.numerator, v.denominator)
     if isinstance(v, Ideal):
-        return {"gens": [str(g) for g in v.gens]}
+        return {"gens": _encode(v.gens)}
     if isinstance(v, QuotientContext):
-        return {"vars": list(v.ring.names), "relations": [str(g) for g in v.relations.gens]}
+        return {"vars": list(v.ring.names), "relations": _encode(v.relations.gens)}
     if isinstance(v, ChainComplex):
-        out = {"ranks": list(v.ranks), "diffs": [_encode_matrix(M) for M in v.diffs]}
+        out = {"ranks": list(v.ranks), "diffs": _encode(v.diffs)}
         if not v.complete:
             out["truncated"] = True
         return out
-    # matrices as text, without the source and target complexes
-    if isinstance(v, ChainMap):
-        return {"levels": [_encode_matrix(M) for M in v.levels]}
-    if isinstance(v, Homotopy):
-        return {"homotopic": True, "maps": [_encode_matrix(M) for M in v.maps]}
-    if isinstance(v, HomotopyFailure):
-        return {"homotopic": False, "level": v.level, "residual": _encode_matrix(v.residual)}
-    # the context is the statement's own scope; data is internal (compare=False)
-    if isinstance(v, FormalCurrent):
-        return {
-            "kind": v.kind,
-            "annihilator": encode(v.annihilator),
-            "degree_span": list(v.degree_span),
-            "twopi_exponent": v.twopi_exponent,
-        }
-    # numerator and denominator as text; the context is the statement's own scope
-    if isinstance(v, MeromorphicForm):
-        return {
-            "numerator": str(v.numerator),
-            "denominator": str(v.denominator),
-            "wedge": list(v.wedge),
-            "twopi_exponent": v.twopi_exponent,
-        }
-    # the determinant as text, not as a term list
-    if isinstance(v, TransformationLawReport):
-        return {
-            "is_transformation": v.is_transformation,
-            "det": None if v.det is None else str(v.det),
-            "invertible_at_origin": v.invertible_at_origin,
-            "ideals_match": v.ideals_match,
-        }
-    # the context and J are the statement's own arguments
-    if isinstance(v, CurrentRecipe):
-        return {
-            "lifted": encode(v.lifted),
-            "E": encode(v.E),
-            "F": encode(v.F),
-            "a": encode(v.a),
-            "shape": encode(v.shape),
-            "current": encode(v.current),
-            "z_cohen_macaulay": v.z_cohen_macaulay,
-            "j_cohen_macaulay": v.j_cohen_macaulay,
-        }
     if dataclasses.is_dataclass(v):
-        return {f.name: encode(getattr(v, f.name)) for f in dataclasses.fields(v)}
-    if isinstance(v, (tuple, list)):
-        return [encode(x) for x in v]
+        out = {
+            f.name: _encode(getattr(v, f.name))
+            for f in dataclasses.fields(v)
+            if f.name not in _UNREPORTED
+        }
+        if isinstance(v, (Homotopy, HomotopyFailure)):
+            out["homotopic"] = isinstance(v, Homotopy)
+        return out
     raise TypeError(f"no canonical encoding for {type(v).__name__}")
-
-
-def _encode_matrix(M):
-    return [[str(e) for e in row] for row in M]
 
 
 # round-trip parsers ---------------------------------------------------------
@@ -444,6 +409,13 @@ class VMatrix:
 
 # ---------------------------------------------------------------------------
 # execution engine
+
+
+def _ring_and_context(scope):
+    """PolynomialRing or QuotientContext -> (ring, context or None)."""
+    if isinstance(scope, QuotientContext):
+        return scope.ring, scope
+    return scope, None
 
 
 class Engine:
@@ -526,19 +498,15 @@ class Engine:
         """Working ring/context: the 'over' clause, else the first argument
         that carries one."""
         if scope is not None:
-            if isinstance(scope, QuotientContext):
-                return scope.ring, scope
-            return scope, None
+            return _ring_and_context(scope)
         for tok in pos:
             v = self.token_value(tok)
             if isinstance(v, (VIdeal, VTuple)):
                 return v.ring, v.context
             if isinstance(v, VMatrix):
                 return v.ring, None
-            if isinstance(v, QuotientContext):
-                return v.ring, v
-            if isinstance(v, PolynomialRing):
-                return v, None
+            if isinstance(v, (PolynomialRing, QuotientContext)):
+                return _ring_and_context(v)
             if isinstance(v, ChainComplex):
                 return v.ring, v.context
             if isinstance(v, CurrentRecipe):
@@ -576,9 +544,7 @@ class Engine:
             return v
         if v is not None:
             raise CommandError("expected a polynomial")
-        if isinstance(tok, PolyTok):
-            return self.parse_poly(ring, tok.text)
-        if isinstance(tok, WordTok):
+        if isinstance(tok, (PolyTok, WordTok)):
             return self.parse_poly(ring, tok.text)
         if isinstance(tok, IntTok):
             return ring.const(tok.value)
@@ -650,32 +616,20 @@ class Engine:
                 raise CommandError("quotient declaration needs base/(relations)")
             self.env[name] = scope
             return None
-        if kind in ("ideal", "tuple"):
+        if kind in ("ideal", "tuple", "matrix"):
             _, _, name, scopename, tok = stmt
-            scope = self.make_scope(scopename)
-            ring = scope.ring if isinstance(scope, QuotientContext) else scope
-            ctx = scope if isinstance(scope, QuotientContext) else None
-            polys = tuple(self.parse_poly(ring, s) for s in tok.items)
-            self.env[name] = (
-                VIdeal(polys, ring, ctx) if kind == "ideal" else VTuple(polys, ring, ctx)
-            )
+            ring, ctx = _ring_and_context(self.make_scope(scopename))
+            if kind == "matrix":
+                self.env[name] = VMatrix(self.as_matrix(tok, ring), ring)
+            else:
+                gens = self.as_gens(tok, ring)
+                self.env[name] = (VIdeal if kind == "ideal" else VTuple)(gens, ring, ctx)
             return None
-        if kind == "matrix":
-            _, _, name, scopename, tok = stmt
-            scope = self.make_scope(scopename)
-            ring = scope.ring if isinstance(scope, QuotientContext) else scope
-            rows = tuple(tuple(self.parse_poly(ring, e) for e in row) for row in tok.rows)
-            self.env[name] = VMatrix(rows, ring)
-            return None
-        if kind == "bind":
-            _, _, name, cmd, args = stmt
-            value = self.run_command(cmd, args)
-            self.env[name] = value
-            self.last, self.have_last = value, True
-            return (cmd, value)
-        # plain call
-        _, _, cmd, args = stmt
+        # a command, bound to a name or not
+        cmd, args = stmt[-2:]
         value = self.run_command(cmd, args)
+        if kind == "bind":
+            self.env[stmt[2]] = value
         self.last, self.have_last = value, True
         return (cmd, value)
 
@@ -696,6 +650,42 @@ def _need(pos, n, usage):
 
 
 # -- command handlers
+#
+# A handler family calls its engine function by its name in this module,
+# looked up when the command runs, as the other handlers do: so a replaced
+# or wrapped module attribute is the one called.
+
+
+def _tuple_over_scope(usage, engine_fn):
+    def handler(eng, pos, kwargs, scope):
+        _need(pos, 1, usage)
+        ring, ctx = eng.ring_and_context(pos, scope)
+        fs = eng.as_gens(pos[0], ring)
+        eng.no_more_kwargs(kwargs)
+        return globals()[engine_fn](fs, context=ctx)
+
+    return handler
+
+
+def _one_complex(usage, engine_fn):
+    def handler(eng, pos, kwargs, scope):
+        _need(pos, 1, usage)
+        eng.no_more_kwargs(kwargs)
+        return globals()[engine_fn](eng.as_typed(pos[0], ChainComplex, "a complex"))
+
+    return handler
+
+
+def _two_with_order(usage, cls, what, engine_fn):
+    def handler(eng, pos, kwargs, scope):
+        _need(pos, 2, usage)
+        order = eng.kw_order(kwargs)
+        eng.no_more_kwargs(kwargs)
+        a = eng.as_typed(pos[0], cls, what)
+        b = eng.as_typed(pos[1], cls, what)
+        return globals()[engine_fn](a, b, order=order)
+
+    return handler
 
 
 def h_resolve(eng, pos, kwargs, scope):
@@ -706,20 +696,6 @@ def h_resolve(eng, pos, kwargs, scope):
     minimal = eng.kw_bool(kwargs, "minimal", False)
     eng.no_more_kwargs(kwargs)
     return free_resolution(Ideal(ring, gens), context=ctx, cap=cap, minimal=minimal)
-
-
-def h_minimalize(eng, pos, kwargs, scope):
-    _need(pos, 1, "minimalize(complex)")
-    eng.no_more_kwargs(kwargs)
-    return minimalize(eng.as_typed(pos[0], ChainComplex, "a complex"))
-
-
-def h_koszul(eng, pos, kwargs, scope):
-    _need(pos, 1, "koszul(tuple, [over SCOPE])")
-    ring, ctx = eng.ring_and_context(pos, scope)
-    fs = eng.as_gens(pos[0], ring)
-    eng.no_more_kwargs(kwargs)
-    return koszul_complex(fs, context=ctx)
 
 
 def h_tensor(eng, pos, kwargs, scope):
@@ -738,42 +714,12 @@ def h_lift(eng, pos, kwargs, scope):
     return maximal_lifting(Ideal(Z.ring, gens), Z)
 
 
-def h_compare(eng, pos, kwargs, scope):
-    _need(pos, 2, "compare(source, target, [order=NAME])")
-    order = eng.kw_order(kwargs)
-    eng.no_more_kwargs(kwargs)
-    F = eng.as_typed(pos[0], ChainComplex, "a complex")
-    E = eng.as_typed(pos[1], ChainComplex, "a complex")
-    return comparison_morphism(F, E, order=order)
-
-
-def h_homotopy(eng, pos, kwargs, scope):
-    _need(pos, 2, "homotopy(map, map, [order=NAME])")
-    order = eng.kw_order(kwargs)
-    eng.no_more_kwargs(kwargs)
-    a = eng.as_typed(pos[0], ChainMap, "a chain map")
-    b = eng.as_typed(pos[1], ChainMap, "a chain map")
-    return chain_homotopy(a, b, order=order)
-
-
-def h_be_check(eng, pos, kwargs, scope):
-    _need(pos, 1, "be-check(complex)")
-    eng.no_more_kwargs(kwargs)
-    return buchsbaum_eisenbud_check(eng.as_typed(pos[0], ChainComplex, "a complex"))
-
-
 def h_proper_check(eng, pos, kwargs, scope):
     _need(pos, 4, "proper-check(complex, complex, codim, codim)")
     eng.no_more_kwargs(kwargs)
     C = eng.as_typed(pos[0], ChainComplex, "a complex")
     D = eng.as_typed(pos[1], ChainComplex, "a complex")
     return proper_intersection_check(C, D, eng.as_int(pos[2]), eng.as_int(pos[3]))
-
-
-def h_period(eng, pos, kwargs, scope):
-    _need(pos, 1, "period(complex)")
-    eng.no_more_kwargs(kwargs)
-    return detect_periodicity(eng.as_typed(pos[0], ChainComplex, "a complex"))
 
 
 def h_cm_check(eng, pos, kwargs, scope):
@@ -785,22 +731,6 @@ def h_cm_check(eng, pos, kwargs, scope):
     cap = eng.kw_int(kwargs, "cap", eng.cap if eng.cap is not None else 0)
     eng.no_more_kwargs(kwargs)
     return cohen_macaulay_check(Ideal(ring, gens), cap=cap)
-
-
-def h_regseq(eng, pos, kwargs, scope):
-    _need(pos, 1, "regseq(tuple, [over SCOPE])")
-    ring, ctx = eng.ring_and_context(pos, scope)
-    fs = eng.as_gens(pos[0], ring)
-    eng.no_more_kwargs(kwargs)
-    return regular_sequence_check(fs, context=ctx)
-
-
-def h_ch(eng, pos, kwargs, scope):
-    _need(pos, 1, "ch(tuple, [over SCOPE])")
-    ring, ctx = eng.ring_and_context(pos, scope)
-    fs = eng.as_gens(pos[0], ring)
-    eng.no_more_kwargs(kwargs)
-    return coleff_herrera(fs, context=ctx)
 
 
 def h_translaw(eng, pos, kwargs, scope):
@@ -861,18 +791,22 @@ def h_annmember(eng, pos, kwargs, scope):
 
 HANDLERS = {
     "resolve": h_resolve,
-    "minimalize": h_minimalize,
-    "koszul": h_koszul,
+    "minimalize": _one_complex("minimalize(complex)", "minimalize"),
+    "koszul": _tuple_over_scope("koszul(tuple, [over SCOPE])", "koszul_complex"),
     "tensor": h_tensor,
     "lift": h_lift,
-    "compare": h_compare,
-    "homotopy": h_homotopy,
-    "be-check": h_be_check,
+    "compare": _two_with_order(
+        "compare(source, target, [order=NAME])", ChainComplex, "a complex", "comparison_morphism"
+    ),
+    "homotopy": _two_with_order(
+        "homotopy(map, map, [order=NAME])", ChainMap, "a chain map", "chain_homotopy"
+    ),
+    "be-check": _one_complex("be-check(complex)", "buchsbaum_eisenbud_check"),
     "proper-check": h_proper_check,
-    "period": h_period,
+    "period": _one_complex("period(complex)", "detect_periodicity"),
     "cm-check": h_cm_check,
-    "regseq": h_regseq,
-    "ch": h_ch,
+    "regseq": _tuple_over_scope("regseq(tuple, [over SCOPE])", "regular_sequence_check"),
+    "ch": _tuple_over_scope("ch(tuple, [over SCOPE])", "coleff_herrera"),
     "translaw": h_translaw,
     "presidue": h_presidue,
     "shape": h_shape,

@@ -296,7 +296,12 @@ def _buchberger_loop(divisors: list, reps: list, codec: kernel.Codec, rank: int,
 
     def push_pair(i, j):
         (pos, ei), (_, ej) = lead_exps[i], lead_exps[j]
-        heappush(pairs, (codec.term(pos, kernel.exp_lcm(ei, ej)), i, j))
+        if rank == 1 and not any(map(min, ei, ej)):
+            # coprime leads: the product is their lcm, left unchecked since
+            # the pair is skipped when it comes up
+            heappush(pairs, (divisors[i][0] + divisors[j][0] - base0, i, j))
+        else:
+            heappush(pairs, (codec.term(pos, kernel.exp_lcm(ei, ej)), i, j))
 
     for j in range(len(divisors)):
         for i in range(j):
@@ -436,13 +441,12 @@ def _signature_loop(inputs: list, codec: kernel.Codec) -> list:
         if lead == base0:
             return [(lead, 1, p)]
         exps = codec.decode(lead)[1]
-        for j, (lj, ej) in enumerate(zip(leads, lead_exps)):
-            kj = keys[j]
-            if kj == key:
+        for j, (lj, ej, kj) in enumerate(zip(leads, lead_exps, keys)):
+            # no pair for equal keys, nor for coprime leads (the lead of
+            # their principal syzygy)
+            if kj == key or not any(map(min, ej, exps)):
                 continue
             lcm = codec.term(0, kernel.exp_lcm(ej, exps))
-            if lcm + base0 == lj + lead:  # the principal syzygy's lead
-                continue
             top = max(kj, key) + (lcm << sig_bits)
             codec.check(top >> sig_bits, wide=True)
             src = (p, lcm - lead) if key > kj else (basis[j][2], lcm - lj)

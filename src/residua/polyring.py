@@ -649,27 +649,21 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
 # sums call kernel.add_product and kernel.power as Polynomial's *, ** and
 # + do, so the parsed polynomial has the same terms in the same dict order.
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/])|(\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group(1):
-            tokens.append(("num", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
+    for m in _TOKEN_RE.finditer(text):
+        num, name, op, bad = m.groups()
+        if num:
+            tokens.append(("num", num, m.start(1)))
+        elif name:
+            tokens.append(("name", name, m.start(2)))
+        elif op:
+            tokens.append(("op", op, m.start(3)))
         else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+            raise ParseError(f"unexpected character {bad!r}", m.start(4))
     return tokens
 
 

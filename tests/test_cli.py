@@ -34,7 +34,12 @@ from residua.homalg import (
     rank_loci,
 )
 from residua.polyring import PolynomialRing, order_by_name
-from residua.residues import regular_sequence_check, structure_form_shape
+from residua.residues import (
+    HomotopyFailure,
+    poincare_residue,
+    regular_sequence_check,
+    structure_form_shape,
+)
 
 ZW = PolynomialRing(("z", "w"))
 XY = PolynomialRing(("x", "y"))
@@ -116,6 +121,16 @@ def test_report_keys_are_field_names(name):
     assert list(encode(report)) == [f.name for f in dataclasses.fields(report)]
 
 
+def test_homotopy_failure_json():
+    failure = HomotopyFailure(1, ((XY.poly("x - 1/2*y"), XY.zero()),))
+    assert encode(failure) == {"homotopic": False, "level": 1, "residual": [["x - 1/2*y", "0"]]}
+
+
+def test_report_polynomials_encode_as_text_without_the_context():
+    form = poincare_residue(XY.poly("x^2 - y^3"), "x")
+    assert encode(form) == {"numerator": "1", "denominator": "2*x", "wedge": ["y"], "twopi_exponent": 1}
+
+
 def test_empty_ideal_json():
     assert encode(Ideal(ZW, ())) == {"gens": []}
 
@@ -172,8 +187,8 @@ from residua.cli import run_script
 reduce_terms = groebner.kernel.reduce_terms
 armed = [True]
 
-def corrupted(f, divisors, codec, want_quotients):
-    quots, rem, mult = reduce_terms(f, divisors, codec, want_quotients)
+def corrupted(f, divisors, codec, want_quotients, below=None):
+    quots, rem, mult = reduce_terms(f, divisors, codec, want_quotients, below)
     if armed[0] and want_quotients and not rem:
         armed[0] = False
         rem = dict(f)

@@ -9,8 +9,8 @@ import pytest
 
 from residua import kernel, polyring
 from residua.cli import run_script
-from residua.groebner import Ideal, _engine, groebner_basis, normal_form
-from residua.polyring import LEX, PolynomialRing, divide, to_terms
+from residua.groebner import Ideal, _engine, groebner_basis, module_lift, normal_form
+from residua.polyring import LEX, PolynomialRing, PolyVector, divide, to_terms
 
 XY = PolynomialRing(("x", "y"))
 
@@ -71,6 +71,15 @@ def test_guard_trips_on_an_s_pair_lcm(narrow_fields):
     I = Ideal(XY, [XY.poly("x^3000*y - 1"), XY.poly("x*y^3000 - 1")])
     with pytest.raises(kernel.ExponentOverflowError):
         groebner_basis(I)
+
+
+def test_coprime_leads_past_the_limit_still_answer(narrow_fields):
+    # the leads x^2100 and y^2100 are coprime, so no pair is reduced; their
+    # lcm, of degree 4200, is past the limit and must not be packed
+    f, g = XY.poly("x^2100 - y"), XY.poly("y^2100 - x")
+    assert Ideal(XY, [f, g]).groebner() == (f, g)
+    gens = [PolyVector(XY, (f,)), PolyVector(XY, (g,))]
+    assert module_lift(gens, PolyVector(XY, (f,))) == [XY.one(), XY.zero()]
 
 
 def test_guard_trips_on_a_division_term(narrow_fields):

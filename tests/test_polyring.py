@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -371,6 +372,38 @@ class ReferenceParser:
         raise ParseError(f"unexpected {val!r}" if kind else "unexpected end of input", pos)
 
 
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
+
+
+def reference_tokenize(text):
+    """The tokenizer as it was, one match per token from the last one's end."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m or m.end() == m.start():
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}", at)
+        if m.group(1):
+            tokens.append(("num", m.group(1), m.start(1)))
+        elif m.group(2):
+            tokens.append(("name", m.group(2), m.start(2)))
+        else:
+            tokens.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+    return tokens
+
+
+def tokenize_outcome(tokenize, text):
+    try:
+        return ("ok", tokenize(text))
+    except ParseError as e:
+        return ("error", str(e), e.position)
+
+
 def parse_outcome(parse, text):
     """What a parser makes of text: its terms in dict order with their
     coefficient types, or the ParseError's type, message and position."""
@@ -382,6 +415,7 @@ def parse_outcome(parse, text):
 
 
 def assert_parses_like_reference(text):
+    assert tokenize_outcome(polyring._tokenize, text) == tokenize_outcome(reference_tokenize, text)
     got = parse_outcome(poly_parse, text)
     assert got == parse_outcome(lambda t, r: ReferenceParser(t, r).parse(), text)
     if got[0] == "ok":
@@ -393,6 +427,7 @@ def assert_parses_like_reference(text):
     [
         # malformed: the ParseError must match in type, message and position
         "x^", "3/0", "x^-1", "x + q", "xy", "2*-x", "(x", "x)", "", "  ", "x &", "1/", "^2",
+        "x \t\u00a0", "x.y", "2 \u00e9", "\u0663x + 1",
         # zero constants, zero powers, and products whose term order depends
         # on the order of the convolution and of the squarings
         "(x+1)^0", "0/3", "0^0", "(0)^2", "0 + x + 1", "(x+1)(y-2)", "(2 + 2y - y^2)^3",
