@@ -142,8 +142,8 @@ NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
 RING_RE = re.compile(r"^Q\s*\[([^\]]*)\]$")
 CALL_RE = re.compile(r"^([a-z][a-z-]*)\s*\((.*)\)$", re.S)
 KWARG_RE = re.compile(r"^([A-Za-z_]\w*)\s*=\s*(\S.*)$")
-PAIR_RE = re.compile(r"^([A-Za-z_]\w*)\s*:\s*(\d+)$")
-INT_RE = re.compile(r"^-?\d+$")
+PAIR_RE = re.compile(r"^([A-Za-z_]\w*)\s*:\s*([0-9]+)$")
+INT_RE = re.compile(r"^-?[0-9]+$")
 DECL_RE = re.compile(r"^(ring|quotient|ideal|tuple|matrix|recipe)\s+([A-Za-z_]\w*)\s*=\s*(\S.*)$")
 BIND_RE = re.compile(r"^([A-Za-z_]\w*)\s*=\s*([a-z][a-z-]*\s*\(.*\))$", re.S)
 SCOPED_RE = re.compile(r"^([A-Za-z_]\w*)\s*:\s*(\(.*\)|\[.*\])$", re.S)
@@ -895,8 +895,12 @@ def main(argv=None) -> int:
         for ln in lines:
             print(ln)
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(blob)
+            try:
+                with open(args.json, "w", encoding="utf-8") as fh:
+                    fh.write(blob)
+            except OSError as e:
+                print(f"cannot write JSON report: {e}", file=sys.stderr)
+                return 2
     print(f"# elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 

@@ -753,12 +753,10 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
         shifts = [sum(m) + degrees[pos] for pos, m in leads]
         kept = _graded_prune(cands, sch_codec, s, shifts)
     if kept is None:
-        loop_codec = ring.default_order.codec(ring.n)
-        loop = [(loop_codec.transcode(p, sch_codec), lc) for p, lc in cands]
         kept = []
         for i in range(len(cands)):
-            others = [loop[k] for k in kept] + loop[i + 1 :]
-            if others and _member_terms(loop[i][0], others, s, loop_codec, context):
+            others = [cands[k] for k in kept] + cands[i + 1 :]
+            if others and _member_terms(cands[i][0], others, s, sch_codec, context):
                 continue
             kept.append(i)
         kept = [cands[i] for i in kept]

@@ -385,28 +385,24 @@ def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
 
 
 def koszul_complex(fs: Sequence[Polynomial], context: Context = None) -> ChainComplex:
-    """Exterior-algebra contraction complex on the tuple fs; a resolution
-    exactly when fs is a regular sequence."""
+    """Koszul complex on the tuple fs; a resolution exactly when fs is a
+    regular sequence.
+
+    K(f_1, ..., f_p) = K(f_1) (x) (K(f_2) (x) ... (x) K(f_p)), where K(f)
+    is the one-map complex R --f--> R (Eisenbud, Commutative Algebra,
+    17.1).  Folded from the right, the basis of level k is the k-subsets
+    of the indices in lexicographic order, and subset S maps to S minus
+    its l-th element (from 0) with sign (-1)^l."""
     fs = list(fs)
     if not fs:
         raise ValueError("koszul complex of an empty tuple")
     ring = fs[0].ring
     if any(f.ring != ring for f in fs):
         raise ValueError("koszul entries must share one ring")
-    p = len(fs)
-    subsets = [list(itertools.combinations(range(p), k)) for k in range(p + 1)]
-    ranks = [len(s) for s in subsets]
-    diffs = []
-    for k in range(1, p + 1):
-        rows = {S: r for r, S in enumerate(subsets[k - 1])}
-        M = [[ring.zero() for _ in subsets[k]] for _ in subsets[k - 1]]
-        for col, S in enumerate(subsets[k]):
-            for l, idx in enumerate(S):
-                T = tuple(x for x in S if x != idx)
-                sign = 1 if l % 2 == 0 else -1
-                M[rows[T]][col] = M[rows[T]][col] + fs[idx] * sign
-        diffs.append(tuple(tuple(row) for row in M))
-    return ChainComplex(ring, ranks, diffs, context=context, complete=True)
+    K = ChainComplex(ring, (1, 1), (((fs[-1],),),), context=context)
+    for f in reversed(fs[:-1]):
+        K = tensor_complexes(ChainComplex(ring, (1, 1), (((f,),),), context=context), K)
+    return K
 
 
 def tensor_complexes(C: ChainComplex, D: ChainComplex) -> ChainComplex:
@@ -421,66 +417,45 @@ def tensor_complexes(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if not (C.complete and D.complete):
         raise ValueError("tensor factors must be complete complexes")
     ring = C.ring
-    nc, nd = C.length, D.length
 
-    def blocks(k):
-        out = []
-        for p in range(min(k, nc), -1, -1):
-            q = k - p
-            if 0 <= q <= nd:
-                out.append((p, q))
-        return out
+    def basis(k):
+        """Row of each basis triple (p, i, j) of level k: C_p index i,
+        D_{k-p} index j, in the block order above."""
+        triples = (
+            (p, i, j)
+            for p in range(k, -1, -1)
+            for i in range(C.rank(p))
+            for j in range(D.rank(k - p))
+        )
+        return {t: r for r, t in enumerate(triples)}
 
-    def offsets(blist):
-        off = {}
-        pos = 0
-        for p, q in blist:
-            off[(p, q)] = pos
-            pos += C.rank(p) * D.rank(q)
-        return off, pos
+    def nonzero_columns(E):
+        """(row, entry) of the nonzero entries of each column of each
+        differential of E, in the order of E.diffs."""
+        return [
+            [
+                [(r, A[r][c]) for r in range(len(A)) if not A[r][c].is_zero()]
+                for c in range(E.rank(k))
+            ]
+            for k, A in enumerate(E.diffs, start=1)
+        ]
 
-    total = nc + nd
-    ranks = []
-    diffs = []
-    prev_blocks = blocks(0)
-    prev_off, prev_size = offsets(prev_blocks)
-    ranks.append(prev_size)
-    for k in range(1, total + 1):
-        cur_blocks = blocks(k)
-        cur_off, cur_size = offsets(cur_blocks)
-        ranks.append(cur_size)
-        M = [[ring.zero() for _ in range(cur_size)] for _ in range(prev_size)]
-        for p, q in cur_blocks:
-            src = cur_off[(p, q)]
-            rc, rd = C.rank(p), D.rank(q)
-            if p >= 1 and (p - 1, q) in prev_off:
-                dst = prev_off[(p - 1, q)]
-                phi = C.diff(p)
-                for i2 in range(C.rank(p - 1)):
-                    for i in range(rc):
-                        e = phi[i2][i]
-                        if e.is_zero():
-                            continue
-                        for j in range(rd):
-                            M[dst + i2 * rd + j][src + i * rd + j] = (
-                                M[dst + i2 * rd + j][src + i * rd + j] + e
-                            )
-            if q >= 1 and (p, q - 1) in prev_off:
-                dst = prev_off[(p, q - 1)]
-                psi = D.diff(q)
-                sign = 1 if p % 2 == 0 else -1
-                rd2 = D.rank(q - 1)
-                for j2 in range(rd2):
-                    for j in range(rd):
-                        e = psi[j2][j]
-                        if e.is_zero():
-                            continue
-                        for i in range(rc):
-                            M[dst + i * rd2 + j2][src + i * rd + j] = (
-                                M[dst + i * rd2 + j2][src + i * rd + j] + e * sign
-                            )
-        diffs.append(tuple(tuple(row) for row in M))
-        prev_blocks, prev_off, prev_size = cur_blocks, cur_off, cur_size
+    phi, psi = nonzero_columns(C), nonzero_columns(D)
+    rows = basis(0)
+    ranks, diffs = [len(rows)], []
+    for k in range(1, C.length + D.length + 1):
+        cols = basis(k)
+        M = [[ring.zero()] * len(cols) for _ in rows]
+        for c, (p, i, j) in enumerate(cols):
+            if p >= 1:
+                for i2, e in phi[p - 1][i]:
+                    M[rows[p - 1, i2, j]][c] = e
+            if p < k:
+                for j2, e in psi[k - p - 1][j]:
+                    M[rows[p, i, j2]][c] = -e if p % 2 else e
+        ranks.append(len(cols))
+        diffs.append(M)
+        rows = cols
     return ChainComplex(ring, ranks, diffs, context=C.context, complete=True)
 
 

@@ -302,15 +302,13 @@ def transformation_law_check(
     same ideal, which is all the transformation law claims algebraically."""
     fs, gs = list(fs), list(gs)
     p = len(fs)
+    if not p:
+        raise ValueError("transformation law check needs a nonempty tuple")
     if len(gs) != p or len(A) != p or any(len(row) != p for row in A):
         raise ValueError("need |f| = |g| = p and a p x p matrix")
     ring = fs[0].ring
-    for j in range(p):
-        acc = ring.zero()
-        for i in range(p):
-            acc = acc + gs[i] * A[i][j]
-        if acc != fs[j]:
-            return TransformationLawReport(False, None, False, None)
+    if list(mat_mul(ring, (tuple(gs),), A, 1, p, p)[0]) != fs:
+        return TransformationLawReport(False, None, False, None)
     det = determinant(ring, A, p)
     invertible = det.constant_term() != 0
     match = None

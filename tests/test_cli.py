@@ -176,6 +176,17 @@ def test_execution_errors_continue():
     assert doc["statements"][2]["command"] == "koszul"
 
 
+def test_cap_takes_only_ascii_digits():
+    # \d would read ARABIC-INDIC DIGIT SIX as 6 and run the resolution
+    code, lines, doc = run_script(
+        "resolve((x, y), over Q[x,y]/(x*y), cap=\u0666)\nkoszul((x), over Q[x,y])\n"
+    )
+    assert code == 1
+    assert lines[0] == "1: error: cap must be an integer"
+    assert doc["statements"][0]["error"] == "cap must be an integer"
+    assert doc["statements"][1]["command"] == "koszul" and "result" in doc["statements"][1]
+
+
 # A kernel whose first division that tracks quotients and leaves no
 # remainder reports its whole dividend as the remainder instead.
 _CORRUPT_ONE_DIVISION = """
@@ -366,6 +377,18 @@ def test_main_with_script_and_json_files(tmp_path, capsys):
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["exit"] == 0
     assert doc["statements"][0]["result"]["ranks"] == [1, 2, 1]
+
+
+def test_main_reports_an_unwritable_json_path(tmp_path, capsys):
+    script = tmp_path / "job.rcs"
+    script.write_text("koszul((z, w), over Q[z,w])\n", encoding="utf-8")
+    out = tmp_path / "missing" / "out.json"
+    assert main(["--script", str(script), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("1: koszul ->")
+    assert captured.err.startswith("cannot write JSON report: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_main_json_to_stdout_suppresses_text(capsys):

@@ -451,6 +451,152 @@ def test_tensor_refuses_truncated_factor():
         tensor_complexes(C, C)
 
 
+def reference_koszul_complex(fs, context=None):
+    """koszul_complex as it was before it became a fold of tensor products:
+    the lexicographic k-subsets with signs (-1)^l written out."""
+    fs = list(fs)
+    ring = fs[0].ring
+    p = len(fs)
+    subsets = [list(itertools.combinations(range(p), k)) for k in range(p + 1)]
+    ranks = [len(s) for s in subsets]
+    diffs = []
+    for k in range(1, p + 1):
+        rows = {S: r for r, S in enumerate(subsets[k - 1])}
+        M = [[ring.zero() for _ in subsets[k]] for _ in subsets[k - 1]]
+        for col, S in enumerate(subsets[k]):
+            for l, idx in enumerate(S):
+                T = tuple(x for x in S if x != idx)
+                sign = 1 if l % 2 == 0 else -1
+                M[rows[T]][col] = M[rows[T]][col] + fs[idx] * sign
+        diffs.append(tuple(tuple(row) for row in M))
+    return ChainComplex(ring, ranks, diffs, context=context, complete=True)
+
+
+def reference_tensor_complexes(C, D):
+    """tensor_complexes as it was before one index per level: block
+    offsets, and each block filled by offset arithmetic."""
+    ring = C.ring
+    nc, nd = C.length, D.length
+
+    def blocks(k):
+        out = []
+        for p in range(min(k, nc), -1, -1):
+            q = k - p
+            if 0 <= q <= nd:
+                out.append((p, q))
+        return out
+
+    def offsets(blist):
+        off = {}
+        pos = 0
+        for p, q in blist:
+            off[(p, q)] = pos
+            pos += C.rank(p) * D.rank(q)
+        return off, pos
+
+    total = nc + nd
+    ranks = []
+    diffs = []
+    prev_blocks = blocks(0)
+    prev_off, prev_size = offsets(prev_blocks)
+    ranks.append(prev_size)
+    for k in range(1, total + 1):
+        cur_blocks = blocks(k)
+        cur_off, cur_size = offsets(cur_blocks)
+        ranks.append(cur_size)
+        M = [[ring.zero() for _ in range(cur_size)] for _ in range(prev_size)]
+        for p, q in cur_blocks:
+            src = cur_off[(p, q)]
+            rc, rd = C.rank(p), D.rank(q)
+            if p >= 1 and (p - 1, q) in prev_off:
+                dst = prev_off[(p - 1, q)]
+                phi = C.diff(p)
+                for i2 in range(C.rank(p - 1)):
+                    for i in range(rc):
+                        e = phi[i2][i]
+                        if e.is_zero():
+                            continue
+                        for j in range(rd):
+                            M[dst + i2 * rd + j][src + i * rd + j] = (
+                                M[dst + i2 * rd + j][src + i * rd + j] + e
+                            )
+            if q >= 1 and (p, q - 1) in prev_off:
+                dst = prev_off[(p, q - 1)]
+                psi = D.diff(q)
+                sign = 1 if p % 2 == 0 else -1
+                rd2 = D.rank(q - 1)
+                for j2 in range(rd2):
+                    for j in range(rd):
+                        e = psi[j2][j]
+                        if e.is_zero():
+                            continue
+                        for i in range(rc):
+                            M[dst + i * rd2 + j2][src + i * rd + j] = (
+                                M[dst + i * rd2 + j2][src + i * rd + j] + e * sign
+                            )
+        diffs.append(tuple(tuple(row) for row in M))
+        prev_blocks, prev_off, prev_size = cur_blocks, cur_off, cur_size
+    return ChainComplex(ring, ranks, diffs, context=C.context, complete=True)
+
+
+def assert_same_complex(got, ref):
+    """Equal ranks, and every entry equal down to its terms' dict order."""
+    assert got == ref
+    assert [[[list(e.num.items()) for e in row] for row in M] for M in got.diffs] == [
+        [[list(e.num.items()) for e in row] for row in M] for M in ref.diffs
+    ]
+
+
+XYZW = PolynomialRing(("x", "y", "z", "w"))
+XYZW_NODE = QuotientContext(XYZW, Ideal(XYZW, (P(XYZW, "x*y - z*w"),)))
+
+
+def random_tuple(rng, size):
+    """size seeded polynomials of Q[x,y,z,w], about one in four zero."""
+    return tuple(
+        XYZW.zero() if rng.random() < 0.25 else random_nonzero_poly(rng, XYZW, 2, 3)
+        for _ in range(size)
+    )
+
+
+@pytest.mark.parametrize("context", [None, XYZW_NODE], ids=["free", "quotient"])
+def test_koszul_matches_reference_on_seeded_tuples(context):
+    rng = random.Random(71)
+    for size in range(1, 6):
+        for _ in range(10):
+            fs = random_tuple(rng, size)
+            assert_same_complex(
+                koszul_complex(fs, context), reference_koszul_complex(fs, context)
+            )
+
+
+@pytest.mark.parametrize("context", [None, XYZW_NODE], ids=["free", "quotient"])
+def test_tensor_matches_reference_on_seeded_complexes(context):
+    rng = random.Random(73)
+    for _ in range(6):
+        A = koszul_complex(random_tuple(rng, rng.randint(1, 3)), context)
+        B = koszul_complex(random_tuple(rng, rng.randint(1, 3)), context)
+        assert_same_complex(tensor_complexes(A, B), reference_tensor_complexes(A, B))
+    # over the node, x + y, z - w is a regular sequence: a finite resolution
+    gens = ("x + y", "z - w") if context else ("x^2", "x*y", "z*w")
+    C = free_resolution(Ideal(XYZW, tuple(P(XYZW, g) for g in gens)), context=context)
+    assert C.complete and C.length >= 2
+    for _ in range(3):
+        K = koszul_complex(random_tuple(rng, rng.randint(1, 2)), context)
+        assert_same_complex(tensor_complexes(C, K), reference_tensor_complexes(C, K))
+        assert_same_complex(tensor_complexes(K, C), reference_tensor_complexes(K, C))
+
+
+def test_tensor_matches_reference_with_a_length_zero_factor_and_a_rank_zero_level():
+    K = koszul_complex((P(XYZW, "x"), P(XYZW, "y - w")))
+    point = ChainComplex(XYZW, (2,), ())
+    nothing = ChainComplex(XYZW, (0,), ())
+    gap = ChainComplex(XYZW, (1, 0, 1), (((),), ()))
+    for A in (point, nothing, gap):
+        for C, D in ((A, K), (K, A), (A, A)):
+            assert_same_complex(tensor_complexes(C, D), reference_tensor_complexes(C, D))
+
+
 def test_extend_ring_transports_entries_and_context():
     ZWT = PolynomialRing(("z", "w", "t"))
     ctx = QuotientContext(ZW, Ideal(ZW, (P(ZW, "z*w"),)))

@@ -427,7 +427,7 @@ def assert_parses_like_reference(text):
     [
         # malformed: the ParseError must match in type, message and position
         "x^", "3/0", "x^-1", "x + q", "xy", "2*-x", "(x", "x)", "", "  ", "x &", "1/", "^2",
-        "x \t\u00a0", "x.y", "2 \u00e9", "\u0663x + 1",
+        "x \t\u00a0", "x.y", "2 \u00e9",
         # zero constants, zero powers, and products whose term order depends
         # on the order of the convolution and of the squarings
         "(x+1)^0", "0/3", "0^0", "(0)^2", "0 + x + 1", "(x+1)(y-2)", "(2 + 2y - y^2)^3",
@@ -436,6 +436,14 @@ def assert_parses_like_reference(text):
 )
 def test_parser_matches_reference_on_fixed_inputs(text):
     assert_parses_like_reference(text)
+
+
+@pytest.mark.parametrize("text", ["\u0663x + 1", "\uff11"])
+def test_parser_takes_only_ascii_digits(text):
+    # \d would read ARABIC-INDIC DIGIT THREE as 3 and FULLWIDTH DIGIT ONE as 1
+    with pytest.raises(ParseError, match=f"^unexpected character {text[0]!r}") as e:
+        poly_parse(text, R3)
+    assert e.value.position == 0
 
 
 try:
@@ -481,7 +489,9 @@ if st is not None:
         ).map(_join)
 
     TOP = st.tuples(st.sampled_from(["", "-", "+", " -"]), expressions(2)).map("".join)
-    BAD = ["^", "/0", "^-1", " q", "(", ")", "*", "+", "/", "^x", "&", "x^", " xy", "--", "1/"]
+    # unknown characters after whitespace pin the error to the character
+    BAD = ["^", "/0", "^-1", " q", "(", ")", "*", "+", "/", "^x", "&", "x^", " xy", "--", "1/",
+           " &", "\t&", " \u00e9"]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(TOP)

@@ -248,6 +248,11 @@ def test_transformation_law_examples():
     assert not rep.is_transformation
 
 
+def test_transformation_law_refuses_an_empty_tuple():
+    with pytest.raises(ValueError, match="nonempty tuple"):
+        transformation_law_check([], [], ())
+
+
 def test_transformation_law_oracles_decide_identically():
     rng = random.Random(19)
     f = (P(ZW, "z"), P(ZW, "w"))
