@@ -138,15 +138,16 @@ class MatrixTok:  # [[ .. ], [ .. ]]
 # ---------------------------------------------------------------------------
 # parsing
 
-NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # ASCII, as ring variables
+NAME_RE = re.compile(rf"^{NAME}$")
 RING_RE = re.compile(r"^Q\s*\[([^\]]*)\]$")
 CALL_RE = re.compile(r"^([a-z][a-z-]*)\s*\((.*)\)$", re.S)
-KWARG_RE = re.compile(r"^([A-Za-z_]\w*)\s*=\s*(\S.*)$")
-PAIR_RE = re.compile(r"^([A-Za-z_]\w*)\s*:\s*([0-9]+)$")
+KWARG_RE = re.compile(rf"^({NAME})\s*=\s*(\S.*)$")
+PAIR_RE = re.compile(rf"^({NAME})\s*:\s*([0-9]+)$")
 INT_RE = re.compile(r"^-?[0-9]+$")
-DECL_RE = re.compile(r"^(ring|quotient|ideal|tuple|matrix|recipe)\s+([A-Za-z_]\w*)\s*=\s*(\S.*)$")
-BIND_RE = re.compile(r"^([A-Za-z_]\w*)\s*=\s*([a-z][a-z-]*\s*\(.*\))$", re.S)
-SCOPED_RE = re.compile(r"^([A-Za-z_]\w*)\s*:\s*(\(.*\)|\[.*\])$", re.S)
+DECL_RE = re.compile(rf"^(ring|quotient|ideal|tuple|matrix|recipe)\s+({NAME})\s*=\s*(\S.*)$")
+BIND_RE = re.compile(rf"^({NAME})\s*=\s*([a-z][a-z-]*\s*\(.*\))$", re.S)
+SCOPED_RE = re.compile(rf"^({NAME})\s*:\s*(\(.*\)|\[.*\])$", re.S)
 
 
 def _split_top(text: str, sep: str = ","):

@@ -554,31 +554,67 @@ def determinant(ring: PolynomialRing, M: Matrix, n: int) -> Polynomial:
     return Polynomial.from_kernel(ring, d, math.prod(scales))
 
 
+def _class_firsts(values):
+    """(i, d) for each nonzero d of values that is the first of its class up
+    to a scalar, lazily; minors equal up to a scalar have one monic form."""
+    met = set()
+    for i, d in enumerate(values):
+        if d and (sig := frozenset(kernel.primitive(d, max(d))[0].items())) not in met:
+            met.add(sig)
+            yield i, d
+
+
+def _minor_scan(minor, rows, cols, r):
+    """The r x r minors of a _MinorTable's minor, rows and columns
+    enumerated lexicographically, less those the rank-one compound shows
+    to be zero or a scalar multiple of an earlier one.
+
+    At the first nonzero minor c on (R0, C0) the bordering (r+1)-minors
+    are tested, once.  If all vanish, phi has rank r over the fraction
+    field, its r-th exterior power has rank one, and minor(R, C) * c =
+    minor(R, C0) * minor(R0, C).  So (R, C) is zero when a factor is, and
+    a multiple of (R', C') when R' and C' have factors of the same classes:
+    only the first row set and column set of each nonzero class are
+    evaluated (R0 and C0 are the first).  Otherwise every minor is."""
+    row_sets = [sum(s) for s in itertools.combinations([1 << i for i in range(rows)], r)]
+    col_sets = [sum(s) for s in itertools.combinations([1 << j for j in range(cols)], r)]
+    scan = ((R, C) for R in row_sets for C in col_sets)
+    for R0, C0 in scan:
+        c = minor(R0, C0)
+        yield c
+        if c:
+            break
+    else:
+        return
+    out_rows = [1 << i for i in range(rows) if not R0 >> i & 1]
+    out_cols = [1 << j for j in range(cols) if not C0 >> j & 1]
+    if not any(minor(R0 | i, C0 | j) for i in out_rows for j in out_cols):
+        us = [row_sets[i] for i, _ in _class_firsts(minor(R, C0) for R in row_sets)]
+        vs = [col_sets[j] for j, _ in _class_firsts(minor(R0, C) for C in col_sets)]
+        scan = itertools.islice(((R, C) for R in us for C in vs), 1, None)
+    for R, C in scan:
+        yield minor(R, C)
+
+
 def _minors(ring, M, rows, cols, r):
     """Each distinct r x r minor of M up to a scalar, as (the monic minor,
     its lead monomial under the default order): rows and columns
     enumerated lexicographically, each minor at its first occurrence.  For
     r <= 0 the one minor is 1; for r > min(rows, cols) there is none.
-    Lazy, so that minors_codim can stop early; minors lists them all."""
+
+    The minors come from one shared _MinorTable through _minor_scan, which
+    evaluates only one pair per class of factor minors when M has rank
+    exactly r; the output is that of evaluating them all.  Lazy, so that
+    minors_codim can stop early (before the scan's rank test when the
+    first minor settles it); minors lists them all."""
     if r <= 0:
         yield ring.one(), (0,) * ring.n
         return
     minor = _MinorTable(_integer_rows(M, rows, cols)[0]).minor
     key = ring.default_order.ring_key
-    seen = set()
-    col_sets = [sum(cs) for cs in itertools.combinations([1 << c for c in range(cols)], r)]
-    for rs in itertools.combinations([1 << i for i in range(rows)], r):
-        row_set = sum(rs)
-        for col_set in col_sets:
-            d = minor(row_set, col_set)
-            if not d:
-                continue
-            # minors equal up to a scalar have one monic form
-            sig = frozenset(kernel.primitive(d, max(d))[0].items())
-            if sig not in seen:
-                seen.add(sig)
-                lead = max(d, key=key)
-                yield Polynomial.from_kernel(ring, d, d[lead]), lead
+    for _, d in _class_firsts(_minor_scan(minor, rows, cols, r)):
+        lead = max(d, key=key)
+        yield Polynomial.from_kernel(ring, d, d[lead]), lead
 
 
 def _entry_supports(M, rows, cols, r) -> set:
@@ -770,7 +806,8 @@ def minors_codim(ring, M, rows, cols, r):
     """codim of the ideal of the r x r minors of M.  Every such minor lies
     in the prime (x_i : i in S) of the entries, so once the lead supports
     of the minors met so far have cover number |S|, that is the codim (a
-    subideal has no larger codimension) and the rest are not enumerated;
+    subideal has no larger codimension) and the rest are not evaluated (nor
+    is the rank test of _minor_scan when the first minor settles it);
     otherwise groebner.certified_dimension decides on all of them."""
     n = ring.n
     terms = _entry_supports(M, rows, cols, r)

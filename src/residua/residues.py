@@ -257,7 +257,11 @@ def regular_sequence_check(fs: Sequence[Polynomial], context: Context = None) ->
 class FormalCurrent:
     """A current named by its algebraic data: the annihilator ideal (over an
     optional quotient context), the span of levels carrying components, and
-    the symbolic power of 2*pi*i."""
+    the symbolic power of 2*pi*i.
+
+    The current is global: the sum of its germs at every point of the zero
+    set of the annihilator, so annihilates(g) is membership in the whole
+    ideal, not in its localization at one point."""
 
     kind: str  # 'coleff_herrera' | 'aw_current' | 'poincare_residue'
     annihilator: Ideal
@@ -535,7 +539,13 @@ def build_current_recipe(Z: QuotientContext, J: Ideal, cap: int = 16) -> Current
 def annihilator_member(recipe: CurrentRecipe, g: Polynomial) -> bool:
     """Does g annihilate the current?  Decided twice -- membership in the
     maximal lifting over the ambient ring, and membership in J over the
-    quotient -- and the two answers must agree."""
+    quotient -- and the two answers must agree.
+
+    The question is global: g must lie in J~ = I_Z + J, so it must kill the
+    sum of the local currents at every point of V(J~).  On z^3 = w^2 with
+    J = (z + w), J~ vanishes at 0 and at (1, -1); z^2 is not a member,
+    although z^2 lies in J~ localized at 0, (w^2, z + w), and so
+    annihilates the germ at the origin."""
     ambient = ideal_member(g, recipe.lifted)
     quotient = ideal_member(recipe.context.reduce(g), recipe.J, recipe.context)
     if ambient != quotient:

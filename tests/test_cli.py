@@ -187,6 +187,21 @@ def test_cap_takes_only_ascii_digits():
     assert doc["statements"][1]["command"] == "koszul" and "result" in doc["statements"][1]
 
 
+def test_script_names_are_ascii():
+    # \w would take any Unicode word character into a name, while ring
+    # variables are ASCII: each of these scripts ran with exit 0
+    for text in (
+        "ring S٣ = Q[x]\ntuple té = S٣:(x)\nkoszul(té)\n",
+        "ring S٣ = Q[x]\nkoszul((x), over S٣)\n",
+        "ring S = Q[x]\ntuple té = S:(x)\n",
+        "ring S = Q[x]\ntuple t = S:(x)\nté = koszul(t)\n",
+    ):
+        with pytest.raises(ParseFailure):
+            parse_script(text)
+    code, lines, _ = run_script("ring S_3 = Q[x]\ntuple t3 = S_3:(x)\nkoszul(t3)\n")
+    assert code == 0 and lines == ['3: koszul -> {"diffs": [[["x"]]], "ranks": [1, 1]}']
+
+
 # A kernel whose first division that tracks quotients and leaves no
 # remainder reports its whole dividend as the remainder instead.
 _CORRUPT_ONE_DIVISION = """

@@ -9,8 +9,14 @@ stop early or skip the Groebner basis where a certificate allows, must
 equal dimension of the whole minor ideal (itself checked against sympy
 in test_dimension_oracle.py).  Skipped when sympy or hypothesis is
 missing.
+
+The minor scan itself is checked against reference_minors, the
+exhaustive enumeration it replaced, which is frozen here: the scan must
+yield the same (monic minor, lead) sequence whether the matrix has rank
+below, equal to or above r.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,18 +27,23 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
+from residua import homalg, kernel
 from residua.groebner import Ideal, dimension
 from residua.homalg import (
     ChainComplex,
     minors_codim,
     buchsbaum_eisenbud_check,
     determinant,
+    free_resolution,
     generic_rank,
+    minors,
     minors_ideal,
     proper_intersection_check,
     rank_loci,
 )
 from residua.polyring import Polynomial, PolynomialRing
+
+from conftest import random_poly
 
 R = PolynomialRing(("x", "y", "z"))
 X = sympy.symbols("x y z")
@@ -175,3 +186,149 @@ def test_minor_codims_match_dimension(case):
     assert diag.codims == (dimension(diag.loci[0])[1],)
     ((_, _, cd, _, _),) = proper_intersection_check(C, C, 1, 1).pairs
     assert cd == dimension(Ideal(R, diag.loci[0].gens * 2))[1]
+
+
+# ---------------------------------------------------------------------------
+# the minor scan against the exhaustive enumeration it replaced
+
+
+def reference_minors(ring, M, rows, cols, r):
+    """The exhaustive _minors, frozen: every r x r minor is evaluated, rows
+    and columns lexicographically, and each class up to a scalar is
+    yielded at its first occurrence."""
+    if r <= 0:
+        yield ring.one(), (0,) * ring.n
+        return
+    minor = homalg._MinorTable(homalg._integer_rows(M, rows, cols)[0]).minor
+    key = ring.default_order.ring_key
+    seen = set()
+    col_sets = [sum(cs) for cs in combinations([1 << c for c in range(cols)], r)]
+    for rs in combinations([1 << i for i in range(rows)], r):
+        row_set = sum(rs)
+        for col_set in col_sets:
+            d = minor(row_set, col_set)
+            if not d:
+                continue
+            # minors equal up to a scalar have one monic form
+            sig = frozenset(kernel.primitive(d, max(d))[0].items())
+            if sig not in seen:
+                seen.add(sig)
+                lead = max(d, key=key)
+                yield Polynomial.from_kernel(ring, d, d[lead]), lead
+
+
+def trace(pairs):
+    """Each (minor, lead) as its terms in order and its lead."""
+    return [(list(g.terms.items()), lead) for g, lead in pairs]
+
+
+def assert_scan_matches_reference(M, rows, cols, rs):
+    for r in rs:
+        got = trace(homalg._minors(R, M, rows, cols, r))
+        assert got == trace(reference_minors(R, M, rows, cols, r)), r
+
+
+@st.composite
+def low_rank(draw):
+    """(M, rows, cols): a rows x k times k x cols product, so of rank at
+    most k, with a row and a column possibly zeroed."""
+    rows, cols, k = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    A = [[draw(POLYS) for _ in range(k)] for _ in range(rows)]
+    B = [[draw(POLYS) for _ in range(cols)] for _ in range(k)]
+    M = [
+        [sum((A[i][l] * B[l][j] for l in range(k)), R.zero()) for j in range(cols)]
+        for i in range(rows)
+    ]
+    if draw(st.booleans()):
+        M[draw(st.integers(0, rows - 1))] = [R.zero()] * cols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in M:
+            row[j] = R.zero()
+    return tuple(map(tuple, M)), rows, cols
+
+
+@SETTINGS
+@given(st.one_of(matrices(st.tuples(st.integers(0, 4), st.integers(0, 5))), low_rank()))
+@example(case([], 0))
+@example(case([["x", "0"], ["0", "y"]]))  # rank 2: at r = 1 the bordering minor is x*y
+@example(case([["x", "y", "z"], ["x*z", "y*z", "z^2"]]))  # its 2-minors cancel to zero
+@example(case([["0", "0", "0"], ["x", "y", "1/2*z"], ["2*y", "0", "x - z"]]))  # a zero row
+@example(
+    case(  # dense, rank 3
+        [
+            ["x + 1", "y - 2/3", "x*z + 3", "y^2 + x"],
+            ["2*y + z", "x^2 - 1", "z + 5", "x*y + 1/2"],
+            ["z^2 + 1", "x + y + z", "3*x - y", "y*z - 7"],
+        ]
+    )
+)
+def test_minor_scan_matches_the_exhaustive_enumeration(case):
+    # every r from 0 to min + 1: rank below, equal to and above r, and
+    # r = min(rows, cols), where there is no bordering minor
+    M, rows, cols = case
+    assert_scan_matches_reference(M, rows, cols, range(min(rows, cols) + 2))
+
+
+def test_minor_scan_matches_the_exhaustive_enumeration_on_seeded_products():
+    # rank k products with fractional scales up to 5 x 6, all r
+    rng = random.Random(22)
+    for _ in range(12):
+        rows, cols, k = rng.randint(2, 5), rng.randint(2, 6), rng.randint(1, 3)
+        A = [[random_poly(rng, R, 1, 2) * Fraction(1, rng.randint(1, 4)) for _ in range(k)]
+             for _ in range(rows)]
+        B = [[random_poly(rng, R, 1, 2) for _ in range(cols)] for _ in range(k)]
+        M = tuple(
+            tuple(sum((A[i][l] * B[l][j] for l in range(k)), R.zero()) for j in range(cols))
+            for i in range(rows)
+        )
+        assert_scan_matches_reference(M, rows, cols, range(min(rows, cols) + 2))
+
+
+def test_minor_scan_evaluates_one_pair_per_class_on_the_cube_resolution():
+    gens = [R.poly(m) for m in "x^3 x^2*y x^2*z x*y^2 x*y*z x*z^2 y^3 y^2*z y*z^2 z^3".split()]
+    C = free_resolution(Ideal(R, gens), minimal=True)
+    assert C.ranks == (1, 10, 15, 6)
+    for k, r in enumerate((1, 9, 6), 1):
+        assert_scan_matches_reference(C.diff(k), C.ranks[k - 1], C.ranks[k], (r,))
+    # phi_2 has rank 9: its six bordering 10-minors vanish, and the 55
+    # distinct minors come from about a tenth of its 50,050 9-minors
+    table = homalg._MinorTable(homalg._integer_rows(C.diff(2), 10, 15)[0])
+    sizes = {}
+
+    def minor(rs, cs):
+        sizes[rs.bit_count()] = sizes.get(rs.bit_count(), 0) + 1
+        return table.minor(rs, cs)
+
+    assert sum(map(bool, homalg._minor_scan(minor, 10, 15, 9))) == 280
+    assert sizes[10] == 6 and sizes[9] < 6000
+
+
+def test_minors_codim_stops_early(monkeypatch):
+    M, rows, cols = case([["x", "y", "z", "x + y"]])
+    assert len(minors(R, M, rows, cols, 1)) == 4
+    taken = []
+    scan = homalg._minors
+
+    def counted(*args):
+        for pair in scan(*args):
+            taken.append(pair)
+            yield pair
+
+    monkeypatch.setattr(homalg, "_minors", counted)
+    # the leads of x, y and z reach the cover number 3 of the entries
+    assert minors_codim(R, M, rows, cols, 1) == 3
+    assert len(taken) == 3
+    # the first minor settles codim 1, so no other minor and no bordering
+    # minor is evaluated
+    calls = []
+    minor = homalg._MinorTable.minor
+
+    def logged(self, rs, cs):
+        calls.append((rs, cs))
+        return minor(self, rs, cs)
+
+    monkeypatch.setattr(homalg._MinorTable, "minor", logged)
+    M, rows, cols = case([["x", "x*y", "x^2"], ["x*z", "x", "x*y"]])
+    assert minors_codim(R, M, rows, cols, 1) == 1
+    assert calls == [(1, 1)]
