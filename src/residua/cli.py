@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import re
+import string
 import sys
 import time
 from fractions import Fraction
@@ -138,16 +139,23 @@ class MatrixTok:  # [[ .. ], [ .. ]]
 # ---------------------------------------------------------------------------
 # parsing
 
-NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # ASCII, as ring variables
-NAME_RE = re.compile(rf"^{NAME}$")
-RING_RE = re.compile(r"^Q\s*\[([^\]]*)\]$")
-CALL_RE = re.compile(r"^([a-z][a-z-]*)\s*\((.*)\)$", re.S)
-KWARG_RE = re.compile(rf"^({NAME})\s*=\s*(\S.*)$")
-PAIR_RE = re.compile(rf"^({NAME})\s*:\s*([0-9]+)$")
-INT_RE = re.compile(r"^-?[0-9]+$")
-DECL_RE = re.compile(rf"^(ring|quotient|ideal|tuple|matrix|recipe)\s+({NAME})\s*=\s*(\S.*)$")
-BIND_RE = re.compile(rf"^({NAME})\s*=\s*([a-z][a-z-]*\s*\(.*\))$", re.S)
-SCOPED_RE = re.compile(rf"^({NAME})\s*:\s*(\(.*\)|\[.*\])$", re.S)
+# Names, digits and whitespace are ASCII, as ring variables: patterns use
+# re.ASCII, text is stripped of WS only, and lines end at LINE_BREAK only.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+WS = string.whitespace
+LINE_BREAK = re.compile(r"\r\n|\r|\n")
+NAME_RE = re.compile(rf"^{NAME}$", re.A)
+RING_RE = re.compile(r"^Q\s*\[([^\]]*)\]$", re.A)
+CALL_RE = re.compile(r"^([a-z][a-z-]*)\s*\((.*)\)$", re.A | re.S)
+KWARG_RE = re.compile(rf"^({NAME})\s*=\s*(\S.*)$", re.A)
+PAIR_RE = re.compile(rf"^({NAME})\s*:\s*([0-9]+)$", re.A)
+INT_RE = re.compile(r"^-?[0-9]+$", re.A)
+DECL_RE = re.compile(
+    rf"^(ring|quotient|ideal|tuple|matrix|recipe)\s+({NAME})\s*=\s*(\S.*)$", re.A
+)
+BIND_RE = re.compile(rf"^({NAME})\s*=\s*([a-z][a-z-]*\s*\(.*\))$", re.A | re.S)
+SCOPED_RE = re.compile(rf"^({NAME})\s*:\s*(\(.*\)|\[.*\])$", re.A | re.S)
+OVER_RE = re.compile(r"over\b", re.A)
 
 
 def _split_top(text: str, sep: str = ","):
@@ -170,11 +178,11 @@ def _split_top(text: str, sep: str = ","):
 
 
 def _classify_arg(text: str):
-    text = text.strip()
+    text = text.strip(WS)
     if not text:
         raise ValueError("empty argument")
-    if text.startswith("over") and (len(text) == 4 or not (text[4].isalnum() or text[4] == "_")):
-        spec = text[4:].strip()
+    if OVER_RE.match(text):
+        spec = text[4:].strip(WS)
         if not spec:
             raise ValueError("'over' needs a ring or quotient")
         return OverTok(spec)
@@ -185,25 +193,25 @@ def _classify_arg(text: str):
         return PairTok(m.group(1), int(m.group(2)))
     m = KWARG_RE.match(text)
     if m:
-        return KwargTok(m.group(1), m.group(2).strip())
+        return KwargTok(m.group(1), m.group(2).strip(WS))
     if INT_RE.match(text):
         return IntTok(int(text))
     if NAME_RE.match(text):
         return WordTok(text)
     if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1].strip()
-        items = [] if not inner else [s.strip() for s in _split_top(inner)]
+        inner = text[1:-1].strip(WS)
+        items = [] if not inner else [s.strip(WS) for s in _split_top(inner)]
         if any(not s for s in items):
             raise ValueError("empty entry in tuple")
         return TupleTok(items)
     if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
+        inner = text[1:-1].strip(WS)
         rows = []
         for piece in _split_top(inner):
-            piece = piece.strip()
+            piece = piece.strip(WS)
             if not (piece.startswith("[") and piece.endswith("]")):
                 raise ValueError("matrix rows must be bracketed")
-            entries = [s.strip() for s in _split_top(piece[1:-1])]
+            entries = [s.strip(WS) for s in _split_top(piece[1:-1])]
             if any(not s for s in entries):
                 raise ValueError("empty entry in matrix row")
             rows.append(entries)
@@ -214,10 +222,10 @@ def _classify_arg(text: str):
 
 
 def _parse_call(text: str, line: int):
-    m = CALL_RE.match(text.strip())
+    m = CALL_RE.match(text.strip(WS))
     if not m:
-        raise ParseFailure(line, f"not a command: {text.strip()!r}")
-    cmd, argtext = m.group(1), m.group(2).strip()
+        raise ParseFailure(line, f"not a command: {text.strip(WS)!r}")
+    cmd, argtext = m.group(1), m.group(2).strip(WS)
     if cmd not in COMMANDS:
         raise ParseFailure(line, f"unknown command {cmd!r}")
     args = []
@@ -233,12 +241,12 @@ def _parse_call(text: str, line: int):
 def parse_script(text: str):
     """Whole-script parse; raises ParseFailure on the first bad statement."""
     statements = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(LINE_BREAK.split(text), start=1):
+        line = raw.split("#", 1)[0].strip(WS)
         if not line:
             continue
         try:
-            chunks = [c.strip() for c in _split_top(line, ";")]
+            chunks = [c.strip(WS) for c in _split_top(line, ";")]
         except ValueError as e:
             raise ParseFailure(lineno, str(e)) from None
         for chunk in chunks:
@@ -430,10 +438,10 @@ class Engine:
     # -- scope helpers
 
     def make_ring(self, spec: str) -> PolynomialRing:
-        m = RING_RE.match(spec.strip())
+        m = RING_RE.match(spec.strip(WS))
         if not m:
             raise CommandError(f"bad ring spec {spec!r}")
-        names = tuple(s.strip() for s in m.group(1).split(",")) if m.group(1).strip() else ()
+        names = tuple(s.strip(WS) for s in m.group(1).split(",")) if m.group(1).strip(WS) else ()
         try:
             if self.order is not None:
                 return PolynomialRing(names, self.order)
@@ -443,7 +451,7 @@ class Engine:
 
     def make_scope(self, spec: str):
         """NAME | Q[...] | base/(gens) -> PolynomialRing or QuotientContext."""
-        spec = spec.strip()
+        spec = spec.strip(WS)
         if NAME_RE.match(spec):
             val = self.lookup(spec)
             if isinstance(val, (PolynomialRing, QuotientContext)):
@@ -456,10 +464,10 @@ class Engine:
             base = self.make_scope(parts[0])
             if isinstance(base, QuotientContext):
                 raise CommandError("cannot quotient a quotient")
-            body = parts[1].strip()
+            body = parts[1].strip(WS)
             if not (body.startswith("(") and body.endswith(")")):
                 raise CommandError("quotient relations must be parenthesized")
-            gens = [s.strip() for s in _split_top(body[1:-1]) if s.strip()]
+            gens = [s.strip(WS) for s in _split_top(body[1:-1]) if s.strip(WS)]
             if not gens:
                 raise CommandError("quotient needs at least one relation")
             rel = Ideal(base, tuple(self.parse_poly(base, g) for g in gens))
@@ -504,7 +512,7 @@ class Engine:
             v = self.token_value(tok)
             if isinstance(v, (VIdeal, VTuple)):
                 return v.ring, v.context
-            if isinstance(v, VMatrix):
+            if isinstance(v, (VMatrix, Ideal)):
                 return v.ring, None
             if isinstance(v, (PolynomialRing, QuotientContext)):
                 return _ring_and_context(v)

@@ -75,8 +75,12 @@ def mat_sub(A: Matrix, B: Matrix) -> Matrix:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def mat_is_zero(A: Matrix) -> bool:
-    return all(e.is_zero() for row in A for e in row)
+def _composes_to_zero(ring, context, A, B, rows, mid, cols) -> bool:
+    """A . B = 0 modulo the context, for A rows x mid and B mid x cols."""
+    prod = mat_mul(ring, A, B, rows, mid, cols)
+    return all(
+        (e if context is None else context.reduce(e)).is_zero() for row in prod for e in row
+    )
 
 
 def mat_columns(ring: PolynomialRing, A: Matrix, rows: int, cols: int):
@@ -146,7 +150,7 @@ class ChainComplex:
     period.  Pairs are compared by equality, not by hash.
     """
 
-    __slots__ = ("ring", "context", "ranks", "diffs", "complete", "not_locally_minimal")
+    __slots__ = ("ring", "context", "ranks", "diffs", "complete")
 
     def __init__(
         self,
@@ -155,7 +159,6 @@ class ChainComplex:
         diffs: Sequence[Matrix],
         context: Context = None,
         complete: bool = True,
-        not_locally_minimal: bool = False,
     ):
         ranks = tuple(int(r) for r in ranks)
         if not ranks or any(r < 0 for r in ranks):
@@ -182,10 +185,7 @@ class ChainComplex:
             pair = (norm[k - 1], norm[k])
             if pair in checked:
                 continue
-            prod = mat_mul(ring, norm[k - 1], norm[k], ranks[k - 1], ranks[k], ranks[k + 1])
-            if context is not None:
-                prod = tuple(tuple(context.reduce(e) for e in row) for row in prod)
-            if not mat_is_zero(prod):
+            if not _composes_to_zero(ring, context, *pair, ranks[k - 1], ranks[k], ranks[k + 1]):
                 raise ValueError(f"differentials {k} and {k + 1} do not compose to zero")
             checked.append(pair)
         self.ring = ring
@@ -193,11 +193,16 @@ class ChainComplex:
         self.ranks = ranks
         self.diffs = tuple(norm)
         self.complete = bool(complete)
-        self.not_locally_minimal = bool(not_locally_minimal)
 
     @property
     def length(self) -> int:
         return len(self.diffs)
+
+    @property
+    def not_locally_minimal(self) -> bool:
+        """Some entry has a nonzero constant term, so is a unit of the local
+        ring at 0: the complex is not minimal there."""
+        return any(e.constant_term() != 0 for M in self.diffs for row in M for e in row)
 
     def diff(self, k: int) -> Matrix:
         """phi_k for 1 <= k <= length; IndexError outside that range."""
@@ -295,8 +300,8 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     without row i and column j, and phi_{k+1} and phi_{k-1} only lose row
     j and column i.  Pivots are taken level by level from phi_1, in row-
     major order within a level.  Entries that are invertible locally
-    without being constants (nonzero constant term) are left in place and
-    flagged via not_locally_minimal.
+    without being constants (nonzero constant term) are left in place;
+    not_locally_minimal reads them off the result.
     """
     return _minimal_complex(C.ring, C.context, C.ranks, C.diffs, C.complete)
 
@@ -321,9 +326,6 @@ def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
     def reduce_entry(p):
         return ctx.reduce(p) if ctx is not None else p
 
-    def vanishes(prod):
-        return all(reduce_entry(e).is_zero() for row in prod for e in row)
-
     k = 1
     while k <= len(diffs):
         M = diffs[k - 1]
@@ -343,11 +345,11 @@ def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
         unit_row = [e * (1 / M[i][j].constant_term()) for e in M[i]]
         col = [(row[j],) for row in M]
         if k < len(diffs):
-            if not vanishes(mat_mul(ring, (unit_row,), diffs[k], 1, ranks[k], ranks[k + 1])):
+            if not _composes_to_zero(ring, ctx, (unit_row,), diffs[k], 1, ranks[k], ranks[k + 1]):
                 raise InvariantError("a unit pivot left a nonzero row in the next map")
             del diffs[k][j]
         if k >= 2:
-            if not vanishes(mat_mul(ring, diffs[k - 2], col, ranks[k - 2], ranks[k - 1], 1)):
+            if not _composes_to_zero(ring, ctx, diffs[k - 2], col, ranks[k - 2], ranks[k - 1], 1):
                 raise InvariantError("a unit pivot left a nonzero column in the previous map")
             for row in diffs[k - 2]:
                 del row[i]
@@ -364,20 +366,7 @@ def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
         ranks[k] -= 1
         ranks[k - 1] -= 1
 
-    flagged = any(
-        not e.is_zero() and not e.is_constant() and e.constant_term() != 0
-        for M in diffs
-        for row in M
-        for e in row
-    )
-    return ChainComplex(
-        ring,
-        ranks,
-        [tuple(tuple(row) for row in M) for M in diffs],
-        context=ctx,
-        complete=complete,
-        not_locally_minimal=flagged,
-    )
+    return ChainComplex(ring, ranks, diffs, context=ctx, complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +458,7 @@ def extend_ring(C: ChainComplex, target: PolynomialRing) -> ChainComplex:
     diffs = [
         tuple(tuple(transport(e, target) for e in row) for row in M) for M in C.diffs
     ]
-    return ChainComplex(
-        target,
-        C.ranks,
-        diffs,
-        context=ctx,
-        complete=C.complete,
-        not_locally_minimal=C.not_locally_minimal,
-    )
+    return ChainComplex(target, C.ranks, diffs, context=ctx, complete=C.complete)
 
 
 # ---------------------------------------------------------------------------

@@ -649,7 +649,8 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
 # sums call kernel.add_product and kernel.power as Polynomial's *, ** and
 # + do, so the parsed polynomial has the same terms in the same dict order.
 
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/])|(\S))")
+# ASCII whitespace only: under re.ASCII any other space is a bad character
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/])|(\S))", re.A)
 
 
 def _tokenize(text: str):

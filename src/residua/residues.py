@@ -64,22 +64,16 @@ class ChainMap:
 
     def verify(self) -> bool:
         F, E = self.source, self.target
-        ring = F.ring
         if len(self.levels) != F.length + 1:
             return False
         for k, M in enumerate(self.levels):
             if len(M) != E.rank(k) or any(len(row) != F.ranks[k] for row in M):
                 return False
-        for k in range(1, F.length + 1):
-            left = mat_mul(
-                ring, _differential(E, k), self.levels[k], E.rank(k - 1), E.rank(k), F.ranks[k]
-            )
-            right = mat_mul(
-                ring, self.levels[k - 1], F.diff(k), E.rank(k - 1), F.ranks[k - 1], F.ranks[k]
-            )
-            if left != right:
-                return False
-        return True
+        return all(
+            _before(E, k, self.levels[k], F.ranks[k])
+            == _after(self.levels[k - 1], F, k, E.rank(k - 1))
+            for k in range(1, F.length + 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -92,20 +86,12 @@ class Homotopy:
 
     def verify(self, a: ChainMap, b: ChainMap) -> bool:
         F, E = self.source, self.target
-        ring = F.ring
         if a.source != F or b.source != F or a.target != E or b.target != E:
             return False
         for k in range(F.length + 1):
-            total = mat_mul(
-                ring, _differential(E, k + 1), self.maps[k], E.rank(k), E.rank(k + 1), F.ranks[k]
-            )
+            total = _before(E, k + 1, self.maps[k], F.ranks[k])
             if k >= 1:
-                total = mat_add(
-                    total,
-                    mat_mul(
-                        ring, self.maps[k - 1], F.diff(k), E.rank(k), F.ranks[k - 1], F.ranks[k]
-                    ),
-                )
+                total = mat_add(total, _after(self.maps[k - 1], F, k, E.rank(k)))
             if total != mat_sub(b.levels[k], a.levels[k]):
                 return False
         return True
@@ -143,9 +129,7 @@ def comparison_morphism(F: ChainComplex, E: ChainComplex, order=None) -> ChainMa
     order = order or ring.default_order
     levels = [identity_matrix(ring, F.ranks[0])]
     for k in range(1, F.length + 1):
-        target = mat_mul(
-            ring, levels[k - 1], F.diff(k), E.rank(k - 1), F.ranks[k - 1], F.ranks[k]
-        )
+        target = _after(levels[k - 1], F, k, E.rank(k - 1))
         levels.append(_lift_columns(E, k, target, F.ranks[k], order))
     return ChainMap(F, E, tuple(levels))
 
@@ -161,16 +145,12 @@ def chain_homotopy(a: ChainMap, b: ChainMap, order=None):
     if a.levels[0] != b.levels[0]:
         raise ValueError("homotopy needs matching degree-zero maps")
     F, E = a.source, a.target
-    ring = F.ring
-    order = order or ring.default_order
+    order = order or F.ring.default_order
     maps = []
     for k in range(F.length + 1):
         d = mat_sub(b.levels[k], a.levels[k])
         if k >= 1:
-            d = mat_sub(
-                d,
-                mat_mul(ring, maps[k - 1], F.diff(k), E.rank(k), F.ranks[k - 1], F.ranks[k]),
-            )
+            d = mat_sub(d, _after(maps[k - 1], F, k, E.rank(k)))
         try:
             maps.append(_lift_columns(E, k + 1, d, F.ranks[k], order))
         except LiftingError:
@@ -182,6 +162,17 @@ def _differential(E: ChainComplex, k: int) -> Matrix:
     """E's k-th differential phi_k: E_k -> E_{k-1}; past E's length E_k is
     0 and phi_k the map from it, a matrix with no columns."""
     return E.diff(k) if k <= E.length else zero_matrix(E.ring, E.rank(k - 1), 0)
+
+
+def _after(X: Matrix, F: ChainComplex, k: int, rows: int) -> Matrix:
+    """X psi_k for F's k-th differential psi_k and X with the given rows."""
+    return mat_mul(F.ring, X, F.diff(k), rows, F.ranks[k - 1], F.ranks[k])
+
+
+def _before(E: ChainComplex, k: int, Y: Matrix, ncols: int) -> Matrix:
+    """phi_k Y for E's k-th differential phi_k (_differential) and Y with
+    ncols columns."""
+    return mat_mul(E.ring, _differential(E, k), Y, E.rank(k - 1), E.rank(k), ncols)
 
 
 def _lift_columns(E: ChainComplex, k: int, M: Matrix, ncols: int, order) -> Matrix:

@@ -202,6 +202,46 @@ def test_script_names_are_ascii():
     assert code == 0 and lines == ['3: koszul -> {"diffs": [[["x"]]], "ranks": [1, 1]}']
 
 
+def test_script_whitespace_and_line_breaks_are_ascii():
+    # \s and str.strip took any Unicode whitespace and str.splitlines broke
+    # lines at LINE SEPARATOR, NEXT LINE and FORM FEED: the four scripts
+    # that must not parse ran with exit 0, and so did the two statements
+    # that must fail
+    for text in (
+        "ring\u3000S = Q[x, y]\nkoszul((x, y), over S)\n",
+        "ring S = Q[x, y]\u2028koszul((x, y), over S)\n",
+        "ring S = Q[x, y]\x85koszul((x, y), over S)\n",
+        "ring S = Q[x, y]\x0ckoszul((x, y), over S)\n",
+    ):
+        with pytest.raises(ParseFailure):
+            parse_script(text)
+    code, lines, _ = run_script(
+        "ring S = Q[x, y]\nkoszul((x,\u3000y), over S)\nkoszul((x, y), over\u00a0S)\n"
+    )
+    assert code == 1
+    assert lines == [
+        "2: error: bad polynomial '\\u3000y' over Q[x,y]: unexpected character '\\u3000'"
+        " (at position 0)",
+        "3: error: bad scope '\\xa0S'",
+    ]
+    # ASCII whitespace and the \n, \r\n and \r line breaks still work
+    code, lines, _ = run_script(
+        "ring\tS = Q[x,\ty]\r\n\x0bkoszul((x, y),\x0cover S)\rkoszul((x), over S)\n"
+    )
+    assert code == 0
+    assert [line.split(":")[0] for line in lines] == ["2", "3"]
+
+
+def test_a_bound_lift_supplies_its_ring():
+    # resolve(L) and koszul(L) found no ring in scope
+    head = "ring R = Q[z, w]\nquotient Z = R/(z^3 - w^2)\nideal J = R:(z + w)\nL = lift(J, Z)\n"
+    for cmd in ("resolve", "koszul"):
+        code, lines, _ = run_script(head + f"{cmd}(L)\n{cmd}(L, over R)\n")
+        assert code == 0
+        assert lines[1].split(": ", 1)[1] == lines[2].split(": ", 1)[1]
+        assert lines[1].startswith(f"5: {cmd} -> ")
+
+
 # A kernel whose first division that tracks quotients and leaves no
 # remainder reports its whole dividend as the remainder instead.
 _CORRUPT_ONE_DIVISION = """

@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 import re
+import string
 from fractions import Fraction
 
 import pytest
@@ -372,17 +373,18 @@ class ReferenceParser:
         raise ParseError(f"unexpected {val!r}" if kind else "unexpected end of input", pos)
 
 
-_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))", re.A)
 
 
 def reference_tokenize(text):
-    """The tokenizer as it was, one match per token from the last one's end."""
+    """The tokenizer as it was, one match per token from the last one's end,
+    with whitespace ASCII only."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _REFERENCE_TOKEN_RE.match(text, pos)
         if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
+            stripped = text[pos:].lstrip(string.whitespace)
             if not stripped:
                 break
             at = len(text) - len(stripped)
@@ -444,6 +446,15 @@ def test_parser_takes_only_ascii_digits(text):
     with pytest.raises(ParseError, match=f"^unexpected character {text[0]!r}") as e:
         poly_parse(text, R3)
     assert e.value.position == 0
+
+
+@pytest.mark.parametrize("text, at", [("x +\u3000y", 3), ("\u00a0x", 0), ("x\u2028+ y", 1)])
+def test_parser_takes_only_ascii_whitespace(text, at):
+    # \s would skip IDEOGRAPHIC SPACE, NO-BREAK SPACE and LINE SEPARATOR
+    with pytest.raises(ParseError, match=re.escape(f"unexpected character {text[at]!r}")) as e:
+        poly_parse(text, R3)
+    assert e.value.position == at
+    assert poly_parse(text.replace(text[at], " \t"), R3) == poly_parse(text.replace(text[at], ""), R3)
 
 
 try:

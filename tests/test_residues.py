@@ -146,6 +146,32 @@ def test_comparison_morphisms_under_different_orders_are_homotopic():
     assert s.verify(a, b)
 
 
+def test_verify_rejects_wrong_chain_maps_and_homotopies():
+    from residua.polyring import order_by_name
+
+    F = free_resolution(Ideal(XY, (P(XY, "x*y^2"),)))
+    E = free_resolution(Ideal(XY, (P(XY, "x"), P(XY, "y^2"))))
+    a = comparison_morphism(F, E)
+    b = comparison_morphism(F, E, order=order_by_name("lex"))
+    s = chain_homotopy(a, b)
+    assert a.verify() and b.verify() and s.verify(a, b)
+    a0, a1 = a.levels
+    one = XY.one()
+    perturbed = ((a1[0][0] + one,), a1[1])
+    assert not ChainMap(F, E, (a0, perturbed)).verify()
+    assert not ChainMap(F, E, (a0, a1[:1])).verify()  # one row short
+    assert not ChainMap(F, E, (a0, tuple(row + (one,) for row in a1))).verify()
+    assert not ChainMap(F, E, (a0,)).verify()
+    assert not ChainMap(F, E, (a0, a1, ())).verify()
+    s0, s1 = s.maps
+    assert not Homotopy(F, E, (s0, ((s1[0][0] + one,),))).verify(a, b)
+    assert not Homotopy(F, E, (((s0[0][0] + one,), s0[1]), s1)).verify(a, b)
+    # maps between other complexes: F -> F and E -> E
+    for c in (comparison_morphism(F, F), comparison_morphism(E, E)):
+        assert c.verify()
+        assert not s.verify(c, c) and not s.verify(a, c) and not s.verify(c, b)
+
+
 # ---------------------------------------------------------------------------
 # homotopies
 
