@@ -623,7 +623,9 @@ def minors_ideal(ring, M, rows, cols, r) -> Ideal:
 def generic_rank(ring, M, rows, cols) -> int:
     """Rank over the fraction field, by fraction-free (Bareiss) elimination
     on the row-scaled integer matrix; each pivot is the first nonzero entry
-    of the remaining block in column-major order."""
+    of the remaining block in column-major order.  be-check and the
+    truncated branch of fitting_loci call it only for the levels that
+    _generic_ranks cannot settle at its integer point."""
     codec = ring.default_order.codec(ring.n)
     base = codec.base(0)
     A = [[codec.encode(e) for e in row] for row in _integer_rows(M, rows, cols)[0]]
@@ -656,6 +658,73 @@ def generic_rank(ring, M, rows, cols) -> int:
         lead = max(p)
         prev = (lead, p[lead], p)
         rank += 1
+
+
+# The integer point at which _generic_ranks evaluates the differentials,
+# repeated for rings of more variables.  Any point gives a lower bound on
+# the rank; this one avoids the small coordinates near 0 at which seeded
+# and hand-written entries tend to vanish.
+_RANK_POINT = (3, -5, 7, -11, 13, -17, 19, -23)
+
+
+def _point_rank(M, rows, cols, point) -> int:
+    """Rank of the row-scaled integer matrix of M evaluated at the integer
+    point, by fraction-free elimination; each pivot is the first nonzero
+    entry of its column among the rows not yet used."""
+    values = {}  # monomial -> its value at the point
+
+    def value(m):
+        v = values.get(m)
+        if v is None:
+            v = values[m] = math.prod(map(pow, point, m))
+        return v
+
+    A = [
+        [sum(c * value(m) for m, c in e.items()) for e in row]
+        for row in _integer_rows(M, rows, cols)[0]
+    ]
+    rank, prev = 0, 1
+    for j in range(cols):
+        pivot = next((i for i in range(rank, rows) if A[i][j]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        top = A[rank]
+        p = top[j]
+        for i in range(rank + 1, rows):
+            a = A[i][j]
+            # every entry stays an integer minor, so the division is exact
+            A[i] = [(p * x - a * y) // prev for x, y in zip(A[i], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def _generic_ranks(C: ChainComplex) -> tuple:
+    """generic_rank of each phi_k, k = 1..N, certified at one integer point
+    where it can be.
+
+    phi_k at _RANK_POINT has rank l_k <= rho_k, since a minor nonzero at a
+    point is a nonzero polynomial.  Without a context phi_k phi_{k+1} = 0
+    holds exactly (the constructor checks it), so over the fraction field
+    rho_k + rho_{k+1} <= rank E_k, and rho_k <= u_k = min(rank E_{k-1} -
+    l_{k-1}, rank E_k - l_{k+1}) with l_0 = l_{N+1} = 0.  Where l_k = u_k
+    that is rho_k; every other level runs generic_rank, and so does every
+    level over a context, where phi phi vanishes only modulo the
+    relations."""
+    ring, ranks, n = C.ring, C.ranks, C.length
+    exact = C.context is None
+    low = [0] * (n + 2)
+    if exact:
+        point = tuple(itertools.islice(itertools.cycle(_RANK_POINT), ring.n))
+        for k in range(1, n + 1):
+            low[k] = _point_rank(C.diff(k), ranks[k - 1], ranks[k], point)
+    return tuple(
+        low[k]
+        if exact and low[k] == min(ranks[k - 1] - low[k - 1], ranks[k] - low[k + 1])
+        else generic_rank(ring, C.diff(k), ranks[k - 1], ranks[k])
+        for k in range(1, n + 1)
+    )
 
 
 def expected_ranks(C: ChainComplex):
@@ -701,10 +770,7 @@ def _fitting_loci(C: ChainComplex):
     if C.complete:
         rk = expected_ranks(C)
     else:
-        rk = [
-            generic_rank(ring, C.diff(k), C.ranks[k - 1], C.ranks[k])
-            for k in range(1, C.length + 1)
-        ]
+        rk = _generic_ranks(C)
     extra_leads = {_support(g.lm()) for g in extra}
     extra_terms = {_support(m) for g in extra for m in g.num}
     loci = []
@@ -719,10 +785,19 @@ def _fitting_loci(C: ChainComplex):
 
 def rank_loci(C: ChainComplex) -> ResolutionDiagnostics:
     """The Fitting loci of fitting_loci with their ambient codimensions,
-    the bound codim Z_k >= k, and whether locus k sits inside locus k+1."""
+    the bound codim Z_k >= k, and whether locus k sits inside locus k+1
+    (None when either locus has no generator or infinite codim).
+
+    Each containment is first tried by degree (_contained), which settles
+    False without a Groebner basis when locus k+1 is homogeneous and
+    locus k has a homogeneous generator of lower degree than all of its
+    generators; otherwise every generator of locus k is tested with
+    ideal_member.  Truncated complexes take their ranks from
+    _generic_ranks."""
     rk, certified = _fitting_loci(C)
     codims = tuple(certified_dimension(*locus)[1] for locus in certified)
     loci = tuple(I for I, _, _ in certified)
+    degrees = tuple(_generator_degrees(I) for I in loci)
     ok = tuple(cd >= k for k, cd in enumerate(codims, 1))
     contain = []
     for k in range(len(loci) - 1):
@@ -730,8 +805,31 @@ def rank_loci(C: ChainComplex) -> ResolutionDiagnostics:
         if not a.gens or not b.gens or INFINITE_CODIM in (codims[k], codims[k + 1]):
             contain.append(None)
         else:
-            contain.append(all(ideal_member(g, b) for g in a.gens))
+            contain.append(_contained(a, b, degrees[k], degrees[k + 1]))
     return ResolutionDiagnostics(rk, loci, codims, ok, tuple(contain))
+
+
+def _generator_degrees(I: Ideal) -> tuple:
+    """The degree of each generator of I, or None for one that is not
+    homogeneous."""
+    return tuple(
+        degrees.pop() if len(degrees := {sum(m) for m in g.num}) == 1 else None for g in I.gens
+    )
+
+
+def _contained(a: Ideal, b: Ideal, degrees_a: tuple, degrees_b: tuple) -> bool:
+    """Whether every generator of a lies in b, for b with generators and
+    the _generator_degrees of both.
+
+    A nonzero homogeneous g of degree d lies in an ideal b of homogeneous
+    generators only through those of degree <= d: the degree-d part of g
+    = sum a_i h_i is sum (a_i)_{d - deg h_i} h_i.  So when b's generators
+    are all homogeneous and a has a homogeneous generator below the least
+    of their degrees, the answer is False and no basis is built; in every
+    other case each generator goes through ideal_member."""
+    if None not in degrees_b and any(d is not None and d < min(degrees_b) for d in degrees_a):
+        return False
+    return all(ideal_member(g, b) for g in a.gens)
 
 
 @dataclass(frozen=True)
@@ -754,6 +852,11 @@ def buchsbaum_eisenbud_check(C: ChainComplex) -> ExactnessReport:
     """Exactness of 0 -> E_N -> ... -> E_0 via rank additivity plus the
     codimension bounds codim I_{r_k}(phi_k) >= k, with r_k the generic rank.
 
+    The generic ranks come from _generic_ranks: the rank of each phi_k at
+    one integer point, which is r_k whenever it meets the bound that
+    phi_{k-1} phi_k = phi_k phi_{k+1} = 0 put on r_k; only the other
+    levels run generic_rank.  The codims come from minors_codim.
+
     Only finite complexes over the ambient ring are eligible: quotient
     rings admit infinite resolutions (truncations of which look periodic),
     and the criterion says nothing about those.
@@ -770,9 +873,7 @@ def buchsbaum_eisenbud_check(C: ChainComplex) -> ExactnessReport:
         )
     ring = C.ring
     n = C.length
-    rho = [0] * (n + 2)
-    for k in range(1, n + 1):
-        rho[k] = generic_rank(ring, C.diff(k), C.ranks[k - 1], C.ranks[k])
+    rho = [0, *_generic_ranks(C), 0]
     levels = []
     passes = True
     for k in range(1, n + 1):

@@ -64,11 +64,8 @@ class ChainMap:
 
     def verify(self) -> bool:
         F, E = self.source, self.target
-        if len(self.levels) != F.length + 1:
+        if not _shaped(self.levels, F, E.rank):
             return False
-        for k, M in enumerate(self.levels):
-            if len(M) != E.rank(k) or any(len(row) != F.ranks[k] for row in M):
-                return False
         return all(
             _before(E, k, self.levels[k], F.ranks[k])
             == _after(self.levels[k - 1], F, k, E.rank(k - 1))
@@ -87,6 +84,12 @@ class Homotopy:
     def verify(self, a: ChainMap, b: ChainMap) -> bool:
         F, E = self.source, self.target
         if a.source != F or b.source != F or a.target != E or b.target != E:
+            return False
+        if not (
+            _shaped(self.maps, F, lambda k: E.rank(k + 1))
+            and _shaped(a.levels, F, E.rank)
+            and _shaped(b.levels, F, E.rank)
+        ):
             return False
         for k in range(F.length + 1):
             total = _before(E, k + 1, self.maps[k], F.ranks[k])
@@ -156,6 +159,16 @@ def chain_homotopy(a: ChainMap, b: ChainMap, order=None):
         except LiftingError:
             return HomotopyFailure(k, d)
     return Homotopy(F, E, tuple(maps))
+
+
+def _shaped(levels, F: ChainComplex, rows) -> bool:
+    """levels holds one matrix per level k = 0 .. length(F), with rows(k)
+    rows of rank F_k entries each: the shape of a chain map's levels
+    (rows = rank E_k) and of a homotopy's maps (rows = rank E_{k+1})."""
+    return len(levels) == F.length + 1 and all(
+        len(M) == rows(k) and all(len(row) == F.ranks[k] for row in M)
+        for k, M in enumerate(levels)
+    )
 
 
 def _differential(E: ChainComplex, k: int) -> Matrix:

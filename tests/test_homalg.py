@@ -11,6 +11,7 @@ from residua.groebner import (
     QuotientContext,
     SubmoduleBasis,
     dimension,
+    ideal_member,
     ideals_equal,
 )
 from residua.homalg import (
@@ -700,6 +701,122 @@ def test_rank_loci_truncated_uses_generic_ranks_and_adds_relations():
         assert ideals_equal(loc, Ideal(XY, (g, P(XY, "x*y"))))
         assert ideals_equal(loc, Ideal(XY, (g,)))  # relation is redundant here
     assert d.codims == (1,) * 6
+
+
+def reference_containments(d):
+    """Whether each locus of d lies in the next, by generator membership
+    in a fresh copy of the next locus (no cached basis), None where
+    rank_loci skips the test."""
+    out = []
+    for k in range(len(d.loci) - 1):
+        a, b = d.loci[k], d.loci[k + 1]
+        if not a.gens or not b.gens or groebner.INFINITE_CODIM in d.codims[k : k + 2]:
+            out.append(None)
+        else:
+            out.append(all(ideal_member(g, Ideal(b.ring, b.gens)) for g in a.gens))
+    return tuple(out)
+
+
+def spy_ideal_member(monkeypatch):
+    """Count the ideal_member calls of rank_loci."""
+    calls = []
+    member = homalg.ideal_member
+
+    def counted(g, b):
+        calls.append((g, b))
+        return member(g, b)
+
+    monkeypatch.setattr(homalg, "ideal_member", counted)
+    return calls
+
+
+def test_containments_by_degree_match_membership_on_homogeneous_complexes(monkeypatch):
+    rng = random.Random(24)
+    monomials = [m for m in itertools.product(range(4), repeat=3) if 1 <= sum(m) <= 3]
+    complexes = []
+    for _ in range(8):
+        gens = [
+            XYZ.poly("*".join(f"{v}^{e}" for v, e in zip("xyz", m)))
+            for m in rng.sample(monomials, rng.randint(2, 5))
+        ]
+        complexes.append(free_resolution(Ideal(XYZ, gens), minimal=True))
+    # homogeneous binomials, and a regular sequence of mixed degrees
+    (binomials,) = M(XYZ, [["x^2 - y*z", "x*y - z^2", "y^2 - x*z"]])
+    complexes.append(free_resolution(Ideal(XYZ, binomials), minimal=True))
+    complexes.append(koszul_complex(M(XYZ, [["x", "y^2", "z^3"]])[0]))
+    calls = spy_ideal_member(monkeypatch)
+    seen, by_degree = [], 0
+    for C in complexes:
+        del calls[:]
+        d = rank_loci(C)
+        assert d.containments == reference_containments(d)
+        seen += d.containments
+        # a False that no membership test against the next locus decided
+        by_degree += sum(
+            c is False and not any(b is d.loci[k + 1] for _, b in calls)
+            for k, c in enumerate(d.containments)
+        )
+    assert True in seen and False in seen and by_degree
+
+
+def test_containments_over_a_quotient_by_a_non_homogeneous_curve():
+    # every locus holds the relation y^2 - x^3 - x^2, which is not
+    # homogeneous, so no containment is decided by degree
+    ctx = QuotientContext(XY, Ideal(XY, (P(XY, "y^2 - x^3 - x^2"),)))
+    seen = []
+    for gens in (("x", "y"), ("x^2", "y"), ("x", "y^2")):
+        C = free_resolution(Ideal(XY, tuple(P(XY, g) for g in gens)), context=ctx, cap=4)
+        d = rank_loci(C)
+        assert d.containments == reference_containments(d)
+        seen += d.containments
+    assert True in seen and False in seen
+
+
+def test_containment_by_degree_of_a_mixed_degree_locus(monkeypatch):
+    # locus 2 of the Koszul complex of (x, y^2, z^3) is (x, y^2, z^3)^2, of
+    # generator degrees 2 to 6: x lies below all of them, so locus 1 is not
+    # inside it; locus 3 is (x, y^2, z^3) again, and locus 2 lies in it
+    calls = spy_ideal_member(monkeypatch)
+    d = rank_loci(koszul_complex(M(XYZ, [["x", "y^2", "z^3"]])[0]))
+    assert sorted({g.total_degree() for g in d.loci[1].gens}) == [2, 3, 4, 5, 6]
+    assert d.containments == reference_containments(d) == (False, True)
+    # only locus 2 is tested, generator by generator, against locus 3
+    assert [b for _, b in calls] == [d.loci[2]] * len(d.loci[1].gens)
+    degrees = homalg._generator_degrees
+    x, y = XY.gens()
+    # the least degree of b decides: x^2 lies in (x, y^3) below its top degree
+    a, b = Ideal(XY, (x**2,)), Ideal(XY, (x, y**3))
+    assert homalg._contained(a, b, degrees(a), degrees(b))
+    # b is not homogeneous: x = (x^2 + x) - x^2 lies in b although every
+    # generator of b has top degree 2
+    a, b = Ideal(XY, (x,)), Ideal(XY, (x**2 + x, x**2))
+    assert degrees(b) == (None, 2)
+    assert homalg._contained(a, b, degrees(a), degrees(b))
+    # a homogeneous b and a generator of a below its degrees
+    a, b = Ideal(XY, (x + y, x**3 + y)), Ideal(XY, (x**2, y**3))
+    assert degrees(a) == (1, None)
+    del calls[:]
+    assert not homalg._contained(a, b, degrees(a), degrees(b))
+    assert not calls
+
+
+def test_rank_loci_of_the_cube_builds_only_the_last_locus_basis(monkeypatch):
+    gens = [XYZ.poly(f"x^{a}*y^{b}*z^{3 - a - b}") for a in range(4) for b in range(4 - a)]
+    C = free_resolution(Ideal(XYZ, gens), minimal=True)
+    built = []
+    engine = groebner._ideal_groebner
+
+    def spy(gens, order, rank):
+        built.append(len(gens))
+        return engine(gens, order, rank)
+
+    monkeypatch.setattr(groebner, "_ideal_groebner", spy)
+    d = rank_loci(C)
+    assert tuple(len(I.gens) for I in d.loci) == (10, 55, 28)
+    # locus 1 (cubics) lies below the degree 9 of every generator of locus
+    # 2, so only the membership of locus 2 in locus 3 builds a basis
+    assert d.containments == (False, True)
+    assert built == [28]
 
 
 # ---------------------------------------------------------------------------

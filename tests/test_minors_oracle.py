@@ -18,7 +18,7 @@ below, equal to or above r.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -28,14 +28,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from residua import homalg, kernel
-from residua.groebner import Ideal, dimension
+from residua.groebner import Ideal, QuotientContext, dimension
 from residua.homalg import (
     ChainComplex,
     minors_codim,
     buchsbaum_eisenbud_check,
     determinant,
+    fitting_loci,
     free_resolution,
     generic_rank,
+    koszul_complex,
     minors,
     minors_ideal,
     proper_intersection_check,
@@ -89,10 +91,11 @@ def case(rows, cols=None):
     return M, len(rows), len(rows[0]) if rows else cols
 
 
-def to_sympy(p):
+def to_sympy(p, symbols=X):
     return sympy.Add(
         *(
-            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(X, m)))
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(v**e for v, e in zip(symbols, m)))
             for m, c in p.terms.items()
         )
     )
@@ -332,3 +335,133 @@ def test_minors_codim_stops_early(monkeypatch):
     M, rows, cols = case([["x", "x*y", "x^2"], ["x*z", "x", "x*y"]])
     assert minors_codim(R, M, rows, cols, 1) == 1
     assert calls == [(1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# generic ranks certified at one integer point, against sympy
+
+
+def sympy_generic_ranks(C):
+    """The rank of each differential of C over the fraction field, by
+    sympy's DomainMatrix."""
+    from sympy.polys.matrices import DomainMatrix
+
+    symbols = sympy.symbols(C.ring.names)
+    ranks = []
+    for k in range(1, C.length + 1):
+        rows, cols = C.ranks[k - 1], C.ranks[k]
+        entries = [to_sympy(e, symbols) for row in C.diff(k) for e in row]
+        M = sympy.Matrix(rows, cols, entries)
+        ranks.append(DomainMatrix.from_Matrix(M).to_field().rank() if rows and cols else 0)
+    return tuple(ranks)
+
+
+def change_coordinates(rng, C):
+    """C over Q[x,y,z] carried through x -> x + a y + b z, y -> y + c z with
+    seeded coefficients a, b, c in 1..4."""
+    x, y, z = R.gens()
+    a, b, c = (rng.randint(1, 4) for _ in range(3))
+    images = {"x": x + a * y + b * z, "y": y + c * z}
+    diffs = [tuple(tuple(e.evaluate(images) for e in row) for row in M) for M in C.diffs]
+    return ChainComplex(R, C.ranks, diffs)
+
+
+def seeded_resolutions(seed, count):
+    """Minimal resolutions of seeded monomial ideals in Q[x,y,z] after a
+    seeded unipotent change of coordinates."""
+    rng = random.Random(seed)
+    monomials = [(a, b, c) for a in range(4) for b in range(4) for c in range(4) if 2 <= a + b + c <= 3]
+    out = []
+    for _ in range(count):
+        gens = [Polynomial(R, {m: 1}) for m in rng.sample(monomials, rng.randint(3, 6))]
+        out.append(change_coordinates(rng, free_resolution(Ideal(R, gens), minimal=True)))
+    return out
+
+
+S = PolynomialRing(("x", "y", "z", "w"))
+
+
+def sparse_quadrics(rng, count):
+    """count quadrics in Q[x,y,z,w], each a monomial or a binomial."""
+    quads = list(combinations_with_replacement(range(4), 2))
+    out = []
+    for _ in range(count):
+        (i, j), (k, l) = rng.sample(quads, 2)
+        q = S.gens()[i] * S.gens()[j]
+        if rng.random() < 0.5:
+            q = q + rng.choice((-3, -1, 2, 5)) * S.gens()[k] * S.gens()[l]
+        out.append(q)
+    return out
+
+
+def point_zero_koszul():
+    """The Koszul complex of (x - a, y - b) for the point (a, b, ...) of
+    homalg._RANK_POINT, at which every entry vanishes."""
+    x, y, _ = R.gens()
+    a, b = homalg._RANK_POINT[:2]
+    return koszul_complex([x - a, y - b])
+
+
+def counted_generic_rank(monkeypatch):
+    """Replace homalg.generic_rank by a counting wrapper; returns the count."""
+    calls = []
+    rank = homalg.generic_rank
+
+    def counted(*args):
+        calls.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(homalg, "generic_rank", counted)
+    return calls
+
+
+def test_point_ranks_match_sympy_on_seeded_resolutions(monkeypatch):
+    calls = counted_generic_rank(monkeypatch)
+    complexes = seeded_resolutions(24, 8)
+    assert max(C.length for C in complexes) == 3
+    for C in complexes:
+        assert buchsbaum_eisenbud_check(C).generic_ranks == sympy_generic_ranks(C)
+    # the point settles every level of these exact complexes
+    assert not calls
+
+
+def test_point_ranks_match_sympy_on_koszul_complexes_of_sparse_quadrics(monkeypatch):
+    rng = random.Random(24)
+    calls = counted_generic_rank(monkeypatch)
+    for c in (2, 2, 3, 3, 4):
+        C = koszul_complex(sparse_quadrics(rng, c))
+        assert buchsbaum_eisenbud_check(C).generic_ranks == sympy_generic_ranks(C)
+    assert not calls
+
+
+def test_generic_ranks_fall_back_where_the_point_is_a_zero(monkeypatch):
+    # every entry vanishes at the point, so its ranks (0, 0) stay below the
+    # bounds (1, 1) and both levels run generic_rank
+    calls = counted_generic_rank(monkeypatch)
+    C = point_zero_koszul()
+    assert buchsbaum_eisenbud_check(C).generic_ranks == sympy_generic_ranks(C) == (1, 1)
+    assert len(calls) == 2
+    # phi_1 vanishes at the point and phi_2 does not, so only phi_1 falls back
+    x, y, _ = R.gens()
+    a = homalg._RANK_POINT[0]
+    D = ChainComplex(R, (1, 2, 1), ([[(x - a) * x, (x - a) * y]], [[y], [-x]]))
+    del calls[:]
+    assert buchsbaum_eisenbud_check(D).generic_ranks == sympy_generic_ranks(D) == (1, 1)
+    assert len(calls) == 1
+
+
+def test_truncated_fitting_loci_take_generic_ranks(monkeypatch):
+    x, y, z = R.gens()
+    calls = counted_generic_rank(monkeypatch)
+    # a truncated resolution over the ambient ring: certified at the point
+    C = free_resolution(Ideal(R, [x * y, y * z, x * z, x**2 - y * z]), cap=2)
+    assert not C.complete
+    assert fitting_loci(C)[0] == sympy_generic_ranks(C)
+    assert not calls
+    # over a context phi phi vanishes only modulo the relations: every
+    # level runs generic_rank
+    curve = QuotientContext(R, Ideal(R, [y**2 - x**3 - x]))
+    D = free_resolution(Ideal(R, [x, y]), context=curve, cap=4)
+    assert not D.complete
+    assert fitting_loci(D)[0] == sympy_generic_ranks(D)
+    assert len(calls) == D.length

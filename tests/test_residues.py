@@ -170,6 +170,17 @@ def test_verify_rejects_wrong_chain_maps_and_homotopies():
     for c in (comparison_morphism(F, F), comparison_morphism(E, E)):
         assert c.verify()
         assert not s.verify(c, c) and not s.verify(a, c) and not s.verify(c, b)
+    # misshapen homotopy maps and chain maps read False instead of raising
+    # or of comparing truncated matrices
+    assert not Homotopy(F, E, s.maps[:1]).verify(a, b)
+    assert not Homotopy(F, E, (*s.maps, s1)).verify(a, b)
+    assert not Homotopy(F, E, (s0[:1], s1)).verify(a, b)  # one row short
+    assert not Homotopy(F, E, (s0, tuple(row + (one,) for row in s1))).verify(a, b)
+    b0, b1 = b.levels
+    assert not s.verify(a, ChainMap(F, E, (b0,)))
+    assert not s.verify(ChainMap(F, E, (a0, a1, ())), b)
+    assert not s.verify(a, ChainMap(F, E, (b0, b1 + ((one,),))))  # an extra row
+    assert not s.verify(a, ChainMap(F, E, (b0, tuple(row + (one,) for row in b1))))
 
 
 # ---------------------------------------------------------------------------
