@@ -961,13 +961,18 @@ def ideal_quotient(I: Ideal, f: Polynomial, context: Context = None) -> Ideal:
     if I.is_zero():
         return Ideal(ring, ())
     inter = ideal_intersect(I, Ideal(ring, (f,)))
-    gens = []
-    for g in inter.gens:
-        (q,), r = divide(g, [f])
-        if not r.is_zero():
-            raise InvariantError("intersection member not divisible in ideal quotient")
-        gens.append(q.monic())
-    return Ideal(ring, gens)
+    return Ideal(ring, [_exact_quotient(g, f).monic() for g in inter.gens])
+
+
+def _exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / g when g divides f in Q[x]; a remainder is a broken invariant of
+    the caller."""
+    if f.is_zero():
+        return f
+    (q,), r = divide(f, [g])
+    if not r.is_zero():
+        raise InvariantError("a division that must be exact left a remainder")
+    return q
 
 
 def saturation(I: Ideal, f: Polynomial) -> Ideal:

@@ -11,8 +11,10 @@ inverted here).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -25,6 +27,7 @@ from residua.groebner import (
     QuotientContext,
     SubmoduleBasis,
     _cover_number,
+    _exact_quotient,
     certified_dimension,
     _support,
     dimension,
@@ -301,7 +304,8 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     j and column i.  Pivots are taken level by level from phi_1, in row-
     major order within a level.  Entries that are invertible locally
     without being constants (nonzero constant term) are left in place;
-    not_locally_minimal reads them off the result.
+    not_locally_minimal reads them off the result.  A complete complex
+    ends at its last nonzero module: trailing levels of rank 0 are dropped.
     """
     return _minimal_complex(C.ring, C.context, C.ranks, C.diffs, C.complete)
 
@@ -319,7 +323,9 @@ def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
     column j of phi_{k-1} phi_k (over c); the complex property makes both
     zero modulo the context, and an InvariantError reports when they are
     not.  A step puts no constant into phi_1 .. phi_{k-1}, so the scan
-    goes on at level k."""
+    goes on at level k.  A complete complex then loses its trailing levels
+    of rank 0 after its last nonzero module (the ranks (0, 0) of the unit
+    ideal stay)."""
     ranks = list(ranks)
     diffs = [[list(row) for row in M] for M in diffs]
 
@@ -365,7 +371,9 @@ def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
         ]
         ranks[k] -= 1
         ranks[k - 1] -= 1
-
+    while complete and ranks[-1] == 0 and any(ranks):
+        ranks.pop()
+        diffs.pop()
     return ChainComplex(ring, ranks, diffs, context=ctx, complete=complete)
 
 
@@ -465,9 +473,9 @@ def extend_ring(C: ChainComplex, target: PolynomialRing) -> ChainComplex:
 # rank loci and exactness diagnostics
 
 
-# Minors and ranks work on integer term maps {exponent tuple: int}: each row
-# is scaled by the lcm of its entries' denominators, so a minor on rows rs
-# is the integer minor divided by the product of those rows' scales.
+# Minors work on integer term maps {exponent tuple: int}: each row is
+# scaled by the lcm of its entries' denominators, so a minor on rows rs is
+# the integer minor divided by the product of those rows' scales.
 
 
 def _integer_rows(M, rows, cols):
@@ -512,18 +520,6 @@ class _MinorTable:
                         kernel.add_product(acc, e, sub, -1 if odd else 1)
             d = self.memo[(rows, cols)] = acc
         return d
-
-
-def _exact_quotient(f, divisor, codec):
-    """f / g on term maps of codec at position 0, for the kernel divisor
-    (lead term, lead coefficient, term map) of g, when g divides f in
-    Z[x]; a remainder or a multiplier other than 1 is a broken invariant
-    of the caller."""
-    quots, rem, mult = kernel.reduce_terms(f, (divisor,), codec, True)
-    if rem or mult != 1:
-        raise InvariantError("fraction-free elimination met an inexact division")
-    base = codec.base(0)
-    return {m + base: c for m, c in quots[0].items()}
 
 
 def determinant(ring: PolynomialRing, M: Matrix, n: int) -> Polynomial:
@@ -621,43 +617,35 @@ def minors_ideal(ring, M, rows, cols, r) -> Ideal:
 
 
 def generic_rank(ring, M, rows, cols) -> int:
-    """Rank over the fraction field, by fraction-free (Bareiss) elimination
-    on the row-scaled integer matrix; each pivot is the first nonzero entry
-    of the remaining block in column-major order.  be-check and the
+    """Rank over the fraction field: _fraction_free_rank on the Polynomial
+    entries, each division an exact quotient in Q[x].  be-check and the
     truncated branch of fitting_loci call it only for the levels that
     _generic_ranks cannot settle at its integer point."""
-    codec = ring.default_order.codec(ring.n)
-    base = codec.base(0)
-    A = [[codec.encode(e) for e in row] for row in _integer_rows(M, rows, cols)[0]]
-    live_rows = list(range(rows))
-    live_cols = list(range(cols))
-    prev = None  # the kernel divisor of the previous pivot; None before the first
-    rank = 0
-    while True:
-        pivot = next(((i, j) for j in live_cols for i in live_rows if A[i][j]), None)
+    return _fraction_free_rank([list(row[:cols]) for row in M[:rows]], cols, _exact_quotient)
+
+
+def _fraction_free_rank(A, cols, quotient) -> int:
+    """Rank of the matrix with the rows A (a list of lists, overwritten) by
+    fraction-free elimination (Bareiss 1968) over an integral domain.  Each
+    pivot p is the first nonzero entry of its column among the rows not yet
+    used; each later row's entries x right of that column become
+    (p * x - a * y) / prev, for its entry a in the column, the pivot row's
+    entry y and the previous pivot prev.  Every entry so made is a minor
+    of the input, so quotient(f, prev) is an exact division."""
+    rank, prev = 0, None
+    for j in range(cols):
+        pivot = next((i for i in range(rank, len(A)) if A[i][j] != 0), None)
         if pivot is None:
-            return rank
-        pi, pj = pivot
-        live_rows.remove(pi)
-        live_cols.remove(pj)
-        p, prow = A[pi][pj], A[pi]
-        for i in live_rows:
-            row = A[i]
-            a = row[pj]
-            for j in live_cols:
-                # p * row[j] - a * prow[j], a product of terms t1 + t2 - base
-                acc = {}
-                for t, c in p.items():
-                    kernel.add_scaled_inplace(acc, row[j], c, t - base)
-                for t, c in a.items():
-                    kernel.add_scaled_inplace(acc, prow[j], -c, t - base)
-                if prev is None:  # no division checks these products
-                    for t in acc:
-                        codec.check(t)
-                row[j] = _exact_quotient(acc, prev, codec) if acc and prev else acc
-        lead = max(p)
-        prev = (lead, p[lead], p)
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        p, top = A[rank][j], A[rank][j + 1 :]
+        for row in A[rank + 1 :]:
+            a = row[j]
+            new = [p * x - a * y for x, y in zip(row[j + 1 :], top)]
+            row[j + 1 :] = new if prev is None else [quotient(e, prev) for e in new]
+        prev = p
         rank += 1
+    return rank
 
 
 # The integer point at which _generic_ranks evaluates the differentials,
@@ -669,35 +657,13 @@ _RANK_POINT = (3, -5, 7, -11, 13, -17, 19, -23)
 
 def _point_rank(M, rows, cols, point) -> int:
     """Rank of the row-scaled integer matrix of M evaluated at the integer
-    point, by fraction-free elimination; each pivot is the first nonzero
-    entry of its column among the rows not yet used."""
-    values = {}  # monomial -> its value at the point
-
-    def value(m):
-        v = values.get(m)
-        if v is None:
-            v = values[m] = math.prod(map(pow, point, m))
-        return v
-
-    A = [
-        [sum(c * value(m) for m, c in e.items()) for e in row]
-        for row in _integer_rows(M, rows, cols)[0]
-    ]
-    rank, prev = 0, 1
-    for j in range(cols):
-        pivot = next((i for i in range(rank, rows) if A[i][j]), None)
-        if pivot is None:
-            continue
-        A[rank], A[pivot] = A[pivot], A[rank]
-        top = A[rank]
-        p = top[j]
-        for i in range(rank + 1, rows):
-            a = A[i][j]
-            # every entry stays an integer minor, so the division is exact
-            A[i] = [(p * x - a * y) // prev for x, y in zip(A[i], top)]
-        prev = p
-        rank += 1
-    return rank
+    point: _fraction_free_rank with floor division, which is exact there."""
+    value = functools.cache(lambda m: math.prod(map(pow, point, m)))
+    A = []
+    for row in M[:rows]:
+        s = math.lcm(*[e.den for e in row[:cols]])
+        A.append([s // e.den * sum(c * value(m) for m, c in e.num.items()) for e in row[:cols]])
+    return _fraction_free_rank(A, cols, operator.floordiv)
 
 
 def _generic_ranks(C: ChainComplex) -> tuple:

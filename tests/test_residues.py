@@ -473,6 +473,15 @@ def test_recipe_resolves_each_ideal_once_and_keeps_the_shape(monkeypatch, Z, J):
     assert recipe.shape == structure_form_shape(Z, cap=cap)
 
 
+def test_recipe_resolution_ends_at_its_last_nonzero_module():
+    # on the node zw = 0, J = (z, zw) lifts to (z): E is z alone
+    Z = QuotientContext(ZW, Ideal(ZW, (P(ZW, "z*w"),)))
+    recipe = build_current_recipe(Z, Ideal(ZW, (P(ZW, "z"), P(ZW, "z*w"))))
+    assert recipe.E.ranks == (1, 1)
+    assert recipe.current.degree_span == (1, 1)
+    assert recipe.j_cohen_macaulay and recipe.z_cohen_macaulay
+
+
 def test_recipe_refuses_improper_annihilator():
     Z = cusp_context()
     with pytest.raises(ValueError):
