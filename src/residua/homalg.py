@@ -26,7 +26,6 @@ from residua.groebner import (
     InvariantError,
     QuotientContext,
     SubmoduleBasis,
-    _cover_number,
     _exact_quotient,
     certified_dimension,
     _support,
@@ -534,7 +533,7 @@ def determinant(ring: PolynomialRing, M: Matrix, n: int) -> Polynomial:
 
 def _class_firsts(values):
     """(i, d) for each nonzero d of values that is the first of its class up
-    to a scalar, lazily; minors equal up to a scalar have one monic form."""
+    to a scalar; minors equal up to a scalar have one monic form."""
     met = set()
     for i, d in enumerate(values):
         if d and (sig := frozenset(kernel.primitive(d, max(d))[0].items())) not in met:
@@ -574,7 +573,7 @@ def _minor_scan(minor, rows, cols, r):
         yield minor(R, C)
 
 
-def _minors(ring, M, rows, cols, r):
+def minors(ring, M, rows, cols, r) -> list:
     """Each distinct r x r minor of M up to a scalar, as (the monic minor,
     its lead monomial under the default order): rows and columns
     enumerated lexicographically, each minor at its first occurrence.  For
@@ -582,32 +581,16 @@ def _minors(ring, M, rows, cols, r):
 
     The minors come from one shared _MinorTable through _minor_scan, which
     evaluates only one pair per class of factor minors when M has rank
-    exactly r; the output is that of evaluating them all.  Lazy, so that
-    minors_codim can stop early (before the scan's rank test when the
-    first minor settles it); minors lists them all."""
+    exactly r; the output is that of evaluating them all."""
     if r <= 0:
-        yield ring.one(), (0,) * ring.n
-        return
+        return [(ring.one(), (0,) * ring.n)]
     minor = _MinorTable(_integer_rows(M, rows, cols)[0]).minor
     key = ring.default_order.ring_key
+    out = []
     for _, d in _class_firsts(_minor_scan(minor, rows, cols, r)):
         lead = max(d, key=key)
-        yield Polynomial.from_kernel(ring, d, d[lead]), lead
-
-
-def _entry_supports(M, rows, cols, r) -> set:
-    """The supports of the terms of the entries of M, which generate an
-    ideal containing every r x r minor when r >= 1; {0} (a constant) when
-    r <= 0, where the one minor is 1."""
-    if r <= 0:
-        return {0}
-    monomials = {m for row in M[:rows] for e in row[:cols] for m in e.num}
-    return {_support(m) for m in monomials}
-
-
-def minors(ring, M, rows, cols, r) -> list:
-    """Every (monic minor, lead monomial) of _minors, in its order."""
-    return list(_minors(ring, M, rows, cols, r))
+        out.append((Polynomial.from_kernel(ring, d, d[lead]), lead))
+    return out
 
 
 def minors_ideal(ring, M, rows, cols, r) -> Ideal:
@@ -630,8 +613,9 @@ def _fraction_free_rank(A, cols, quotient) -> int:
     pivot p is the first nonzero entry of its column among the rows not yet
     used; each later row's entries x right of that column become
     (p * x - a * y) / prev, for its entry a in the column, the pivot row's
-    entry y and the previous pivot prev.  Every entry so made is a minor
-    of the input, so quotient(f, prev) is an exact division."""
+    entry y and the previous pivot prev (p * x / prev when a is zero).
+    Every entry so made is a minor of the input, so quotient(f, prev) is
+    an exact division."""
     rank, prev = 0, None
     for j in range(cols):
         pivot = next((i for i in range(rank, len(A)) if A[i][j] != 0), None)
@@ -641,7 +625,10 @@ def _fraction_free_rank(A, cols, quotient) -> int:
         p, top = A[rank][j], A[rank][j + 1 :]
         for row in A[rank + 1 :]:
             a = row[j]
-            new = [p * x - a * y for x, y in zip(row[j + 1 :], top)]
+            if a == 0:
+                new = [p * x for x in row[j + 1 :]]
+            else:
+                new = [p * x - a * y for x, y in zip(row[j + 1 :], top)]
             row[j + 1 :] = new if prev is None else [quotient(e, prev) for e in new]
         prev = p
         rank += 1
@@ -728,25 +715,25 @@ def fitting_loci(C: ChainComplex):
 
 
 def _fitting_loci(C: ChainComplex):
-    """fitting_loci, each locus with the lead supports of its generators
-    and the term supports of the entries of phi_k and the relations, which
+    """fitting_loci, each locus as the _locus triple that
     groebner.certified_dimension takes for its certificate."""
-    ring = C.ring
-    extra = C.context.relations.gens if C.context is not None else ()
-    if C.complete:
-        rk = expected_ranks(C)
-    else:
-        rk = _generic_ranks(C)
-    extra_leads = {_support(g.lm()) for g in extra}
-    extra_terms = {_support(m) for g in extra for m in g.num}
-    loci = []
-    for k in range(1, C.length + 1):
-        rows, cols, r = C.ranks[k - 1], C.ranks[k], rk[k - 1]
-        pairs = minors(ring, C.diff(k), rows, cols, r)
-        leads = {_support(lead) for _, lead in pairs} | extra_leads
-        terms = _entry_supports(C.diff(k), rows, cols, r) | extra_terms
-        loci.append((Ideal(ring, tuple(g for g, _ in pairs) + tuple(extra)), leads, terms))
-    return tuple(rk), tuple(loci)
+    rk = expected_ranks(C) if C.complete else _generic_ranks(C)
+    return tuple(rk), tuple(_locus(C, k, r) for k, r in enumerate(rk, 1))
+
+
+def _locus(C: ChainComplex, k: int, r: int):
+    """(the ideal of the r x r minors of phi_k plus the context relations,
+    the supports of its generators' lead monomials, the supports of the
+    terms of the entries of phi_k and of the relations).  The entries
+    generate an ideal that holds every r x r minor when r >= 1; for r <= 0
+    the one minor is 1, whose support stands in for theirs."""
+    ring, M, rows, cols = C.ring, C.diff(k), C.ranks[k - 1], C.ranks[k]
+    extra = list(C.context.relations.gens) if C.context is not None else []
+    pairs = minors(ring, M, rows, cols, r)
+    entries = [e for row in M for e in row] if r > 0 else [ring.one()]
+    leads = {_support(lead) for _, lead in pairs} | {_support(g.lm()) for g in extra}
+    terms = {_support(m) for m in {m for e in entries + extra for m in e.num}}
+    return Ideal(ring, tuple(g for g, _ in pairs) + tuple(extra)), leads, terms
 
 
 def rank_loci(C: ChainComplex) -> ResolutionDiagnostics:
@@ -821,7 +808,8 @@ def buchsbaum_eisenbud_check(C: ChainComplex) -> ExactnessReport:
     The generic ranks come from _generic_ranks: the rank of each phi_k at
     one integer point, which is r_k whenever it meets the bound that
     phi_{k-1} phi_k = phi_k phi_{k+1} = 0 put on r_k; only the other
-    levels run generic_rank.  The codims come from minors_codim.
+    levels run generic_rank.  Each codim is certified_dimension of the
+    level's _locus, the route of rank_loci.
 
     Only finite complexes over the ambient ring are eligible: quotient
     rings admit infinite resolutions (truncations of which look periodic),
@@ -837,39 +825,17 @@ def buchsbaum_eisenbud_check(C: ChainComplex) -> ExactnessReport:
             "exactness criterion applies over the ambient polynomial ring only; "
             "quotient-ring resolutions can be infinite and escape it"
         )
-    ring = C.ring
     n = C.length
     rho = [0, *_generic_ranks(C), 0]
     levels = []
     passes = True
     for k in range(1, n + 1):
         rank_ok = rho[k] + rho[k + 1] == C.ranks[k]
-        cd = minors_codim(ring, C.diff(k), C.ranks[k - 1], C.ranks[k], rho[k])
+        cd = certified_dimension(*_locus(C, k, rho[k]))[1]
         codim_ok = cd >= k
         levels.append(ExactnessLevel(k, rank_ok, cd, k, codim_ok))
         passes = passes and rank_ok and codim_ok
     return ExactnessReport(passes, tuple(rho[1 : n + 1]), tuple(levels))
-
-
-def minors_codim(ring, M, rows, cols, r):
-    """codim of the ideal of the r x r minors of M.  Every such minor lies
-    in the prime (x_i : i in S) of the entries, so once the lead supports
-    of the minors met so far have cover number |S|, that is the codim (a
-    subideal has no larger codimension) and the rest are not evaluated (nor
-    is the rank test of _minor_scan when the first minor settles it);
-    otherwise groebner.certified_dimension decides on all of them."""
-    n = ring.n
-    terms = _entry_supports(M, rows, cols, r)
-    prime = None if 0 in terms else _cover_number(terms, n)
-    gens, leads = [], set()
-    for g, lead in _minors(ring, M, rows, cols, r):
-        gens.append(g)
-        s = _support(lead)
-        if s not in leads:
-            leads.add(s)
-            if prime is not None and _cover_number(leads, n) == prime:
-                return prime
-    return certified_dimension(Ideal(ring, gens), leads, terms)[1]
 
 
 @dataclass(frozen=True)

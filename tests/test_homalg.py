@@ -30,6 +30,7 @@ from residua.homalg import (
     mat_mul,
     matrices_equal_canonically,
     minimalize,
+    minors,
     minors_ideal,
     proper_intersection_check,
     rank_loci,
@@ -649,6 +650,7 @@ def test_minors_and_generic_rank():
     assert ideals_equal(I2, Ideal(XYZ, (P(XYZ, "x^2 - y*z"),)))
     assert minors_ideal(XYZ, A, 2, 2, 0).gens == (XYZ.one(),)
     assert minors_ideal(XYZ, A, 2, 2, 3).gens == ()
+    assert len(minors(XYZ, M(XYZ, [["x", "y", "z", "x + y"]]), 1, 4, 1)) == 4
     B = M(XYZ, [["x", "y"], ["x", "y"]])
     assert generic_rank(XYZ, B, 2, 2) == 1
 
@@ -809,9 +811,8 @@ def test_containment_by_degree_of_a_mixed_degree_locus(monkeypatch):
     assert not calls
 
 
-def test_rank_loci_of_the_cube_builds_only_the_last_locus_basis(monkeypatch):
-    gens = [XYZ.poly(f"x^{a}*y^{b}*z^{3 - a - b}") for a in range(4) for b in range(4 - a)]
-    C = free_resolution(Ideal(XYZ, gens), minimal=True)
+def spy_bases(monkeypatch):
+    """Count the generators of each Groebner basis groebner builds."""
     built = []
     engine = groebner._ideal_groebner
 
@@ -820,7 +821,12 @@ def test_rank_loci_of_the_cube_builds_only_the_last_locus_basis(monkeypatch):
         return engine(gens, order, rank)
 
     monkeypatch.setattr(groebner, "_ideal_groebner", spy)
-    d = rank_loci(C)
+    return built
+
+
+def test_rank_loci_of_the_cube_builds_only_the_last_locus_basis(monkeypatch):
+    built = spy_bases(monkeypatch)
+    d = rank_loci(_cube_resolution())
     assert tuple(len(I.gens) for I in d.loci) == (10, 55, 28)
     # locus 1 (cubics) lies below the degree 9 of every generator of locus
     # 2, so only the membership of locus 2 in locus 3 builds a basis
@@ -891,6 +897,19 @@ def test_exactness_criterion_on_the_cube_of_the_maximal_ideal():
     assert rep.generic_ranks == (1, 9, 6)
     assert tuple(level.codim for level in rep.levels) == (3, 3, 3)
     assert rep.passes
+
+
+def test_exactness_criterion_builds_no_basis_where_the_certificate_settles(monkeypatch):
+    # each codim is certified_dimension of the level's locus: the lead
+    # supports of the minors and the term supports of the entries both
+    # have cover number 3, so no Groebner basis is built
+    C = _cube_resolution()
+    built = spy_bases(monkeypatch)
+    rep = buchsbaum_eisenbud_check(C)
+    assert tuple(level.codim for level in rep.levels) == (3, 3, 3)
+    row = ChainComplex(XYZ, (1, 4), (M(XYZ, [["x", "y", "z", "x + y"]]),))
+    assert buchsbaum_eisenbud_check(row).levels[0].codim == 3
+    assert not built
 
 
 # ---------------------------------------------------------------------------

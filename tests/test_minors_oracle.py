@@ -5,8 +5,8 @@ coefficients, zero rows and columns, empty and one-row shapes,
 rank-deficient stacks) go through residua.homalg and through sympy's
 Matrix.det and Matrix.rank, which share no code with residua.  On the
 same matrices the codims of be-check, rank_loci and proper-check, which
-stop early or skip the Groebner basis where a certificate allows, must
-equal dimension of the whole minor ideal (itself checked against sympy
+skip the Groebner basis where a certificate allows, must equal
+dimension of the whole minor ideal (itself checked against sympy
 in test_dimension_oracle.py).  Skipped when sympy or hypothesis is
 missing.
 
@@ -28,17 +28,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from residua import homalg, kernel
-from residua.groebner import Ideal, QuotientContext, dimension
+from residua.groebner import Ideal, QuotientContext, certified_dimension, dimension
 from residua.homalg import (
     ChainComplex,
-    minors_codim,
     buchsbaum_eisenbud_check,
     determinant,
     fitting_loci,
     free_resolution,
     generic_rank,
     koszul_complex,
-    minors,
     minors_ideal,
     proper_intersection_check,
     rank_loci,
@@ -175,13 +173,14 @@ def test_generic_rank_matches_sympy(case):
 @example(case([["x", "y"], ["1 + x", "z"]]))
 @example(case([["x", "0", "-1/4*y^2", "3"]]))
 def test_minor_codims_match_dimension(case):
-    # be-check stops enumerating minors once their leads certify the codim,
-    # and rank_loci and proper-check certify from leads and matrix entries:
-    # each must give the codim dimension finds on the whole minor ideal
+    # be-check, rank_loci and proper-check certify from the leads of the
+    # minors and the terms of the matrix entries: each must give the codim
+    # dimension finds on the whole minor ideal
     M, rows, cols = case
-    for r in range(min(rows, cols) + 2):
-        assert minors_codim(R, M, rows, cols, r) == dimension(minors_ideal(R, M, rows, cols, r))[1]
     C = ChainComplex(R, (rows, cols), (M,))
+    for r in range(min(rows, cols) + 2):
+        got = certified_dimension(*homalg._locus(C, 1, r))[1]
+        assert got == dimension(minors_ideal(R, M, rows, cols, r))[1]
     rho = generic_rank(R, M, rows, cols)
     (level,) = buchsbaum_eisenbud_check(C).levels
     assert level.codim == dimension(minors_ideal(R, M, rows, cols, rho))[1]
@@ -196,7 +195,7 @@ def test_minor_codims_match_dimension(case):
 
 
 def reference_minors(ring, M, rows, cols, r):
-    """The exhaustive _minors, frozen: every r x r minor is evaluated, rows
+    """The exhaustive minors, frozen: every r x r minor is evaluated, rows
     and columns lexicographically, and each class up to a scalar is
     yielded at its first occurrence."""
     if r <= 0:
@@ -227,7 +226,7 @@ def trace(pairs):
 
 def assert_scan_matches_reference(M, rows, cols, rs):
     for r in rs:
-        got = trace(homalg._minors(R, M, rows, cols, r))
+        got = trace(homalg.minors(R, M, rows, cols, r))
         assert got == trace(reference_minors(R, M, rows, cols, r)), r
 
 
@@ -305,36 +304,6 @@ def test_minor_scan_evaluates_one_pair_per_class_on_the_cube_resolution():
 
     assert sum(map(bool, homalg._minor_scan(minor, 10, 15, 9))) == 280
     assert sizes[10] == 6 and sizes[9] < 6000
-
-
-def test_minors_codim_stops_early(monkeypatch):
-    M, rows, cols = case([["x", "y", "z", "x + y"]])
-    assert len(minors(R, M, rows, cols, 1)) == 4
-    taken = []
-    scan = homalg._minors
-
-    def counted(*args):
-        for pair in scan(*args):
-            taken.append(pair)
-            yield pair
-
-    monkeypatch.setattr(homalg, "_minors", counted)
-    # the leads of x, y and z reach the cover number 3 of the entries
-    assert minors_codim(R, M, rows, cols, 1) == 3
-    assert len(taken) == 3
-    # the first minor settles codim 1, so no other minor and no bordering
-    # minor is evaluated
-    calls = []
-    minor = homalg._MinorTable.minor
-
-    def logged(self, rs, cs):
-        calls.append((rs, cs))
-        return minor(self, rs, cs)
-
-    monkeypatch.setattr(homalg._MinorTable, "minor", logged)
-    M, rows, cols = case([["x", "x*y", "x^2"], ["x*z", "x", "x*y"]])
-    assert minors_codim(R, M, rows, cols, 1) == 1
-    assert calls == [(1, 1)]
 
 
 # ---------------------------------------------------------------------------
