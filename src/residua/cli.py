@@ -37,6 +37,7 @@ from residua.homalg import (
     koszul_complex,
     minimalize,
     proper_intersection_check,
+    shared_levels,
     tensor_complexes,
 )
 from residua.polyring import Polynomial, PolynomialRing, _coeff_str, order_by_name
@@ -831,30 +832,34 @@ COMMANDS = frozenset(HANDLERS)
 
 
 def run_script(text: str, cap=None, order=None):
-    """-> (exit code, report lines for stdout, JSON document dict)."""
+    """-> (exit code, report lines for stdout, JSON document dict).
+
+    The statements run in one shared_levels() scope, so a resolution level
+    that an earlier statement computed is not computed again."""
     statements = parse_script(text)  # ParseFailure propagates: exit 2
     engine = Engine(cap=cap, order=order)
     lines = []
     entries = []
     failed = False
-    for stmt in statements:
-        lineno = stmt[1]
-        try:
-            outcome = engine.execute(stmt)
-        except CommandError as e:
-            failed = True
-            lines.append(f"{lineno}: error: {e}")
-            entries.append({"line": lineno, "error": str(e)})
-            continue
-        if outcome is None:
-            continue
-        cmd, value = outcome
-        payload = encode(value)
-        if stmt[0] == "bind":
-            lines.append(f"{lineno}: {stmt[2]} = {cmd} -> {json.dumps(payload, sort_keys=True)}")
-        else:
-            lines.append(f"{lineno}: {cmd} -> {json.dumps(payload, sort_keys=True)}")
-        entries.append({"line": lineno, "command": cmd, "result": payload})
+    with shared_levels():
+        for stmt in statements:
+            lineno = stmt[1]
+            try:
+                outcome = engine.execute(stmt)
+            except CommandError as e:
+                failed = True
+                lines.append(f"{lineno}: error: {e}")
+                entries.append({"line": lineno, "error": str(e)})
+                continue
+            if outcome is None:
+                continue
+            cmd, value = outcome
+            payload = encode(value)
+            if stmt[0] == "bind":
+                lines.append(f"{lineno}: {stmt[2]} = {cmd} -> {json.dumps(payload, sort_keys=True)}")
+            else:
+                lines.append(f"{lineno}: {cmd} -> {json.dumps(payload, sort_keys=True)}")
+            entries.append({"line": lineno, "command": cmd, "result": payload})
     code = 1 if failed else 0
     doc = {"exit": code, "statements": entries}
     return code, lines, doc

@@ -57,7 +57,7 @@ from residua.polyring import (
     PolynomialRing,
     PolyVector,
     RingMismatchError,
-    divide,
+    divider,
     from_terms,
     kernel_divisors,
     to_terms,
@@ -961,18 +961,24 @@ def ideal_quotient(I: Ideal, f: Polynomial, context: Context = None) -> Ideal:
     if I.is_zero():
         return Ideal(ring, ())
     inter = ideal_intersect(I, Ideal(ring, (f,)))
-    return Ideal(ring, [_exact_quotient(g, f).monic() for g in inter.gens])
+    by_f = _exact_divider(f)
+    return Ideal(ring, [by_f(g).monic() for g in inter.gens])
 
 
-def _exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f in Q[x]; a remainder is a broken invariant of
-    the caller."""
-    if f.is_zero():
-        return f
-    (q,), r = divide(f, [g])
-    if not r.is_zero():
-        raise InvariantError("a division that must be exact left a remainder")
-    return q
+def _exact_divider(g: Polynomial):
+    """f -> f / g for the f that g divides in Q[x], with g encoded once for
+    all of them; a remainder is a broken invariant of the caller."""
+    run = divider([g])
+
+    def quotient(f: Polynomial) -> Polynomial:
+        if f.is_zero():
+            return f
+        (q,), r = run(f)
+        if not r.is_zero():
+            raise InvariantError("a division that must be exact left a remainder")
+        return q
+
+    return quotient
 
 
 def saturation(I: Ideal, f: Polynomial) -> Ideal:

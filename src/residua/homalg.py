@@ -11,10 +11,11 @@ inverted here).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -26,7 +27,7 @@ from residua.groebner import (
     InvariantError,
     QuotientContext,
     SubmoduleBasis,
-    _exact_quotient,
+    _exact_divider,
     certified_dimension,
     _support,
     dimension,
@@ -102,20 +103,33 @@ def canonical_matrix(ring: PolynomialRing, A: Matrix, rows: int, cols: int) -> M
     descending by leading term, iterated to a fixed point (row moves shift
     which entry leads a column, so one pass is not enough).  For equality
     tests only -- the sorting ignores any chain structure around the
-    matrix.  Eight passes without a fixed point raise InvariantError."""
+    matrix.  Eight passes without a fixed point raise InvariantError.
+
+    Each entry's _poly_sort_key is computed once per call, and its lead
+    key is read off it: the first term of the key is the leading one."""
     order = ring.default_order
+    # id(entry) -> (entry, sort key); holding the entry keeps its id from
+    # being reused by another entry while the memo lives
+    memo = {}
+
+    def key(e):
+        hit = memo.get(id(e))
+        if hit is None:
+            hit = memo[id(e)] = (e, _poly_sort_key(e, order))
+        return hit[1]
 
     def col_key(v: PolyVector):
         lt = v.leading(order)
         # a zero column's head (-1,) compares with flat order keys: it is a
         # prefix of every pot key at position 1 and below every top key
         head = ((-1,),) if lt is None else (order.term_key(lt[0]),)
-        return (head, tuple(_poly_sort_key(e, order) for e in v.entries))
+        return (head, tuple(key(e) for e in v.entries))
 
     def row_key(row):
-        keys = [order.ring_key(e.lm(order)) for e in row if not e.is_zero()]
-        head = max(keys) if keys else None
-        return (head is not None, head, tuple(_poly_sort_key(e, order) for e in row))
+        keys = tuple(key(e) for e in row)
+        leads = [k[0][0] for k in keys if k]
+        head = max(leads) if leads else None
+        return (head is not None, head, keys)
 
     cur = tuple(tuple(row) for row in A)
     for _ in range(8):
@@ -234,6 +248,23 @@ class ChainComplex:
 # resolutions
 
 
+# (rows, columns, context, syzygies) of each level computed by
+# free_resolution in the open shared_levels() scope; None outside one.
+_LEVELS = contextvars.ContextVar("levels", default=None)
+
+
+@contextlib.contextmanager
+def shared_levels():
+    """A scope in which free_resolution computes each distinct level once:
+    a level equal to one computed earlier in the scope reuses its
+    syzygies.  The levels are dropped when the scope closes."""
+    token = _LEVELS.set([])
+    try:
+        yield
+    finally:
+        _LEVELS.reset(token)
+
+
 def free_resolution(
     I: Ideal, context: Context = None, cap: int = 16, minimal: bool = False
 ) -> ChainComplex:
@@ -242,13 +273,17 @@ def free_resolution(
     each phi_{k+1} generates the syzygies of the columns of phi_k.  Stops
     early when the syzygy module vanishes, else truncates at cap.
 
-    A level whose rank and column list equal those of an earlier level
-    reuses that level's syzygies instead of computing them again.  This is
-    exact: syzygies is a deterministic function of the ring, the rank, the
-    generators and the context, so the reused module is the one the call
-    would return.  Over a hypersurface the resolution turns 2-periodic
-    (Eisenbud 1980), and from then on every level is such a repeat.  The
-    levels are matched by an equality scan, not by hashing.
+    A level whose rank, column list and context equal those of a level
+    computed earlier reuses that level's syzygies instead of computing
+    them again.  This is exact: syzygies is a deterministic function of
+    the ring, the rank, the generators and the context, so the reused
+    module is the one the call would return.  Earlier means earlier in
+    this call, or, inside a shared_levels() scope, earlier in the scope:
+    a script runs in one such scope, so the resolutions that recipe builds
+    are not computed again by the statements after it.  Over a
+    hypersurface the resolution turns 2-periodic (Eisenbud 1980), and from
+    then on every level is such a repeat.  The levels are matched by an
+    equality scan, not by hashing.
 
     With minimal=True the constant pivots are stripped from the level
     lists before any complex is built, so a minimal resolution builds and
@@ -271,15 +306,19 @@ def free_resolution(
     diffs = []
     complete = False
     cols = [PolyVector(ring, (g,)) for g in gens]
-    levels = []  # (rows, columns, syzygies) of each level computed
+    levels = _LEVELS.get()
+    if levels is None:
+        levels = []
     while cols:
         rows = ranks[-1]
         diffs.append(columns_to_matrix(ring, cols, rows))
         ranks.append(len(cols))
-        syz = next((s for r, c, s in levels if r == rows and c == cols), None)
+        syz = next(
+            (s for r, c, x, s in levels if r == rows and x == context and c == cols), None
+        )
         if syz is None:
             syz = syzygies(SubmoduleBasis(ring, rows, cols), context=context)
-            levels.append((rows, cols, syz))
+            levels.append((rows, cols, context, syz))
         if not syz.gens:
             complete = True
             break
@@ -601,22 +640,23 @@ def minors_ideal(ring, M, rows, cols, r) -> Ideal:
 
 def generic_rank(ring, M, rows, cols) -> int:
     """Rank over the fraction field: _fraction_free_rank on the Polynomial
-    entries, each division an exact quotient in Q[x].  be-check and the
-    truncated branch of fitting_loci call it only for the levels that
-    _generic_ranks cannot settle at its integer point."""
-    return _fraction_free_rank([list(row[:cols]) for row in M[:rows]], cols, _exact_quotient)
+    entries, each division an exact quotient in Q[x] by a pivot encoded
+    once.  be-check and the truncated branch of fitting_loci call it only
+    for the levels that _generic_ranks cannot settle at its integer point."""
+    return _fraction_free_rank([list(row[:cols]) for row in M[:rows]], cols, _exact_divider)
 
 
-def _fraction_free_rank(A, cols, quotient) -> int:
+def _fraction_free_rank(A, cols, divider) -> int:
     """Rank of the matrix with the rows A (a list of lists, overwritten) by
     fraction-free elimination (Bareiss 1968) over an integral domain.  Each
     pivot p is the first nonzero entry of its column among the rows not yet
     used; each later row's entries x right of that column become
     (p * x - a * y) / prev, for its entry a in the column, the pivot row's
-    entry y and the previous pivot prev (p * x / prev when a is zero).
-    Every entry so made is a minor of the input, so quotient(f, prev) is
-    an exact division."""
-    rank, prev = 0, None
+    entry y and the previous pivot prev.  Every entry so made is a minor of
+    the input, so the division is exact; it goes through divider(prev),
+    made once per pivot.  No product or difference is formed with a zero
+    operand: the sparse matrices of a resolution are mostly zeros."""
+    rank, divide = 0, None
     for j in range(cols):
         pivot = next((i for i in range(rank, len(A)) if A[i][j] != 0), None)
         if pivot is None:
@@ -626,13 +666,23 @@ def _fraction_free_rank(A, cols, quotient) -> int:
         for row in A[rank + 1 :]:
             a = row[j]
             if a == 0:
-                new = [p * x for x in row[j + 1 :]]
+                new = [x if x == 0 else p * x for x in row[j + 1 :]]
             else:
-                new = [p * x - a * y for x, y in zip(row[j + 1 :], top)]
-            row[j + 1 :] = new if prev is None else [quotient(e, prev) for e in new]
-        prev = p
+                new = [_cross(p, x, a, y) for x, y in zip(row[j + 1 :], top)]
+            row[j + 1 :] = new if divide is None else [e if e == 0 else divide(e) for e in new]
+        divide = divider(p)
         rank += 1
     return rank
+
+
+def _cross(p, x, a, y):
+    """p * x - a * y for nonzero p and a, forming no product or difference
+    with a zero operand."""
+    if y == 0:
+        return x if x == 0 else p * x
+    if x == 0:
+        return -(a * y)
+    return p * x - a * y
 
 
 # The integer point at which _generic_ranks evaluates the differentials,
@@ -650,7 +700,7 @@ def _point_rank(M, rows, cols, point) -> int:
     for row in M[:rows]:
         s = math.lcm(*[e.den for e in row[:cols]])
         A.append([s // e.den * sum(c * value(m) for m, c in e.num.items()) for e in row[:cols]])
-    return _fraction_free_rank(A, cols, operator.floordiv)
+    return _fraction_free_rank(A, cols, lambda d: lambda e: e // d)
 
 
 def _generic_ranks(C: ChainComplex) -> tuple:

@@ -401,6 +401,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return not self.num
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -615,25 +617,43 @@ def divide(f, divisors, order: Optional[MonomialOrder] = None):
     """
     if not isinstance(f, (Polynomial, PolyVector)):
         raise TypeError("divide expects a Polynomial or PolyVector")
+    return divider(divisors, order)(f)
+
+
+def divider(divisors, order: Optional[MonomialOrder] = None):
+    """f -> divide(f, divisors, order), with the divisors encoded once for
+    every f divided."""
     divisors = list(divisors)
     if not divisors:
         raise ValueError("empty divisor list")
+    like = divisors[0]
+    if not isinstance(like, (Polynomial, PolyVector)):
+        raise RingMismatchError("divisor mismatch")
+    _check_divisors(like, divisors)
+    codec = (order or like.ring.default_order).codec(like.ring.n)
+    divs, dens = kernel_divisors(divisors, codec)
+    exponents = codec.exponents
+
+    def run(f):
+        _check_divisors(f, (like,))
+        num, den = to_terms(f, codec)
+        quots, rem, mult = kernel.reduce_terms(num, divs, codec, True)
+        # mult * den * f = sum(q_i * d_i * g_i) + rem
+        d = mult * den
+        return [
+            Polynomial.from_kernel(f.ring, {exponents(m): c * di for m, c in q.items()}, d)
+            for q, di in zip(quots, dens)
+        ], from_terms(f, rem, d, codec)
+
+    return run
+
+
+def _check_divisors(f, divisors):
     for g in divisors:
         if not isinstance(g, type(f)) or g.ring != f.ring:
             raise RingMismatchError("divisor mismatch")
         if isinstance(f, PolyVector) and g.rank != f.rank:
             raise ValueError("divisor rank mismatch")
-    codec = (order or f.ring.default_order).codec(f.ring.n)
-    num, den = to_terms(f, codec)
-    divs, dens = kernel_divisors(divisors, codec)
-    quots, rem, mult = kernel.reduce_terms(num, divs, codec, True)
-    # mult * den * f = sum(q_i * d_i * g_i) + rem
-    d = mult * den
-    exponents = codec.exponents
-    return [
-        Polynomial.from_kernel(f.ring, {exponents(m): c * di for m, c in q.items()}, d)
-        for q, di in zip(quots, dens)
-    ], from_terms(f, rem, d, codec)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from residua import groebner, homalg
+from residua import groebner, homalg, polyring
 from residua.groebner import (
     Ideal,
     InvariantError,
@@ -36,7 +36,8 @@ from residua.homalg import (
     rank_loci,
     tensor_complexes,
 )
-from residua.polyring import MonomialOrder, PolynomialRing, PolyVector
+from residua.cli import encode, run_script
+from residua.polyring import MonomialOrder, Polynomial, PolynomialRing, PolyVector
 
 from conftest import random_nonzero_poly
 
@@ -676,11 +677,40 @@ def test_generic_rank_of_a_wide_rank_three_matrix():
 
 
 def test_fraction_free_division_must_be_exact():
-    assert groebner._exact_quotient(P(XY, "6*x^2*y - 4*x*y^2"), P(XY, "2*x*y")) == P(XY, "3*x - 2*y")
-    assert groebner._exact_quotient(P(XY, "3*x^2"), P(XY, "2*x")) == P(XY, "3/2*x")
+    by_2xy = groebner._exact_divider(P(XY, "2*x*y"))
+    assert by_2xy(P(XY, "6*x^2*y - 4*x*y^2")) == P(XY, "3*x - 2*y")
+    assert by_2xy(XY.zero()) == XY.zero()
+    assert groebner._exact_divider(P(XY, "2*x"))(P(XY, "3*x^2")) == P(XY, "3/2*x")
     for f, g in (("y^2", "x"), ("2*x^2 + 1", "2*x")):
         with pytest.raises(InvariantError):
-            groebner._exact_quotient(P(XY, f), P(XY, g))
+            groebner._exact_divider(P(XY, g))(P(XY, f))
+
+
+def test_generic_rank_forms_no_zero_product_and_encodes_each_pivot_once(monkeypatch):
+    C = _cube_resolution()
+    steps = []
+    zero_operands = []
+    encode, mul, sub = polyring.kernel_divisors, Polynomial.__mul__, Polynomial.__sub__
+
+    def kernel_divisors(elements, codec):
+        steps.append(elements)
+        return encode(elements, codec)
+
+    def spy(op):
+        def wrapped(a, b):
+            if a.is_zero() or b == 0:
+                zero_operands.append((op.__name__, a, b))
+            return op(a, b)
+
+        return wrapped
+
+    monkeypatch.setattr(polyring, "kernel_divisors", kernel_divisors)
+    monkeypatch.setattr(Polynomial, "__mul__", spy(mul))
+    monkeypatch.setattr(Polynomial, "__sub__", spy(sub))
+    ranks = [generic_rank(XYZ, C.diff(k), C.ranks[k - 1], C.ranks[k]) for k in (1, 2, 3)]
+    assert ranks == [1, 9, 6] and not zero_operands
+    # one encoding per pivot: the rank of each level
+    assert len(steps) == sum(ranks)
 
 
 def test_expected_ranks_alternating_sum():
@@ -1081,6 +1111,103 @@ def test_resolution_without_repeated_levels_calls_syzygies_per_level(monkeypatch
     assert len(calls) == C.length == 3
 
 
+def test_readme_cusp_resolution_takes_three_syzygy_computations(monkeypatch):
+    # (z, w) over z^3 = w^2 with cap 8, as the README gives it, in a call
+    # and in a script
+    calls = _spy(monkeypatch, "syzygies")
+    cusp = QuotientContext(ZW, Ideal(ZW, (P(ZW, "z^3 - w^2"),)))
+    C = free_resolution(Ideal(ZW, (P(ZW, "z"), P(ZW, "w"))), context=cusp, cap=8)
+    assert C.length == 8 and len(calls) == 3
+    calls.clear()
+    assert run_script("resolve((z, w), over Q[z,w]/(z^3 - w^2), cap=8)")[0] == 0
+    assert len(calls) == 3
+
+
+RECIPE_SCRIPT = """ring R = Q[z,w]
+quotient Z = R/(z^3 - w^2)
+ideal J = Z:(z^2, w)
+recipe X = recipe(Z, J)
+"""
+RESOLVE_AGAIN = "E = resolve((z^2, w, z^3 - w^2), over R, minimal=true)\n"
+
+
+def _levels(calls):
+    return [(b.rank, b.gens, ctx) for (b,), ctx in calls]
+
+
+def _spy_syzygies(monkeypatch):
+    """Record (positional arguments, context) of each homalg.syzygies call."""
+    calls = []
+    original = homalg.syzygies
+
+    def spy(basis, context=None):
+        calls.append(((basis,), context))
+        return original(basis, context=context)
+
+    monkeypatch.setattr(homalg, "syzygies", spy)
+    return calls
+
+
+def test_script_resolving_what_its_recipe_resolved_computes_no_level_again(monkeypatch):
+    calls = _spy_syzygies(monkeypatch)
+    assert run_script(RECIPE_SCRIPT)[0] == 0
+    recipe_levels = _levels(calls)
+    calls.clear()
+    code, _, doc = run_script(RECIPE_SCRIPT + RESOLVE_AGAIN)
+    assert code == 0 and _levels(calls) == recipe_levels == _distinct(recipe_levels)
+    # the answer is the resolution a call outside any script computes
+    E = free_resolution(
+        Ideal(ZW, (P(ZW, "z^2"), P(ZW, "w"), P(ZW, "z^3 - w^2"))), minimal=True
+    )
+    assert doc["statements"][-1]["result"] == encode(E)
+
+
+def test_each_script_and_each_call_outside_one_computes_its_own_levels(monkeypatch):
+    calls = _spy_syzygies(monkeypatch)
+    first = run_script(RECIPE_SCRIPT + RESOLVE_AGAIN)
+    n = len(calls)
+    assert n > 0
+    calls.clear()
+    assert run_script(RECIPE_SCRIPT + RESOLVE_AGAIN) == first
+    assert len(calls) == n
+    # the script's levels are gone once it ends
+    I = Ideal(ZW, (P(ZW, "z^2"), P(ZW, "w"), P(ZW, "z^3 - w^2")))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        C = free_resolution(I, minimal=True)
+        counts.append(len(calls))
+    assert C.ranks == (1, 2, 1) and counts[0] == counts[1] > 0
+
+
+def test_a_statement_that_raises_leaves_later_answers_unchanged(monkeypatch):
+    # the first resolve stops at its third level, after two levels went
+    # into the script's scope; the same resolve later reuses them
+    script = (
+        "ring R = Q[z,w]\n"
+        "quotient Z = R/(z^3 - w^2)\n"
+        "resolve((z, w), over Z, cap=6)\n"
+        "ideal J = Z:(z, w)\n"
+        "recipe X = recipe(Z, J)\n"
+        "resolve((z, w), over Z, cap=6)\n"
+        "period(last)\n"
+    )
+    code, _, clean = run_script(script)
+    assert code == 0
+    original = homalg.syzygies
+    count = itertools.count(1)
+
+    def fails_third(basis, context=None):
+        if next(count) == 3:
+            raise ValueError("injected failure")
+        return original(basis, context=context)
+
+    monkeypatch.setattr(homalg, "syzygies", fails_third)
+    code, lines, doc = run_script(script)
+    assert code == 1 and lines[0] == "3: error: injected failure"
+    assert doc["statements"][1:] == clean["statements"][1:]
+
+
 def _periodicity_cases():
     xy = QuotientContext(XY, Ideal(XY, (P(XY, "x*y"),)))
     yield free_resolution(Ideal(XY, (P(XY, "x"),)), context=xy, cap=6)
@@ -1176,10 +1303,12 @@ def test_canonical_matrix_equivalences():
 
 def test_canonical_matrix_without_fixed_point_raises(monkeypatch):
     # sort keys that grow with every call make the two rows trade places
-    # on every pass
+    # on every pass; canonical_matrix keys each entry once per call, so a
+    # scaling that builds new entries on every pass asks for fresh keys
     counter = itertools.count()
-    monkeypatch.setattr(homalg, "_poly_sort_key", lambda p, order: next(counter))
-    with pytest.raises(InvariantError):
+    monkeypatch.setattr(homalg, "_poly_sort_key", lambda p, order: ((next(counter), 1),))
+    monkeypatch.setattr(PolyVector, "monic", lambda v, order=None: v.scale(1))
+    with pytest.raises(InvariantError, match="no fixed point in 8 passes"):
         canonical_matrix(XY, M(XY, [["x", "1"], ["x", "2"]]), 2, 2)
 
 
