@@ -21,6 +21,17 @@ by a property of the call, not by a switch:
   chain criterion everywhere).  Representations are not unique, and the
   syzygy generators built from them are pinned by the corpus.
 
+Work whose result is already known is skipped, by a property of the call
+as well.  _reduced divides only the elements that have a tail term some
+other lead divides.  And syzygies makes the reduced basis of its
+candidates without a loop when they are a Groebner basis by Schreyer's
+theorem: the pair syzygies of a Groebner basis G, each the difference of
+the two multiples in an S-pair minus a standard expression of the
+S-polynomial, form a Groebner basis of the syzygy module of G under the
+Schreyer order that G's leads induce (Eisenbud, Commutative Algebra,
+Thm 15.10; La Scala & Stillman, JSC 26, 1998).  That holds when there is
+no context and the inputs are exactly their own reduced basis.
+
 Inside the engine, elements are primitive integer term maps (content 1,
 positive lead coefficient) over packed terms (kernel.Codec: one int per
 term, whose int order is the order's term_key order), S-polynomials use
@@ -466,7 +477,15 @@ def _reduced(divisors: list, reps, codec: kernel.Codec) -> None:
     """Make the Groebner basis divisors the reduced basis, sorted
     descending by lead, in place, and reps (one per divisor, see _engine;
     None when untracked) its representations.  What the minimal pass
-    drops is released before the interreduction."""
+    drops is released before the interreduction.
+
+    The interreduction divides an element only when the lead of another
+    element divides one of its tail terms (Codec.divides_tail).
+    Leads do not change in this pass, so the test reads the same before
+    and after the elements around it are reduced.  Any other element is
+    its own remainder (primitive, with quotients zero and multiplier 1),
+    and keeps its divisor and its representation, which equals, as a
+    rational map, what _combine would make of it."""
     # minimal pass: drop anything whose lead another kept element divides
     kept: list = []
     for k in sorted(range(len(divisors)), key=lambda k: divisors[k][0]):
@@ -479,9 +498,10 @@ def _reduced(divisors: list, reps, codec: kernel.Codec) -> None:
         reps[:] = [reps[k] for k in kept]
 
     # interreduce tails (leads are now pairwise non-dividing, one pass)
+    leads = sorted(lk for lk, _, _ in divisors)
     for idx, (lk, _, g) in enumerate(divisors):
-        if len(divisors) == 1:
-            break
+        if not codec.divides_tail(leads, g, lk):
+            continue
         others = divisors[:idx] + divisors[idx + 1 :]
         quots, rem, mult = kernel.reduce_terms(g, others, codec, track)
         p, c = kernel.primitive(rem, lk)  # the lead is not reducible
@@ -568,6 +588,33 @@ def normal_form(f, basis, order: Optional[MonomialOrder] = None, context: Contex
     return _reduce(f, kernel_divisors(basis, codec)[0], codec)
 
 
+def product_vanishes(A, B, rows: int, mid: int, cols: int, context: Context = None) -> bool:
+    """A . B = 0 modulo the context, for matrices of Polynomials A (rows x
+    mid) and B (mid x cols), decided on integer ring term maps without
+    building a Polynomial.  Row i of A and column j of B are scaled to
+    integers by the lcm of their denominators, which does not change
+    whether entry (i, j) is zero; the entry is summed by kernel.add_product
+    and, over a context, reduced by the relations' cached divisors.  The
+    first entry that is not zero decides."""
+    if context is not None:
+        divisors, codec = context.relations._reducer()
+    col_lcms = [lcm(*[B[k][j].den for k in range(mid)]) for j in range(cols)]
+    for i in range(rows):
+        row = [(k, a) for k, a in enumerate(A[i][:mid]) if a.num]
+        if not row:
+            continue
+        row_lcm = lcm(*[a.den for _, a in row])
+        for j in range(cols):
+            acc: dict = {}
+            for k, a in row:
+                b = B[k][j]
+                if b.num:
+                    kernel.add_product(acc, a.num, b.num, row_lcm // a.den * (col_lcms[j] // b.den))
+            if acc and (context is None or kernel.reduce_terms(codec.encode(acc), divisors, codec, False)[1]):
+                return False
+    return True
+
+
 def lifted_ideal(I: Ideal, context: Context) -> Ideal:
     """The ambient preimage of I: generators of I followed by the relations."""
     if context is None:
@@ -618,14 +665,23 @@ def _member_terms(tm: dict, gens: list, rank: int, codec, context: Context) -> b
 
 
 def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
-    """Generators of the syzygy module of the given engine inputs (nonzero
-    tm, den, terms of codec), each up to a nonzero rational factor as an
-    integer map keyed by codec.rep(j) + shift for input j.
+    """(generators, own): generators of the syzygy module of the given
+    engine inputs (nonzero tm, den, terms of codec), each up to a nonzero
+    rational factor as an integer map keyed by codec.rep(j) + shift for
+    input j, and whether the inputs are exactly their own reduced basis
+    (as many, each input's primitive term map a basis element).
 
     Schreyer's construction on the reduced basis, pushed back through the
-    transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B).
+    transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B).  When own
+    is true, A only renumbers and rescales, and the generators are the
+    pair syzygies of a Groebner basis (see syzygies).
     """
     basis, reps, exprs = _engine(inputs, codec, rank, True)
+    by_lead = {lk: g for lk, _, g in basis}
+    input_leads = [max(tm) for tm, _ in inputs]
+    own = len(inputs) == len(basis) == len(set(input_leads)) and all(
+        by_lead.get(lk) == kernel.primitive(tm, lk)[0] for (tm, _), lk in zip(inputs, input_leads)
+    )
     leads = [codec.decode(lk) for lk, _, _ in basis]
     out = []
     # pair syzygies of the reduced basis, mapped through A
@@ -651,7 +707,7 @@ def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
         col, _ = _combine([(d, 0, ({codec.rep(j): 1}, 1))], 1, quots, reps)
         if col:
             out.append(col)
-    return out
+    return out, own
 
 
 def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> SubmoduleBasis:
@@ -669,6 +725,18 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     vector p / lc, p a primitive integer term map over positions 0..s-1,
     from Schreyer's construction to the end of pruning; PolyVectors are
     built once, for the kept generators.
+
+    The reduced basis of the candidates' span needs no Buchberger loop
+    when there is no context and the inputs are exactly their own reduced
+    basis G (as many, each input's primitive term map an element of G).
+    The candidates are then the pair syzygies of G, renumbered and
+    rescaled, and by Schreyer's theorem (see the module docstring) they
+    are a Groebner basis of the syzygy module under the Schreyer order of
+    the inputs' leads: every S-pair among them reduces to zero, so the
+    loop would add nothing, and _reduced gets the same divisor list on
+    either path.  Under a context the candidates are reduced modulo the
+    relations and cut to the first s coordinates, which the theorem does
+    not cover, and a basis that is not reduced is not G.
 
     Without a context, when every candidate is homogeneous for the
     grading in which e_p has the degree of the lead term of generator p
@@ -735,13 +803,26 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
             cands.append((p, lc))
 
     # syzygy coordinates beyond s belong to the relation multiples: drop them
-    for tm in _syzygies_termmaps(inputs, codec, rank):
+    raw, own = _syzygies_termmaps(inputs, codec, rank)
+    for tm in raw:
         offer(_from_reps(tm, codec, s), codec)
     # the transformation formula can emit several multiples of one simpler
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
     if cands:
-        for _, _, tm in _engine(cands, sch_codec, s, False)[0]:
+        if own and context is None:
+            # Schreyer's theorem: the candidates are a Groebner basis
+            # already; their divisors as _engine makes them (a candidate's
+            # coefficient at its Schreyer lead may be negative)
+            basis = []
+            for p, _ in cands:
+                lk = max(p)
+                p = kernel.primitive(p, lk)[0]
+                basis.append((lk, p[lk], p))
+            _reduced(basis, None, sch_codec)
+        else:
+            basis = _engine(cands, sch_codec, s, False)[0]
+        for _, _, tm in basis:
             offer(tm, sch_codec)
     cands.sort(key=lambda cand: max(cand[0]), reverse=True)
     # drop generators the rest already produce (keeps iterated syzygy

@@ -32,6 +32,7 @@ from residua.groebner import (
     _support,
     dimension,
     ideal_member,
+    product_vanishes,
     syzygies,
 )
 from residua.polyring import MonomialOrder, Polynomial, PolynomialRing, PolyVector, transport
@@ -78,12 +79,9 @@ def mat_sub(A: Matrix, B: Matrix) -> Matrix:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def _composes_to_zero(ring, context, A, B, rows, mid, cols) -> bool:
+def _composes_to_zero(context, A, B, rows, mid, cols) -> bool:
     """A . B = 0 modulo the context, for A rows x mid and B mid x cols."""
-    prod = mat_mul(ring, A, B, rows, mid, cols)
-    return all(
-        (e if context is None else context.reduce(e)).is_zero() for row in prod for e in row
-    )
+    return product_vanishes(A, B, rows, mid, cols, context)
 
 
 def mat_columns(ring: PolynomialRing, A: Matrix, rows: int, cols: int):
@@ -201,7 +199,7 @@ class ChainComplex:
             pair = (norm[k - 1], norm[k])
             if pair in checked:
                 continue
-            if not _composes_to_zero(ring, context, *pair, ranks[k - 1], ranks[k], ranks[k + 1]):
+            if not _composes_to_zero(context, *pair, ranks[k - 1], ranks[k], ranks[k + 1]):
                 raise ValueError(f"differentials {k} and {k + 1} do not compose to zero")
             checked.append(pair)
         self.ring = ring
@@ -389,11 +387,11 @@ def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
         unit_row = [e * (1 / M[i][j].constant_term()) for e in M[i]]
         col = [(row[j],) for row in M]
         if k < len(diffs):
-            if not _composes_to_zero(ring, ctx, (unit_row,), diffs[k], 1, ranks[k], ranks[k + 1]):
+            if not _composes_to_zero(ctx, (unit_row,), diffs[k], 1, ranks[k], ranks[k + 1]):
                 raise InvariantError("a unit pivot left a nonzero row in the next map")
             del diffs[k][j]
         if k >= 2:
-            if not _composes_to_zero(ring, ctx, diffs[k - 2], col, ranks[k - 2], ranks[k - 1], 1):
+            if not _composes_to_zero(ctx, diffs[k - 2], col, ranks[k - 2], ranks[k - 1], 1):
                 raise InvariantError("a unit pivot left a nonzero column in the previous map")
             for row in diffs[k - 2]:
                 del row[i]

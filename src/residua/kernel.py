@@ -272,6 +272,22 @@ class Codec:
         b, dmask, dpat = b + self._doff, self._dmask, self._dpat
         return [k for k, a in enumerate(terms) if (b - a) & dmask == dpat]
 
+    def divides_tail(self, leads: list, tm: dict, lead: int) -> bool:
+        """Whether one of leads, terms sorted ascending, divides a term of
+        the term map tm other than lead: the test of dividing, per term
+        against the leads at or below it (a term divides only terms at or
+        above it)."""
+        doff, dmask, dpat = self._doff, self._dmask, self._dpat
+        for t in tm:
+            if t != lead:
+                b = t + doff
+                for a in leads:
+                    if a > t:
+                        break
+                    if (b - a) & dmask == dpat:
+                        return True
+        return False
+
 
 def add_scaled_inplace(dst, src, coeff, shift):
     """dst += coeff * x^m * src for the shift of x^m, on term maps of one

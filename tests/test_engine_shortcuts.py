@@ -1,0 +1,334 @@
+"""Work that the resolution engine skips because its result is known.
+
+- The candidate basis of syzygies.  When there is no context and the
+  inputs are exactly their own reduced basis, the candidates are the pair
+  syzygies of a Groebner basis, so by Schreyer's theorem they are a
+  Groebner basis already and syzygies reduces them without the loop.  On
+  every ambient syzygies call of the (x,y,z,w)^3 minimal resolution, of
+  seeded strongly stable ideals and of Koszul resolutions, the basis it
+  makes where it does so equals _engine's, and each call's generators
+  equal those made with the shortcut turned off.  It does not fire on a
+  Groebner basis that is not reduced, nor under a context.
+- The composition check.  groebner.product_vanishes decides A . B = 0
+  modulo the context on integer term maps; it gives the verdict of the
+  frozen rule it replaced (mat_mul, then each entry reduced modulo the
+  context) on seeded matrices, and builds no Polynomial.
+"""
+
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from residua import groebner, homalg
+from residua.groebner import Ideal, QuotientContext, product_vanishes, syzygies
+from residua.homalg import free_resolution, mat_mul
+from residua.polyring import Polynomial, PolynomialRing
+
+from conftest import random_nonzero_poly, random_poly
+
+XY = PolynomialRing(("x", "y"))
+XYZ = PolynomialRing(("x", "y", "z"))
+XYZW = PolynomialRing(("x", "y", "z", "w"))
+
+
+# ---------------------------------------------------------------------------
+# the Schreyer-certified candidate basis
+
+
+def monomial(ring, exps):
+    return Polynomial(ring, {tuple(exps): 1})
+
+
+def strongly_stable(ring, borel):
+    """The monomials of the strongly stable ideal generated by the
+    exponent tuples borel: closed under moving a factor x_j to x_i, i < j."""
+    seen, todo = set(), [tuple(b) for b in borel]
+    while todo:
+        m = todo.pop()
+        if m in seen:
+            continue
+        seen.add(m)
+        for j in range(1, len(m)):
+            if m[j]:
+                for i in range(j):
+                    up = list(m)
+                    up[j] -= 1
+                    up[i] += 1
+                    todo.append(tuple(up))
+    return Ideal(ring, [monomial(ring, m) for m in sorted(seen, reverse=True)])
+
+
+def cube():
+    gens = [
+        XYZW.poly(f"x^{a}*y^{b}*z^{c}*w^{3 - a - b - c}")
+        for a in range(4)
+        for b in range(4 - a)
+        for c in range(4 - a - b)
+    ]
+    return Ideal(XYZW, gens)
+
+
+def seeded_stable(seed):
+    rng = random.Random(seed)
+    borel = []
+    for _ in range(rng.randint(1, 2)):
+        d = rng.randint(2, 3)
+        cut = sorted(rng.sample(range(d + 3), 3))
+        parts = [cut[0], cut[1] - cut[0] - 1, cut[2] - cut[1] - 1, d + 2 - cut[2]]
+        borel.append(parts)
+    return strongly_stable(XYZW, borel)
+
+
+def koszul(texts):
+    return Ideal(XYZW, [XYZW.poly(t) for t in texts])
+
+
+def reduced_basis(seed):
+    """The reduced basis of a seeded ideal of Q[x,y,z], as generators: its
+    first syzygies take the shortcut, with candidates that S-pair
+    reductions give many terms."""
+    rng = random.Random(seed)
+    gens = [random_nonzero_poly(rng, XYZ, 2, 3) for _ in range(rng.randint(2, 3))]
+    return Ideal(XYZ, Ideal(XYZ, gens).groebner())
+
+
+# a candidate whose coefficient at its Schreyer lead is negative once it is
+# made primitive under the ring's module order
+SIGNED = Ideal(XYZ, [XYZ.poly(t) for t in ("x*y + 3*y", "x*z + 2/7", "y*z - 2/21*y")])
+
+
+FAMILIES = {
+    "(x,y,z,w)^3": [cube()],
+    "strongly stable": [seeded_stable(seed) for seed in range(6)],
+    "koszul": [
+        koszul(["x", "y", "z", "w"]),
+        koszul(["x^2", "y^3", "z*w"]),
+        koszul(["x^2 - y*z", "y^2 - z*w", "z^3"]),
+    ],
+    "reduced bases": [SIGNED] + [reduced_basis(seed) for seed in range(12)],
+}
+
+
+def ambient_calls(I):
+    """The SubmoduleBasis of each syzygies call of I's minimal resolution."""
+    calls = []
+    original = homalg.syzygies
+
+    def spy(basis, context=None):
+        calls.append(basis)
+        return original(basis, context=context)
+
+    homalg.syzygies = spy
+    try:
+        free_resolution(I, minimal=True)
+    finally:
+        homalg.syzygies = original
+    return calls
+
+
+def shortcut_bases(monkeypatch):
+    """Record (the candidates of syzygies, their rank, codec, the basis
+    _reduced made of them) of each _reduced call that syzygies makes
+    itself: the candidate basis without the loop."""
+    made = []
+    original = groebner._reduced
+
+    def spy(divisors, reps, codec):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name != "syzygies":
+            return original(divisors, reps, codec)
+        cands = list(frame.f_locals["cands"])
+        original(divisors, reps, codec)
+        made.append((cands, frame.f_locals["s"], codec, list(divisors)))
+
+    monkeypatch.setattr(groebner, "_reduced", spy)
+    return made
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_shortcut_basis_is_the_loops_basis(monkeypatch, family):
+    made = shortcut_bases(monkeypatch)
+    for I in FAMILIES[family]:
+        for basis in ambient_calls(I):
+            syzygies(basis)
+    assert made
+    for cands, s, codec, after in made:
+        assert after == groebner._engine(cands, codec, s, False)[0]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_shortcut_keeps_every_syzygy_generator(monkeypatch, family):
+    calls = [basis for I in FAMILIES[family] for basis in ambient_calls(I)]
+    ours = [syzygies(basis).gens for basis in calls]
+    original = groebner._syzygies_termmaps
+    monkeypatch.setattr(groebner, "_syzygies_termmaps", lambda *a: (original(*a)[0], False))
+    assert ours == [syzygies(basis).gens for basis in calls]
+
+
+def candidate_loops(monkeypatch):
+    """The count of _engine calls that syzygies makes itself."""
+    calls = []
+    original = groebner._engine
+
+    def spy(*args):
+        if sys._getframe(1).f_code.co_name == "syzygies":
+            calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_engine", spy)
+    return calls
+
+
+def own_reports(monkeypatch):
+    """What _syzygies_termmaps reports on whether the inputs are their own
+    reduced basis, call by call."""
+    reports = []
+    original = groebner._syzygies_termmaps
+
+    def spy(*args):
+        out = original(*args)
+        reports.append(out[1])
+        return out
+
+    monkeypatch.setattr(groebner, "_syzygies_termmaps", spy)
+    return reports
+
+
+def test_the_shortcut_fires_only_on_a_reduced_basis(monkeypatch):
+    loops = candidate_loops(monkeypatch)
+    reports = own_reports(monkeypatch)
+    # (x + y, y) is a Groebner basis, not a reduced one: (x, y) is
+    assert len(syzygies(Ideal(XY, (XY.poly("x + y"), XY.poly("y")))).gens) == 1
+    assert (len(loops), reports) == (1, [False])
+    loops.clear()
+    reports.clear()
+    assert len(syzygies(Ideal(XY, (XY.poly("x"), XY.poly("y")))).gens) == 1
+    assert (len(loops), reports) == (0, [True])
+
+
+def test_the_shortcut_does_not_fire_under_a_context(monkeypatch):
+    loops = candidate_loops(monkeypatch)
+    reports = own_reports(monkeypatch)
+    # the inputs x*y, x*z and the relation y*z are their own reduced basis,
+    # but the candidates are reduced modulo the relation and cut to two
+    # coordinates, which no theorem keeps a Groebner basis
+    ctx = QuotientContext(XYZ, Ideal(XYZ, (XYZ.poly("y*z"),)))
+    syzygies(Ideal(XYZ, (XYZ.poly("x*y"), XYZ.poly("x*z"))), context=ctx)
+    assert (len(loops), reports) == (1, [True])
+
+
+# ---------------------------------------------------------------------------
+# phi . phi = 0 on integer term maps
+
+
+def reference_composes_to_zero(ring, context, A, B, rows, mid, cols):
+    """The composition rule as it was before it ran on term maps, frozen:
+    the Polynomial product, then each entry reduced modulo the context."""
+    prod = mat_mul(ring, A, B, rows, mid, cols)
+    return all(
+        (e if context is None else context.reduce(e)).is_zero() for row in prod for e in row
+    )
+
+
+CONTEXTS = [None, "x*y", "x^2 - y*z", "z^2 + x"]
+
+
+def context_of(text):
+    return None if text is None else QuotientContext(XYZ, Ideal(XYZ, (XYZ.poly(text),)))
+
+
+def scaled(rng, p):
+    return p * Fraction(rng.choice([1, 1, 2, -3]), rng.choice([1, 2, 3, 5]))
+
+
+def seeded_product(seed):
+    """(context, A, B, rows, mid, cols): random entries with fractional
+    coefficients, or B built from the Koszul syzygies of a row that every
+    row of A is a multiple of, so that about half the products vanish."""
+    rng = random.Random(seed)
+    rows, mid, cols = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+    ctx = context_of(rng.choice(CONTEXTS))
+    if rng.random() < 0.5 or mid < 2:
+        A = [[scaled(rng, random_poly(rng, XYZ, 2, 3)) for _ in range(mid)] for _ in range(rows)]
+        B = [[scaled(rng, random_poly(rng, XYZ, 2, 3)) for _ in range(cols)] for _ in range(mid)]
+    else:
+        r = [scaled(rng, random_poly(rng, XYZ, 2, 3)) for _ in range(mid)]
+        A = [[scaled(rng, XYZ.one()) * e for e in r] for _ in range(rows)]
+        B = [[XYZ.zero()] * cols for _ in range(mid)]
+        for j in range(cols):
+            i, k = rng.sample(range(mid), 2)
+            c = scaled(rng, random_poly(rng, XYZ, 1, 2))
+            B[i][j], B[k][j] = r[k] * c, -(r[i] * c)
+    if ctx is not None:
+        A = [[ctx.reduce(e) for e in row] for row in A]
+        B = [[ctx.reduce(e) for e in row] for row in B]
+    return ctx, tuple(map(tuple, A)), tuple(map(tuple, B)), rows, mid, cols
+
+
+def verdicts(ctx, A, B, rows, mid, cols):
+    return (
+        product_vanishes(A, B, rows, mid, cols, ctx),
+        reference_composes_to_zero(XYZ, ctx, A, B, rows, mid, cols),
+    )
+
+
+def test_product_vanishes_gives_the_frozen_verdict_on_seeded_matrices():
+    seen = set()
+    for seed in range(400):
+        ours, ref = verdicts(*seeded_product(seed))
+        assert ours == ref, seed
+        seen.add(ours)
+    assert seen == {True, False}
+
+
+def matrix(rows):
+    return tuple(tuple(XYZ.poly(e) for e in row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "A, B, shape",
+    [
+        # fractional entries: x/2 * y/3 - y/3 * x/2 = 0, and a near miss
+        (matrix([["1/2*x", "1/3*y"]]), matrix([["1/3*y"], ["-1/2*x"]]), (1, 2, 1)),
+        (matrix([["1/2*x", "1/3*y"]]), matrix([["1/3*y"], ["-1/3*x"]]), (1, 2, 1)),
+        # zero-size shapes
+        ((), (), (0, 0, 0)),
+        (((),) * 2, (), (2, 0, 3)),
+        (matrix([["x", "y"]]), matrix([[], []]), (1, 2, 0)),
+        ((), matrix([["x"], ["y"]]), (0, 2, 1)),
+        # only the last entry of the product is not zero
+        (
+            matrix([["x", "y", "0"], ["x", "y", "1/2"]]),
+            matrix([["y", "y"], ["-x", "-x"], ["0", "2/3*z"]]),
+            (2, 3, 2),
+        ),
+    ],
+)
+def test_product_vanishes_on_the_examples(A, B, shape):
+    for ctx in (None, context_of("x*y")):
+        ours, ref = verdicts(ctx, A, B, *shape)
+        assert ours == ref
+
+
+def test_a_product_that_vanishes_only_modulo_the_relations():
+    ctx = context_of("x*y")
+    A, B = matrix([["x", "z"]]), matrix([["y"], ["0"]])
+    assert verdicts(None, A, B, 1, 2, 1) == (False, False)
+    assert verdicts(ctx, A, B, 1, 2, 1) == (True, True)
+
+
+def test_product_vanishes_builds_no_polynomial(monkeypatch):
+    ctx = context_of("x*y")
+    A, B = matrix([["x", "z"]]), matrix([["y"], ["0"]])
+    product_vanishes(A, B, 1, 2, 1, ctx)  # caches the relations' divisors
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Polynomial was built")
+
+    monkeypatch.setattr(Polynomial, "from_kernel", staticmethod(refuse))
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    assert product_vanishes(A, B, 1, 2, 1, ctx)
+    assert not product_vanishes(A, B, 1, 2, 1, None)
+

@@ -578,7 +578,7 @@ def reference_syzygies(obj, context=None):
     inputs = [to_terms(g, codec) for g in obj.gens]
     if context is not None:
         inputs += groebner._relation_terms(context, rank, codec, order)
-    raw = groebner._syzygies_termmaps(inputs, codec, rank)
+    raw, _ = groebner._syzygies_termmaps(inputs, codec, rank)
     zero = PolyVector(ring, [ring.zero()] * s)
     vecs = []
     for tm in raw:

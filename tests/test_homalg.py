@@ -1257,7 +1257,7 @@ def test_periodicity_invariant_error_surfaces_at_the_same_map(monkeypatch):
 
 def test_complex_checks_each_distinct_pair_once(monkeypatch):
     ctx = QuotientContext(XY, Ideal(XY, (P(XY, "x*y"),)))
-    calls = _spy(monkeypatch, "mat_mul")
+    calls = _spy(monkeypatch, "product_vanishes")
     diffs = [M(XY, [[s]]) for s in ("x", "y", "x", "y", "x", "y")]
     ChainComplex(XY, (1,) * 7, diffs, context=ctx, complete=False)
     assert len(calls) == 2
