@@ -511,7 +511,8 @@ def extend_ring(C: ChainComplex, target: PolynomialRing) -> ChainComplex:
 
 # Minors work on integer term maps {exponent tuple: int}: each row is
 # scaled by the lcm of its entries' denominators, so a minor on rows rs is
-# the integer minor divided by the product of those rows' scales.
+# the integer minor divided by the product of those rows' scales.  One
+# kernel.MinorTable per call holds the scaled block and its sub-minors.
 
 
 def _integer_rows(M, rows, cols):
@@ -525,46 +526,15 @@ def _integer_rows(M, rows, cols):
     return entries, scales
 
 
-class _MinorTable:
-    """Minors of one integer matrix, each expanded along its first row.
-
-    Row and column sets are bit masks of equal, nonzero popcount; every
-    sub-minor is kept by (rows, cols), so the minors of one matrix share
-    them.  A table serves one call and is then dropped."""
-
-    __slots__ = ("entries", "nonzero", "memo")
-
-    def __init__(self, entries):
-        self.entries = entries
-        self.nonzero = [[(1 << c, e) for c, e in enumerate(row) if e] for row in entries]
-        self.memo = {}
-
-    def minor(self, rows, cols):
-        low = rows & -rows
-        rest = rows ^ low
-        if not rest:
-            return self.entries[low.bit_length() - 1][cols.bit_length() - 1]
-        d = self.memo.get((rows, cols))
-        if d is None:
-            acc = {}
-            for bit, e in self.nonzero[low.bit_length() - 1]:
-                if cols & bit:
-                    sub = self.minor(rest, cols ^ bit)
-                    if sub:
-                        # the sign of the entry's place among the columns
-                        odd = (cols & (bit - 1)).bit_count() & 1
-                        kernel.add_product(acc, e, sub, -1 if odd else 1)
-            d = self.memo[(rows, cols)] = acc
-        return d
-
-
 def determinant(ring: PolynomialRing, M: Matrix, n: int) -> Polynomial:
-    """Determinant of the leading n x n block, by first-row expansion over
-    integer term maps with shared sub-minors."""
+    """Determinant of the leading n x n block: the full minor of a
+    kernel.MinorTable, by first-row expansion with shared sub-minors.
+    Raises ValueError when M has no n x n block."""
     if n == 0:
         return ring.one()
     entries, scales = _integer_rows(M, n, n)
-    d = _MinorTable(entries).minor((1 << n) - 1, (1 << n) - 1)
+    table = kernel.MinorTable(entries, n, n)
+    d = table.unpack(table.minor((1 << n) - 1, (1 << n) - 1))
     return Polynomial.from_kernel(ring, d, math.prod(scales))
 
 
@@ -579,9 +549,11 @@ def _class_firsts(values):
 
 
 def _minor_scan(minor, rows, cols, r):
-    """The r x r minors of a _MinorTable's minor, rows and columns
-    enumerated lexicographically, less those the rank-one compound shows
-    to be zero or a scalar multiple of an earlier one.
+    """The r x r minors of a kernel.MinorTable's minor, as its packed term
+    maps, rows and columns enumerated lexicographically, less those the
+    rank-one compound shows to be zero or a scalar multiple of an earlier
+    one.  The table does not expand a block with an empty row or column,
+    so the zero minors the scan meets are mostly free.
 
     At the first nonzero minor c on (R0, C0) the bordering (r+1)-minors
     are tested, once.  If all vanish, phi has rank r over the fraction
@@ -616,15 +588,18 @@ def minors(ring, M, rows, cols, r) -> list:
     enumerated lexicographically, each minor at its first occurrence.  For
     r <= 0 the one minor is 1; for r > min(rows, cols) there is none.
 
-    The minors come from one shared _MinorTable through _minor_scan, which
+    The minors come from one kernel.MinorTable through _minor_scan, which
     evaluates only one pair per class of factor minors when M has rank
-    exactly r; the output is that of evaluating them all."""
+    exactly r; the output is that of evaluating them all.  Only the minors
+    returned are unpacked to ring term maps.  Raises ValueError when M has
+    no rows x cols block."""
     if r <= 0:
         return [(ring.one(), (0,) * ring.n)]
-    minor = _MinorTable(_integer_rows(M, rows, cols)[0]).minor
+    table = kernel.MinorTable(_integer_rows(M, rows, cols)[0], rows, cols)
     key = ring.default_order.ring_key
     out = []
-    for _, d in _class_firsts(_minor_scan(minor, rows, cols, r)):
+    for _, d in _class_firsts(_minor_scan(table.minor, rows, cols, r)):
+        d = table.unpack(d)
         lead = max(d, key=key)
         out.append((Polynomial.from_kernel(ring, d, d[lead]), lead))
     return out

@@ -20,8 +20,9 @@ subtraction.  Division and the engine work on term maps of one codec
 within a call; the (position, exponents) form appears only at the
 polynomial boundary (polyring.to_terms and from_terms).  Sums, products
 and powers of polynomials work on ring term maps: add_product and power
-are the one addition and multiplication of Polynomial, the parser,
-determinants and minors.
+are the one addition and multiplication of Polynomial and the parser.
+Determinants and minors go through MinorTable, which packs the exponent
+tuples of one matrix into ints of its own width.
 
 Term maps are integer.  Division is fraction-free: a step scales the work
 set by an integer instead of dividing by a divisor's lead coefficient, and
@@ -37,14 +38,15 @@ must stay below 2^60 in absolute value (LIMIT).  Input whose terms have
 total degree LIMIT or more raises ExponentOverflowError (a ValueError)
 when it is packed, and a computation whose terms or S-pair lcms grow
 past it stops with the same error instead of carrying into the next
-field.
+field.  MinorTable's packing is sized per matrix and has no limit.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, mul
+from operator import add, le, lshift, mul
+from types import MappingProxyType
 
 BACKEND = "py"  # the one kernel there is; benchmark stamps record it
 
@@ -342,6 +344,111 @@ def power(tm, e, one):
             tm = add_product({}, tm, tm)
         e >>= 1
     return out
+
+
+ZERO = MappingProxyType({})  # the one zero minor of every MinorTable, never mutated
+
+
+class _Unions(dict):
+    """{lines: the union of support[i] over the bits i of lines}, filled on
+    demand: with support the nonzero columns of each row, the columns with
+    a nonzero entry in the rows lines; with support the nonzero rows of
+    each column, the rows with one in the columns lines."""
+
+    __slots__ = ("support",)
+
+    def __init__(self, support):
+        super().__init__({0: 0})
+        self.support = support
+
+    def __missing__(self, lines):
+        low = lines & -lines
+        u = self[lines] = self.support[low.bit_length() - 1] | self[lines ^ low]
+        return u
+
+
+class MinorTable:
+    """Minors of one rows x cols matrix of integer ring term maps, each
+    expanded along its first row.
+
+    Row and column sets are bit masks of equal, nonzero popcount; every
+    sub-minor is kept by (rows, cols) in one memo, so the minors of one
+    matrix share them.  A table serves one call and is then dropped.
+
+    Terms are packed: the exponent tuple e is the int sum(e_i << W * (n - 1
+    - i)), so a product of terms is an int addition and int order is lex
+    order.  A term of a minor is a product of at most r = min(rows, cols)
+    entry terms, so none of its exponents exceeds r * e_max, e_max the
+    largest exponent of an entry: fields of W = (r * e_max).bit_length()
+    bits hold it, no sum carries into the next field, and there is no
+    exponent limit.  minor returns packed term maps; unpack gives the ring
+    term map of one.
+
+    On a memo miss, a block with a row that has no nonzero entry in its
+    columns, or a column that has none in its rows, is zero without
+    expansion: a single row or column fails Hall's condition, so the block
+    has no nonzero permutation term.  Every zero minor is the shared ZERO,
+    and the memo keeps only the blocks that were expanded."""
+
+    __slots__ = ("shifts", "mask", "cols", "entries", "nonzero", "row_reach", "col_reach", "memo")
+
+    def __init__(self, entries, rows, cols):
+        if len(entries) != rows or any(len(row) != cols for row in entries):
+            raise ValueError(f"the minors of a {rows} x {cols} block need {rows} rows of {cols} entries")
+        monomials = {m for row in entries for e in row for m in e}
+        W = (min(rows, cols) * max((x for m in monomials for x in m), default=0)).bit_length()
+        n = len(next(iter(monomials), ()))
+        self.shifts, self.mask = [W * (n - 1 - i) for i in range(n)], (1 << W) - 1
+        packed = {m: sum(map(lshift, m, self.shifts)) for m in monomials}
+        self.entries = [[{packed[m]: c for m, c in e.items()} if e else ZERO for e in row] for row in entries]
+        self.cols = cols
+        self.nonzero = [[(1 << j, e) for j, e in enumerate(row) if e] for row in self.entries]
+        self.row_reach = _Unions([sum(bit for bit, _ in row) for row in self.nonzero])
+        self.col_reach = _Unions(
+            [sum(1 << i for i, row in enumerate(self.entries) if row[j]) for j in range(cols)]
+        )
+        self.memo = {}
+
+    def unpack(self, d):
+        """The ring term map of the packed term map d."""
+        shifts, mask = self.shifts, self.mask
+        return {tuple([t >> s & mask for s in shifts]): c for t, c in d.items()}
+
+    def minor(self, rows, cols):
+        """The packed term map of the minor on the rows and columns."""
+        low = rows & -rows
+        rest = rows ^ low
+        if not rest:
+            return self.entries[low.bit_length() - 1][cols.bit_length() - 1]
+        key = rows << self.cols | cols
+        d = self.memo.get(key)
+        if d is None:
+            if cols & ~self.row_reach[rows] or rows & ~self.col_reach[cols]:
+                return ZERO
+            acc = {}
+            get = acc.get
+            for bit, e in self.nonzero[low.bit_length() - 1]:
+                if cols & bit:
+                    sub = self.minor(rest, cols ^ bit)
+                    if sub:
+                        # the sign of the entry's place among the columns
+                        odd = (cols & (bit - 1)).bit_count() & 1
+                        for t1, c1 in e.items():
+                            if odd:
+                                c1 = -c1
+                            for t2, c2 in sub.items():
+                                t = t1 + t2
+                                c = get(t)
+                                if c is None:
+                                    acc[t] = c1 * c2
+                                else:
+                                    c += c1 * c2
+                                    if c:
+                                        acc[t] = c
+                                    else:
+                                        del acc[t]
+            d = self.memo[key] = acc or ZERO
+        return d
 
 
 def integer_terms(tm):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from residua import groebner, homalg, polyring
+from residua import groebner, homalg, kernel, polyring
 from residua.groebner import (
     Ideal,
     InvariantError,
@@ -711,6 +711,63 @@ def test_generic_rank_forms_no_zero_product_and_encodes_each_pivot_once(monkeypa
     assert ranks == [1, 9, 6] and not zero_operands
     # one encoding per pivot: the rank of each level
     assert len(steps) == sum(ranks)
+
+
+def test_minors_reject_a_matrix_smaller_than_the_shape_asked_for():
+    x, y = XY.gens()
+    with pytest.raises(ValueError, match="2 x 2"):
+        homalg.determinant(XY, ((x,),), 2)
+    with pytest.raises(ValueError, match="2 x 2"):
+        minors(XY, ((x, y),), 2, 2, 1)
+    # a wider or taller matrix is cut to its leading block
+    assert homalg.determinant(XY, ((x, y), (y, x), (x, x)), 2) == P(XY, "x^2 - y^2")
+
+
+def _power(ring, var, e):
+    return Polynomial(ring, {tuple(e if i == var else 0 for i in range(ring.n)): 1})
+
+
+def test_determinant_exponents_beyond_the_engine_limit():
+    # 2^62 is past the packed order key's limit of 2^60; the minors pack
+    # their exponents at a width of their own
+    x62, y3 = _power(XYZ, 0, 2**62), _power(XYZ, 1, 3)
+    zero = XYZ.zero()
+    det = homalg.determinant(XYZ, ((x62, zero), (zero, y3)), 2)
+    assert det.terms == {(2**62, 3, 0): 1}
+
+
+@pytest.mark.parametrize("var, e", [(0, 2**62), (1, 2), (2, 1), (1, 3)])
+def test_minor_exponents_fill_the_packing_width(var, e):
+    # the square of x_var^e reaches r * e_max exactly, the largest exponent
+    # the width must hold; one bit less carries it into the next field
+    p, zero = _power(XYZ, var, e), XYZ.zero()
+    square = _power(XYZ, var, 2 * e)
+    assert homalg.determinant(XYZ, ((p, zero), (zero, p)), 2) == square
+    # the one nonzero 2-minor is -square, monic square
+    lead = tuple(2 * e if i == var else 0 for i in range(3))
+    assert minors(XYZ, ((zero, p, zero), (p, zero, zero)), 2, 3, 2) == [(square, lead)]
+
+
+def test_rank_loci_of_the_cube_stores_only_expanded_sub_minors(monkeypatch):
+    # the cube resolution of the CI step, generators x^a y^b z^(3-a-b) in
+    # that order: the tuple-keyed memo stored 37,400 sub-minors, 30,148 of
+    # them zero; blocks with an empty row or column are no longer expanded
+    gens = [P(XYZ, f"x^{a}*y^{b}*z^{3 - a - b}") for a in range(4) for b in range(4 - a)]
+    C = free_resolution(Ideal(XYZ, gens), minimal=True)
+    tables = []
+
+    class Counted(kernel.MinorTable):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(kernel, "MinorTable", Counted)
+    rank_loci(C)
+    stored = [d for table in tables for d in table.memo.values()]
+    assert (len(stored), sum(1 for d in stored if not d)) == (12701, 5449)
+    assert all(d is kernel.ZERO for d in stored if not d)
 
 
 def test_expected_ranks_alternating_sum():

@@ -16,6 +16,7 @@ yield the same (monic minor, lead) sequence whether the matrix has rank
 below, equal to or above r.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -194,6 +195,34 @@ def test_minor_codims_match_dimension(case):
 # the minor scan against the exhaustive enumeration it replaced
 
 
+class ReferenceTable:
+    """Minors of one matrix of integer ring term maps by first-row
+    expansion with every sub-minor kept by (rows, cols): the tuple-keyed
+    table that kernel.MinorTable replaced, frozen.  It packs no term and
+    skips no block."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.memo = {}
+
+    def minor(self, rows, cols):
+        low = rows & -rows
+        rest = rows ^ low
+        if not rest:
+            return self.entries[low.bit_length() - 1][cols.bit_length() - 1]
+        d = self.memo.get((rows, cols))
+        if d is None:
+            d = {}
+            for c, e in enumerate(self.entries[low.bit_length() - 1]):
+                bit = 1 << c
+                if e and cols & bit:
+                    sub = self.minor(rest, cols ^ bit)
+                    odd = (cols & (bit - 1)).bit_count() & 1
+                    kernel.add_product(d, e, sub, -1 if odd else 1)
+            self.memo[(rows, cols)] = d
+        return d
+
+
 def reference_minors(ring, M, rows, cols, r):
     """The exhaustive minors, frozen: every r x r minor is evaluated, rows
     and columns lexicographically, and each class up to a scalar is
@@ -201,7 +230,7 @@ def reference_minors(ring, M, rows, cols, r):
     if r <= 0:
         yield ring.one(), (0,) * ring.n
         return
-    minor = homalg._MinorTable(homalg._integer_rows(M, rows, cols)[0]).minor
+    minor = ReferenceTable(homalg._integer_rows(M, rows, cols)[0]).minor
     key = ring.default_order.ring_key
     seen = set()
     col_sets = [sum(cs) for cs in combinations([1 << c for c in range(cols)], r)]
@@ -295,7 +324,7 @@ def test_minor_scan_evaluates_one_pair_per_class_on_the_cube_resolution():
         assert_scan_matches_reference(C.diff(k), C.ranks[k - 1], C.ranks[k], (r,))
     # phi_2 has rank 9: its six bordering 10-minors vanish, and the 55
     # distinct minors come from about a tenth of its 50,050 9-minors
-    table = homalg._MinorTable(homalg._integer_rows(C.diff(2), 10, 15)[0])
+    table = kernel.MinorTable(homalg._integer_rows(C.diff(2), 10, 15)[0], 10, 15)
     sizes = {}
 
     def minor(rs, cs):
@@ -304,6 +333,91 @@ def test_minor_scan_evaluates_one_pair_per_class_on_the_cube_resolution():
 
     assert sum(map(bool, homalg._minor_scan(minor, 10, 15, 9))) == 280
     assert sizes[10] == 6 and sizes[9] < 6000
+
+
+# ---------------------------------------------------------------------------
+# the packed table and its zero skip, against the frozen reference and sympy
+
+
+def assert_table_matches(M, rows, cols):
+    """Every square minor of M from kernel.MinorTable equals the frozen
+    ReferenceTable's, term for term and in the same order; the largest ones
+    also equal sympy's determinant of the block, times its row scales."""
+    entries, scales = homalg._integer_rows(M, rows, cols)
+    table, ref = kernel.MinorTable(entries, rows, cols), ReferenceTable(entries)
+    A = sympy_matrix(M, rows, cols)
+    for r in range(1, min(rows, cols) + 1):
+        for rs in combinations(range(rows), r):
+            for cs in combinations(range(cols), r):
+                R, C = sum(1 << i for i in rs), sum(1 << j for j in cs)
+                got = table.unpack(table.minor(R, C))
+                assert list(got.items()) == list(ref.minor(R, C).items()), (rs, cs)
+                if r == min(rows, cols):
+                    scale = math.prod(scales[i] for i in rs)
+                    want = sympy_terms(A.extract(list(rs), list(cs)).det())
+                    assert got == {m: c * scale for m, c in want.items()}, (rs, cs)
+
+
+NONZERO = st.dictionaries(st.sampled_from(MONOMIALS), COEFFS, min_size=1, max_size=3).map(
+    lambda terms: Polynomial(R, terms)
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(M, rows, cols): 2..4 x 2..5 with 40 to 60 percent of the entries
+    zero, the others nonzero."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    cells = rows * cols
+    zeros = draw(st.integers(-(-2 * cells // 5), 3 * cells // 5))
+    holes = set(draw(st.permutations(range(cells)))[:zeros])
+    M = tuple(
+        tuple(R.zero() if i * cols + j in holes else draw(NONZERO) for j in range(cols))
+        for i in range(rows)
+    )
+    return M, rows, cols
+
+
+@SETTINGS
+@given(sparse_matrices())
+@example(case([["x", "y", "z"], ["0", "x", "y"], ["0", "0", "x"]]))  # a row with one nonzero
+@example(case([["x", "0", "0", "y"], ["0", "y", "z", "0"], ["x", "0", "z", "0"]]))
+def test_packed_minors_of_sparse_matrices_match_the_reference(case):
+    assert_table_matches(*case)
+
+
+def test_packed_minors_of_a_dense_matrix_match_the_reference():
+    M, rows, cols = case(
+        [
+            ["x + 1", "y - 2/3", "x*z + 3", "y^2 + x"],
+            ["2*y + z", "x^2 - 1", "z + 5", "x*y + 1/2"],
+            ["z^2 + 1", "x + y + z", "3*x - y", "y*z - 7"],
+            ["x", "y", "z", "-2"],
+        ]
+    )
+    assert_table_matches(M, rows, cols)
+
+
+def test_a_minor_that_cancels_is_expanded_and_comes_out_zero():
+    # every row and column of the block has a nonzero entry: the block is
+    # expanded, and its two permutation terms 2xy and -2xy cancel
+    M, rows, cols = case([["x", "y", "1"], ["2*x", "2*y", "1"], ["x + y", "x", "z"]])
+    table = kernel.MinorTable(homalg._integer_rows(M, rows, cols)[0], rows, cols)
+    assert table.minor(0b011, 0b011) is kernel.ZERO
+    assert list(table.memo.values()) == [kernel.ZERO]
+    assert_table_matches(M, rows, cols)
+
+
+def test_a_block_with_two_rows_on_one_column_comes_out_exactly_zero():
+    # rows 2 and 3 have their only nonzero entries in column 1: each row
+    # and column of the whole block has a nonzero entry, so it is expanded,
+    # and each of its 2 x 2 sub-blocks has an empty row or column
+    M, rows, cols = case([["x", "y", "z"], ["x", "0", "0"], ["y", "0", "0"]])
+    table = kernel.MinorTable(homalg._integer_rows(M, rows, cols)[0], rows, cols)
+    assert table.minor(0b111, 0b111) is kernel.ZERO
+    assert list(table.memo.values()) == [kernel.ZERO]
+    assert sympy_matrix(M, rows, cols).det() == 0
+    assert determinant(R, M, 3).is_zero()
 
 
 # ---------------------------------------------------------------------------
