@@ -23,14 +23,19 @@ by a property of the call, not by a switch:
 
 Work whose result is already known is skipped, by a property of the call
 as well.  _reduced divides only the elements that have a tail term some
-other lead divides.  And syzygies makes the reduced basis of its
-candidates without a loop when they are a Groebner basis by Schreyer's
-theorem: the pair syzygies of a Groebner basis G, each the difference of
-the two multiples in an S-pair minus a standard expression of the
-S-polynomial, form a Groebner basis of the syzygy module of G under the
-Schreyer order that G's leads induce (Eisenbud, Commutative Algebra,
-Thm 15.10; La Scala & Stillman, JSC 26, 1998).  That holds when there is
-no context and the inputs are exactly their own reduced basis.
+other lead divides.  _syzygies_termmaps tries inputs that are
+structurally reduced (distinct leads, none dividing another lead or a
+tail term) as their own basis: their tracked S-pair reductions are
+Buchberger's criterion, and when all of them leave no remainder they are
+already the pair syzygies, so the tracked engine does not run.  And
+syzygies makes the reduced basis of its candidates without a loop when
+they are a Groebner basis by Schreyer's theorem: the pair syzygies of a
+Groebner basis G, each the difference of the two multiples in an S-pair
+minus a standard expression of the S-polynomial, form a Groebner basis
+of the syzygy module of G under the Schreyer order that G's leads induce
+(Eisenbud, Commutative Algebra, Thm 15.10; La Scala & Stillman, JSC 26,
+1998).  That holds when there is no context and the inputs are a minimal
+Groebner basis (see syzygies).
 
 Inside the engine, elements are primitive integer term maps (content 1,
 positive lead coefficient) over packed terms (kernel.Codec: one int per
@@ -266,15 +271,7 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
     unique, so either loop gives the same answer; _reduced makes it in
     place.
     """
-    divisors = []  # (lead term, lead coefficient, primitive term map)
-    reps = []
-    for j, (tm, den) in enumerate(inputs):
-        if not tm:
-            raise InvariantError("engine inputs must be nonzero")
-        lk = max(tm)
-        p, c = kernel.primitive(tm, lk)  # c * p = den * inputs[j]
-        divisors.append((lk, p[lk], p))
-        reps.append(({codec.rep(j): den if c > 0 else -den}, abs(c)) if track else None)
+    divisors, reps = _primitive_inputs(inputs, codec, track)
     if rank == 1 and not track:
         divisors = _signature_loop(divisors, codec)
     else:
@@ -289,6 +286,23 @@ def _engine(inputs: Sequence[tuple], codec: kernel.Codec, rank: int, track: bool
             raise InvariantError("input does not reduce to zero against its own basis")
         exprs.append((mult * den, quots))
     return divisors, reps, exprs
+
+
+def _primitive_inputs(inputs: Sequence[tuple], codec: kernel.Codec, track: bool) -> tuple:
+    """(divisors, reps) of engine inputs (see _engine): each input's
+    primitive term map as a kernel divisor, and its representation over
+    the inputs when track is true (else None): ({codec.rep(j): +-den}, |c|)
+    for input j = c * p / den."""
+    divisors = []  # (lead term, lead coefficient, primitive term map)
+    reps = []
+    for j, (tm, den) in enumerate(inputs):
+        if not tm:
+            raise InvariantError("engine inputs must be nonzero")
+        lk = max(tm)
+        p, c = kernel.primitive(tm, lk)  # c * p = den * inputs[j]
+        divisors.append((lk, p[lk], p))
+        reps.append(({codec.rep(j): den if c > 0 else -den}, abs(c)) if track else None)
+    return divisors, reps
 
 
 def _buchberger_loop(divisors: list, reps: list, codec: kernel.Codec, rank: int, track: bool):
@@ -664,27 +678,16 @@ def _member_terms(tm: dict, gens: list, rank: int, codec, context: Context) -> b
 # -- syzygies ----------------------------------------------------------------
 
 
-def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
-    """(generators, own): generators of the syzygy module of the given
-    engine inputs (nonzero tm, den, terms of codec), each up to a nonzero
-    rational factor as an integer map keyed by codec.rep(j) + shift for
-    input j, and whether the inputs are exactly their own reduced basis
-    (as many, each input's primitive term map a basis element).
-
-    Schreyer's construction on the reduced basis, pushed back through the
-    transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B).  When own
-    is true, A only renumbers and rescales, and the generators are the
-    pair syzygies of a Groebner basis (see syzygies).
-    """
-    basis, reps, exprs = _engine(inputs, codec, rank, True)
-    by_lead = {lk: g for lk, _, g in basis}
-    input_leads = [max(tm) for tm, _ in inputs]
-    own = len(inputs) == len(basis) == len(set(input_leads)) and all(
-        by_lead.get(lk) == kernel.primitive(tm, lk)[0] for (tm, _), lk in zip(inputs, input_leads)
-    )
+def _pair_syzygies(basis: list, reps: list, codec) -> Optional[list]:
+    """The pair syzygies of the kernel divisors basis, sorted descending by
+    lead, mapped through their representations reps (see _engine), or
+    None at the first S-pair whose tracked reduction leaves a remainder:
+    for each pair i < j at one position, the difference of the two
+    multiples in its S-pair minus the standard expression of the
+    S-polynomial, as an integer map keyed by codec.rep; zero maps are left
+    out."""
     leads = [codec.decode(lk) for lk, _, _ in basis]
     out = []
-    # pair syzygies of the reduced basis, mapped through A
     for j, (lj, cj, gj) in enumerate(basis):
         pos, ej = leads[j]
         for i, (li, ci, gi) in enumerate(basis[:j]):
@@ -698,16 +701,57 @@ def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
             kernel.add_scaled_inplace(sp, gj, -aj, uj)
             quots, rem, mult = kernel.reduce_terms(sp, basis, codec, True)
             if rem:
-                raise InvariantError("S-pair of a Groebner basis must reduce to zero")
+                return None
             syz, _ = _combine([(mult * ai, ui, reps[i]), (-mult * aj, uj, reps[j])], 1, quots, reps)
             if syz:
                 out.append(syz)
+    return out
+
+
+def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
+    """(generators, minimal): generators of the syzygy module of the given
+    engine inputs (nonzero tm, den, terms of codec), each up to a nonzero
+    rational factor as an integer map keyed by codec.rep(j) + shift for
+    input j, and whether the inputs are a minimal Groebner basis (as many
+    as the elements of their reduced basis, with the same set of leads).
+
+    Schreyer's construction on the reduced basis G, pushed back through
+    the transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B), A the
+    representations of G over the inputs F and B the expressions of F
+    over G.
+
+    The inputs are tried as their own basis first.  Made primitive as
+    _engine makes them, they are structurally reduced when their leads
+    are distinct, no lead divides another (Codec.dividing) and no lead
+    divides a tail term (Codec.divides_tail).  Then the pair syzygies are
+    built on them, sorted descending by lead, each with its trivial
+    representation: these tracked S-pair reductions are Buchberger's
+    criterion.  When every remainder is zero, the inputs are a Groebner
+    basis, so their own reduced basis, and the engine would make exactly
+    this basis and these representations; the columns of Id - A*B are
+    then all zero, and _engine is not called.  At the first nonzero
+    remainder, what was built is dropped and _engine runs.
+    """
+    basis, reps = _primitive_inputs(inputs, codec, True)
+    leads = sorted(lk for lk, _, _ in basis)
+    if len(set(leads)) == len(leads) and not any(
+        len(codec.dividing(leads, lk)) > 1 or codec.divides_tail(leads, g, lk) for lk, _, g in basis
+    ):
+        ranked = sorted(range(len(basis)), key=lambda k: basis[k][0], reverse=True)
+        out = _pair_syzygies([basis[k] for k in ranked], [reps[k] for k in ranked], codec)
+        if out is not None:
+            return out, True
+    basis, reps, exprs = _engine(inputs, codec, rank, True)
+    minimal = len(inputs) == len(basis) and {max(tm) for tm, _ in inputs} == {lk for lk, _, _ in basis}
+    out = _pair_syzygies(basis, reps, codec)
+    if out is None:
+        raise InvariantError("S-pair of a Groebner basis must reduce to zero")
     # columns of Id - A*B
     for j, (d, quots) in enumerate(exprs):
         col, _ = _combine([(d, 0, ({codec.rep(j): 1}, 1))], 1, quots, reps)
         if col:
             out.append(col)
-    return out, own
+    return out, minimal
 
 
 def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> SubmoduleBasis:
@@ -727,16 +771,23 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     built once, for the kept generators.
 
     The reduced basis of the candidates' span needs no Buchberger loop
-    when there is no context and the inputs are exactly their own reduced
-    basis G (as many, each input's primitive term map an element of G).
-    The candidates are then the pair syzygies of G, renumbered and
-    rescaled, and by Schreyer's theorem (see the module docstring) they
-    are a Groebner basis of the syzygy module under the Schreyer order of
-    the inputs' leads: every S-pair among them reduces to zero, so the
-    loop would add nothing, and _reduced gets the same divisor list on
-    either path.  Under a context the candidates are reduced modulo the
-    relations and cut to the first s coordinates, which the theorem does
-    not cover, and a basis that is not reduced is not G.
+    when there is no context and the inputs F are a minimal Groebner
+    basis: as many as the elements of their reduced basis G, with the
+    same leads.  The candidates are then a Groebner basis of Syz(F) under
+    the Schreyer order of F's leads.  Write e_k for the input with the
+    lead of g_k.  The representation rep_k of g_k over F is e_k plus
+    terms strictly below e_k in that order, because the interreduction
+    only cancels tail terms, which lie below the lead.  The quotients of
+    the standard expression in a pair syzygy S_ij of G lie below the lcm
+    as well, so A*S_ij keeps the Schreyer lead of the inputs' own pair
+    syzygy of e_i and e_j.  By Schreyer's theorem (see the module
+    docstring) the inputs' pair syzygies are a Groebner basis of Syz(F),
+    so the leads of the A*S_ij generate its lead module, and the
+    candidates, all of them syzygies of F, are a Groebner basis of it:
+    every S-pair among them reduces to zero, the loop would add nothing,
+    and _reduced gets the same divisor list on either path.  Under a
+    context the candidates are reduced modulo the relations and cut to
+    the first s coordinates, which the theorem does not cover.
 
     Without a context, when every candidate is homogeneous for the
     grading in which e_p has the degree of the lead term of generator p
@@ -769,9 +820,9 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
         inputs += _relation_terms(context, rank, codec, order)
     # canonical output: dedupe, sort descending under the Schreyer order
     # induced by the input generators' leading terms
-    leads = [codec.decode(max(tm)) for tm, _ in inputs[:s]]
-    sch = order.schreyer(leads)
-    sch_codec = sch.codec(ring.n)
+    lead_terms = [max(tm) for tm, _ in inputs[:s]]
+    leads = [codec.decode(lk) for lk in lead_terms]
+    sch_codec = codec.schreyer(order.schreyer(leads).term_key, lead_terms)
     zero = PolyVector(ring, [ring.zero()] * s)
     seen = set()
     cands = []  # (p, lc): terms of sch_codec
@@ -796,21 +847,21 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
         p, _ = kernel.primitive(tm, lk)
         lc = p[lk]
         if tm_codec is not sch_codec:
-            p = sch_codec.transcode(p, tm_codec)
+            p = sch_codec.from_parent(p, tm_codec)
         sig = (frozenset(p.items()), lc)
         if sig not in seen:
             seen.add(sig)
             cands.append((p, lc))
 
     # syzygy coordinates beyond s belong to the relation multiples: drop them
-    raw, own = _syzygies_termmaps(inputs, codec, rank)
+    raw, minimal = _syzygies_termmaps(inputs, codec, rank)
     for tm in raw:
         offer(_from_reps(tm, codec, s), codec)
     # the transformation formula can emit several multiples of one simpler
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
     if cands:
-        if own and context is None:
+        if minimal and context is None:
             # Schreyer's theorem: the candidates are a Groebner basis
             # already; their divisors as _engine makes them (a candidate's
             # coefficient at its Schreyer lead may be negative)

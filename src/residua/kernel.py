@@ -18,7 +18,10 @@ exponents at a fixed position, so packing turns a product into an add, a
 comparison into an int compare, and a divisibility test into one masked
 subtraction.  Division and the engine work on term maps of one codec
 within a call; the (position, exponents) form appears only at the
-polynomial boundary (polyring.to_terms and from_terms).  Sums, products
+polynomial boundary (polyring.to_terms and from_terms).  A syzygy
+computation moves its terms from the input codec to the Schreyer codec
+made from it (Codec.schreyer, one layout per parent) by a shift and an
+add per term, with no decoding (Codec.from_parent).  Sums, products
 and powers of polynomials work on ring term maps: add_product and power
 are the one addition and multiplication of Polynomial and the parser.
 Determinants and minors go through MinorTable, which packs the exponent
@@ -71,6 +74,14 @@ def exp_divides(a, b):
     return all(map(le, a, b))
 
 
+# the attributes _layout sets: a packing, shared by the Schreyer codecs of one parent
+_LAYOUT = (
+    "lin", "limit", "rep_shift", "_bias", "_bias_all", "_pos_shift", "_full",
+    "_doff", "_dmask", "_dpat", "_goff", "_gmask", "_gpat",
+    "_var_shifts", "_sign", "_shifts", "_lins", "_var_fields",
+)
+
+
 class Codec:
     """Packed terms of one monomial order over n variables.
 
@@ -86,7 +97,8 @@ class Codec:
     difference keyfn((pos, unit_i)) - keyfn((pos, 0)), does not depend on
     pos.  While every field stays in [0, 2^W), int order is tuple order.
     A codec probes keyfn for these; the codec of a Schreyer order comes
-    from its parent's codec (schreyer).
+    from its parent's codec (schreyer), which lays out its children once,
+    and takes the parent's terms by a shift (from_parent).
 
     The guard keeps every field in range.  A term is in range when every
     entry lies in [-LIMIT, LIMIT), LIMIT = 2^(W-4): packing checks its
@@ -111,12 +123,7 @@ class Codec:
     (bias included), so they take the same shifts as terms.
     """
 
-    __slots__ = (
-        "keyfn", "lin", "limit", "rep_shift", "_shifted",
-        "_zero", "_bases", "_bias", "_bias_all", "_pos_shift", "_full",
-        "_doff", "_dmask", "_dpat", "_goff", "_gmask", "_gpat",
-        "_var_shifts", "_sign", "_shifts", "_lins", "_var_fields",
-    )
+    __slots__ = ("keyfn", "_shifted", "_zero", "_bases", "_child_layout", *_LAYOUT)
 
     def __init__(self, keyfn, n: int, pos_field: int):
         self.keyfn = keyfn
@@ -136,6 +143,7 @@ class Codec:
         self._layout(lins, var_fields, pos_field % len(k0))
         self._shifted = False
         self._bases = []
+        self._child_layout = None
 
     def _layout(self, lins: list, var_fields: list, pos_field: int) -> None:
         """Set the packing of keys whose entry j moves by lins[i][j] per
@@ -173,13 +181,45 @@ class Codec:
         leads of this codec.  Its key of (pos, e) is this order's key of
         leads[pos] * x^e followed by -pos (MonomialOrder.term_key), so it
         packs one field more, and base(pos) is leads[pos] moved up one
-        field above bias - pos; nothing is probed."""
+        field above bias - pos; nothing is probed.
+
+        Each lin is this codec's moved up one field, so a term t of this
+        codec at position q is the child's term
+        base(q) + ((t - self.base(q)) << FIELD_BITS) (from_parent).  The
+        layout depends only on this codec's lins and variable fields: it
+        is made once, on the first call, and every child shares it; each
+        child has its own keyfn and bases."""
         c = object.__new__(Codec)
-        c.keyfn, c._zero = keyfn, self._zero
-        c._layout([diff + [0] for diff in self._lins], self._var_fields, len(self._lins[0]))
-        c._shifted = True
+        if self._child_layout is None:
+            c._layout([diff + [0] for diff in self._lins], self._var_fields, len(self._lins[0]))
+            self._child_layout = tuple(getattr(c, name) for name in _LAYOUT)
+        else:
+            for name, value in zip(_LAYOUT, self._child_layout):
+                setattr(c, name, value)
+        c.keyfn, c._zero, c._shifted, c._child_layout = keyfn, self._zero, True, None
         c._bases = [(lead << FIELD_BITS) + c._bias - pos for pos, lead in enumerate(leads)]
         return c
+
+    def from_parent(self, tm: dict, parent: "Codec") -> dict:
+        """The term map tm of parent, the codec this Schreyer codec was
+        made from (schreyer), at positions below the number of its leads,
+        as checked terms of this codec: by the shift identity of
+        schreyer, no term is decoded."""
+        if not tm:
+            return {}
+        bases, W = self._bases, FIELD_BITS
+        parent.base(len(bases) - 1)  # probes the parent's bases up to the last position
+        pbases = parent._bases
+        ps, full, bias = parent._pos_shift, parent._full, parent._bias
+        goff, gmask, gpat = self._goff, self._gmask, self._gpat
+        out = {}
+        for t, c in tm.items():
+            q = bias - (t >> ps & full)
+            u = bases[q] + ((t - pbases[q]) << W)
+            if (u + goff) & gmask != gpat:
+                self.check(u)
+            out[u] = c
+        return out
 
     def base(self, pos: int) -> int:
         """The term of the unit vector e_pos (monomial 1)."""
@@ -263,11 +303,6 @@ class Codec:
         full, bias, bases, ps, ba = self._full, self._bias, self._bases, self._pos_shift, self._bias_all
         pos = [bias - (t >> ps & full) for t in tm]
         return zip(pos, self._exponent_tuples([t - bases[p] + ba for t, p in zip(tm, pos)]))
-
-    def transcode(self, tm: dict, src: "Codec") -> dict:
-        """The term map tm of the codec src, as terms of this codec."""
-        term = self.term
-        return {term(*pe): c for pe, c in zip(src.decode_terms(tm), tm.values())}
 
     def dividing(self, terms: list, b: int) -> list:
         """The indices of the terms that divide the term b."""

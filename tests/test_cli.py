@@ -261,7 +261,10 @@ def corrupted(f, divisors, codec, want_quotients, below=None):
     return quots, rem, mult
 
 groebner.kernel.reduce_terms = corrupted
-code, lines, _ = run_script("resolve((x, y), over Q[x,y])\\nresolve((x, y), over Q[x,y])")
+# (x + y, y) is not structurally reduced (the lead y divides the tail
+# term y), so its syzygies run the engine, whose own check of the inputs
+# meets the corrupted division
+code, lines, _ = run_script("resolve((x + y, y), over Q[x,y])\\nresolve((x, y), over Q[x,y])")
 print(json.dumps([code, lines]))
 """
 

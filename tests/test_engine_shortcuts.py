@@ -1,14 +1,23 @@
 """Work that the resolution engine skips because its result is known.
 
+- The tracked engine of _syzygies_termmaps.  Inputs that are
+  structurally reduced (distinct leads, no lead dividing another lead or
+  a tail term) are tried as their own basis: when every S-pair reduces
+  to zero they are their own reduced basis, and the pair syzygies built
+  on them are the generators.  On every family below and on seeded
+  reduced bases, structurally reduced sets that are not bases, sets that
+  are not reduced, rank-2 modules and inputs under a context, the
+  generator maps equal those of the frozen engine-first version, and a
+  corrupted fast-path remainder only sends the call to the engine.
 - The candidate basis of syzygies.  When there is no context and the
-  inputs are exactly their own reduced basis, the candidates are the pair
-  syzygies of a Groebner basis, so by Schreyer's theorem they are a
-  Groebner basis already and syzygies reduces them without the loop.  On
-  every ambient syzygies call of the (x,y,z,w)^3 minimal resolution, of
-  seeded strongly stable ideals and of Koszul resolutions, the basis it
-  makes where it does so equals _engine's, and each call's generators
-  equal those made with the shortcut turned off.  It does not fire on a
-  Groebner basis that is not reduced, nor under a context.
+  inputs are a minimal Groebner basis, the candidates are a Groebner
+  basis by Schreyer's theorem, and syzygies reduces them without the
+  loop.  On every ambient syzygies call of the (x,y,z,w)^3 minimal
+  resolution, of seeded strongly stable ideals, of Koszul resolutions
+  and of seeded reduced and minimal bases, the basis it makes where it
+  does so equals _engine's, and each call's generators equal those made
+  with the shortcut turned off.  It does not fire on a set that is not a
+  Groebner basis, nor under a context.
 - The composition check.  groebner.product_vanishes decides A . B = 0
   modulo the context on integer term maps; it gives the verdict of the
   frozen rule it replaced (mat_mul, then each entry reduced modulo the
@@ -21,10 +30,10 @@ from fractions import Fraction
 
 import pytest
 
-from residua import groebner, homalg
-from residua.groebner import Ideal, QuotientContext, product_vanishes, syzygies
+from residua import groebner, homalg, kernel
+from residua.groebner import Ideal, QuotientContext, SubmoduleBasis, product_vanishes, syzygies
 from residua.homalg import free_resolution, mat_mul
-from residua.polyring import Polynomial, PolynomialRing
+from residua.polyring import Polynomial, PolynomialRing, PolyVector, to_terms
 
 from conftest import random_nonzero_poly, random_poly
 
@@ -94,6 +103,21 @@ def reduced_basis(seed):
     return Ideal(XYZ, Ideal(XYZ, gens).groebner())
 
 
+def minimal_basis(seed):
+    """A seeded reduced basis of Q[x,y,z] with a rational multiple of each
+    later element added to every element but the last: the leads stay (a
+    later lead is smaller), so a minimal Groebner basis that is not
+    reduced."""
+    rng = random.Random(seed)
+    basis = reduced_basis(100 + seed).gens
+    gens = []
+    for i, g in enumerate(basis):
+        for h in basis[i + 1 :]:
+            g = g + h * Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))
+        gens.append(g)
+    return Ideal(XYZ, gens)
+
+
 # a candidate whose coefficient at its Schreyer lead is negative once it is
 # made primitive under the ring's module order
 SIGNED = Ideal(XYZ, [XYZ.poly(t) for t in ("x*y + 3*y", "x*z + 2/7", "y*z - 2/21*y")])
@@ -108,6 +132,8 @@ FAMILIES = {
         koszul(["x^2 - y*z", "y^2 - z*w", "z^3"]),
     ],
     "reduced bases": [SIGNED] + [reduced_basis(seed) for seed in range(12)],
+    "minimal bases": [Ideal(XY, (XY.poly("x + y"), XY.poly("y")))]
+    + [minimal_basis(seed) for seed in range(8)],
 }
 
 
@@ -167,23 +193,23 @@ def test_the_shortcut_keeps_every_syzygy_generator(monkeypatch, family):
     assert ours == [syzygies(basis).gens for basis in calls]
 
 
-def candidate_loops(monkeypatch):
-    """The count of _engine calls that syzygies makes itself."""
-    calls = []
+def engine_callers(monkeypatch):
+    """The name of the caller of each _engine call: "syzygies" for a
+    candidate loop, "_syzygies_termmaps" for the tracked engine."""
+    callers = []
     original = groebner._engine
 
     def spy(*args):
-        if sys._getframe(1).f_code.co_name == "syzygies":
-            calls.append(args)
+        callers.append(sys._getframe(1).f_code.co_name)
         return original(*args)
 
     monkeypatch.setattr(groebner, "_engine", spy)
-    return calls
+    return callers
 
 
 def own_reports(monkeypatch):
-    """What _syzygies_termmaps reports on whether the inputs are their own
-    reduced basis, call by call."""
+    """What _syzygies_termmaps reports on whether the inputs are a minimal
+    Groebner basis, call by call."""
     reports = []
     original = groebner._syzygies_termmaps
 
@@ -196,27 +222,199 @@ def own_reports(monkeypatch):
     return reports
 
 
-def test_the_shortcut_fires_only_on_a_reduced_basis(monkeypatch):
-    loops = candidate_loops(monkeypatch)
+def test_the_shortcut_fires_only_on_a_minimal_basis(monkeypatch):
+    callers = engine_callers(monkeypatch)
     reports = own_reports(monkeypatch)
-    # (x + y, y) is a Groebner basis, not a reduced one: (x, y) is
-    assert len(syzygies(Ideal(XY, (XY.poly("x + y"), XY.poly("y")))).gens) == 1
-    assert (len(loops), reports) == (1, [False])
-    loops.clear()
-    reports.clear()
-    assert len(syzygies(Ideal(XY, (XY.poly("x"), XY.poly("y")))).gens) == 1
-    assert (len(loops), reports) == (0, [True])
+
+    def runs(gens):
+        callers.clear()
+        reports.clear()
+        syz = syzygies(Ideal(gens[0].ring, gens))
+        return len(syz.gens), callers.count("_syzygies_termmaps"), callers.count("syzygies"), reports
+
+    # (x, y) is its own reduced basis: neither the tracked engine nor the
+    # candidate loop runs
+    assert runs((XY.poly("x"), XY.poly("y"))) == (1, 0, 0, [True])
+    # (x + y, y) is a minimal Groebner basis, not a reduced one ((x, y)
+    # is): the tracked engine runs, the candidate loop does not
+    assert runs((XY.poly("x + y"), XY.poly("y"))) == (1, 1, 0, [True])
+    # xy - z^2 and x^2 - yz are structurally reduced, but their S-pair
+    # leaves y^2 z - x z^2: not a Groebner basis, so both run
+    _, engines, loops, minimal = runs((XYZ.poly("x*y - z^2"), XYZ.poly("x^2 - y*z")))
+    assert (engines, loops, minimal) == (1, 1, [False])
 
 
 def test_the_shortcut_does_not_fire_under_a_context(monkeypatch):
-    loops = candidate_loops(monkeypatch)
+    callers = engine_callers(monkeypatch)
     reports = own_reports(monkeypatch)
     # the inputs x*y, x*z and the relation y*z are their own reduced basis,
     # but the candidates are reduced modulo the relation and cut to two
     # coordinates, which no theorem keeps a Groebner basis
     ctx = QuotientContext(XYZ, Ideal(XYZ, (XYZ.poly("y*z"),)))
     syzygies(Ideal(XYZ, (XYZ.poly("x*y"), XYZ.poly("x*z"))), context=ctx)
-    assert (len(loops), reports) == (1, [True])
+    assert (callers.count("_syzygies_termmaps"), callers.count("syzygies"), reports) == (0, 1, [True])
+
+
+# ---------------------------------------------------------------------------
+# the inputs tried as their own basis
+
+
+def reference_syzygies_termmaps(inputs, codec, rank):
+    """The engine-first _syzygies_termmaps, frozen: the tracked engine on
+    every input set, then Schreyer's construction on its reduced basis,
+    pushed back through the transformation, plus the columns of
+    Id - A*B."""
+    basis, reps, exprs = groebner._engine(inputs, codec, rank, True)
+    leads = [codec.decode(lk) for lk, _, _ in basis]
+    out = []
+    for j, (lj, cj, gj) in enumerate(basis):
+        pos, ej = leads[j]
+        for i, (li, ci, gi) in enumerate(basis[:j]):
+            if leads[i][0] != pos:
+                continue
+            lcm = codec.term(pos, kernel.exp_lcm(leads[i][1], ej))
+            ui, uj = lcm - li, lcm - lj
+            ai, aj = groebner._cofactors(ci, cj)
+            sp: dict = {}
+            kernel.add_scaled_inplace(sp, gi, ai, ui)
+            kernel.add_scaled_inplace(sp, gj, -aj, uj)
+            quots, rem, mult = kernel.reduce_terms(sp, basis, codec, True)
+            assert not rem
+            syz, _ = groebner._combine([(mult * ai, ui, reps[i]), (-mult * aj, uj, reps[j])], 1, quots, reps)
+            if syz:
+                out.append(syz)
+    for j, (d, quots) in enumerate(exprs):
+        col, _ = groebner._combine([(d, 0, ({codec.rep(j): 1}, 1))], 1, quots, reps)
+        if col:
+            out.append(col)
+    return out
+
+
+def termmap_inputs(obj, context=None):
+    """(inputs, codec, rank) that syzygies hands to _syzygies_termmaps."""
+    if isinstance(obj, Ideal):
+        order, rank = obj.ring.default_order, 1
+    else:
+        order, rank = obj.order, obj.rank
+    codec = order.codec(obj.ring.n)
+    inputs = [to_terms(g, codec) for g in obj.gens]
+    if context is not None:
+        inputs += groebner._relation_terms(context, rank, codec, order)
+    return inputs, codec, rank
+
+
+def structurally_reduced(gens):
+    """Distinct leads, none dividing another lead or a tail term, read off
+    the polynomials' own leads and exponents."""
+    leads = [g.lm() for g in gens]
+    return len(set(leads)) == len(leads) and not any(
+        kernel.exp_divides(a, m) for g, lead in zip(gens, leads) for a in leads if a != lead for m in g.num
+    )
+
+
+def seeded_ideals(want, count=8):
+    """count seeded ideals of Q[x,y,z] whose generators pass want."""
+    out = []
+    for seed in range(1000):
+        rng = random.Random(seed)
+        gens = [random_nonzero_poly(rng, XYZ, 2, 3) for _ in range(rng.randint(2, 3))]
+        if len({g.lm() for g in gens}) == len(gens) and want(gens):
+            out.append(Ideal(XYZ, gens))
+            if len(out) == count:
+                return out
+    raise AssertionError("too few seeded ideals")
+
+
+def not_a_basis(gens):
+    """Structurally reduced, and their reduced basis has other leads."""
+    return structurally_reduced(gens) and {g.lm() for g in Ideal(XYZ, gens).groebner()} != {
+        g.lm() for g in gens
+    }
+
+
+def seeded_modules(count=8):
+    """Seeded submodules of Q[x,y,z]^2 under pot and top, each generator
+    with one or two nonzero entries."""
+    out = []
+    rng = random.Random(7)
+    for k in range(count):
+        order = XYZ.default_order.with_module_rule(("pot", "top")[k % 2])
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            entries = [random_nonzero_poly(rng, XYZ, 2, 2), random_nonzero_poly(rng, XYZ, 2, 2)]
+            if rng.random() < 0.5:
+                entries[rng.randrange(2)] = XYZ.zero()
+            gens.append(PolyVector(XYZ, entries))
+        out.append((SubmoduleBasis(XYZ, 2, gens, order), None))
+    return out
+
+
+def seeded_contexts(count=8):
+    """Seeded ideals of Q[x,y,z] over the quotient by one of three
+    hypersurfaces."""
+    out = []
+    rng = random.Random(11)
+    for k in range(count):
+        ctx = QuotientContext(XYZ, Ideal(XYZ, (XYZ.poly(("x*y", "x^2 - y*z", "z^2 + x")[k % 3]),)))
+        gens = [random_nonzero_poly(rng, XYZ, 2, 3) for _ in range(rng.randint(1, 3))]
+        out.append((Ideal(XYZ, gens), ctx))
+    return out
+
+
+TERMMAP_KINDS = {
+    "reduced basis": [(I, None) for I in map(reduced_basis, range(40)) if len(I.gens) > 1][:8],
+    "structurally reduced, not a basis": [(I, None) for I in seeded_ideals(not_a_basis)],
+    "not reduced": [(I, None) for I in seeded_ideals(lambda gens: not structurally_reduced(gens))],
+    "rank 2": seeded_modules(),
+    "context": seeded_contexts(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TERMMAP_KINDS))
+def test_termmaps_are_the_engine_first_reference_on_seeded_inputs(monkeypatch, kind):
+    callers = engine_callers(monkeypatch)
+    runs = []
+    for obj, ctx in TERMMAP_KINDS[kind]:
+        args = termmap_inputs(obj, ctx)
+        before = len(callers)
+        assert groebner._syzygies_termmaps(*args)[0] == reference_syzygies_termmaps(*args)
+        runs.append(len(callers) - before - 1)  # the reference runs the engine once
+    # the tracked engine runs exactly on the kinds made for it; the
+    # modules and the contexts take either path
+    assert set(runs) == {"reduced basis": {0}, "rank 2": {0, 1}, "context": {0, 1}}.get(kind, {1})
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_termmaps_are_the_engine_first_reference_on_the_families(family):
+    for I in FAMILIES[family]:
+        for basis in ambient_calls(I):
+            args = termmap_inputs(basis)
+            assert groebner._syzygies_termmaps(*args)[0] == reference_syzygies_termmaps(*args)
+
+
+@pytest.mark.parametrize(
+    "I",
+    [koszul(["x^2 - y*z", "y^2 - z*w", "z^3"]), reduced_basis(3), SIGNED],
+    ids=["koszul", "reduced", "signed"],
+)
+def test_a_corrupted_fast_path_remainder_falls_back_to_the_engine(monkeypatch, I):
+    want = syzygies(I).gens
+    armed = [True]
+    real = kernel.reduce_terms
+
+    def corrupted(f, divisors, codec, want_quotients, below=None):
+        quots, rem, mult = real(f, divisors, codec, want_quotients, below)
+        # the first S-polynomial of the fast path that reduces to zero
+        if armed[0] and f and not rem and sys._getframe(1).f_code.co_name == "_pair_syzygies":
+            armed[0] = False
+            rem = dict(f)
+        return quots, rem, mult
+
+    callers = engine_callers(monkeypatch)
+    assert syzygies(I).gens == want and "_syzygies_termmaps" not in callers
+    monkeypatch.setattr(kernel, "reduce_terms", corrupted)
+    assert syzygies(I).gens == want
+    assert not armed[0] and callers.count("_syzygies_termmaps") == 1
 
 
 # ---------------------------------------------------------------------------

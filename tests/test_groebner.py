@@ -462,15 +462,21 @@ def test_context_takes_the_loop(monkeypatch):
 
 
 def count_codecs(monkeypatch):
-    """The order of every kernel codec asked for while patched."""
+    """The order of every kernel codec asked for while patched: of an
+    order, or of a Schreyer order from its parent's codec (its keyfn)."""
     built = []
-    real = MonomialOrder.codec
+    real, real_schreyer = MonomialOrder.codec, kernel.Codec.schreyer
 
     def counted(order, n):
         built.append(order)
         return real(order, n)
 
+    def counted_schreyer(codec, keyfn, leads):
+        built.append(keyfn)
+        return real_schreyer(codec, keyfn, leads)
+
     monkeypatch.setattr(MonomialOrder, "codec", counted)
+    monkeypatch.setattr(kernel.Codec, "schreyer", counted_schreyer)
     return built
 
 
