@@ -27,7 +27,7 @@ import sys
 import time
 from fractions import Fraction
 
-from residua.groebner import Ideal, QuotientContext
+from residua.groebner import Ideal, QuotientContext, shared_levels
 from residua.homalg import (
     ChainComplex,
     buchsbaum_eisenbud_check,
@@ -37,7 +37,6 @@ from residua.homalg import (
     koszul_complex,
     minimalize,
     proper_intersection_check,
-    shared_levels,
     tensor_complexes,
 )
 from residua.polyring import Polynomial, PolynomialRing, _coeff_str, order_by_name

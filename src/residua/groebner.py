@@ -28,14 +28,14 @@ structurally reduced (distinct leads, none dividing another lead or a
 tail term) as their own basis: their tracked S-pair reductions are
 Buchberger's criterion, and when all of them leave no remainder they are
 already the pair syzygies, so the tracked engine does not run.  And
-syzygies makes the reduced basis of its candidates without a loop when
-they are a Groebner basis by Schreyer's theorem: the pair syzygies of a
-Groebner basis G, each the difference of the two multiples in an S-pair
-minus a standard expression of the S-polynomial, form a Groebner basis
-of the syzygy module of G under the Schreyer order that G's leads induce
-(Eisenbud, Commutative Algebra, Thm 15.10; La Scala & Stillman, JSC 26,
-1998).  That holds when there is no context and the inputs are a minimal
-Groebner basis (see syzygies).
+_syzygy_level makes the reduced basis of its candidates without a loop
+when they are a Groebner basis by Schreyer's theorem: the pair syzygies
+of a Groebner basis G, each the difference of the two multiples in an
+S-pair minus a standard expression of the S-polynomial, form a Groebner
+basis of the syzygy module of G under the Schreyer order that G's leads
+induce (Eisenbud, Commutative Algebra, Thm 15.10; La Scala & Stillman,
+JSC 26, 1998).  That holds when there is no context and the inputs are a
+minimal Groebner basis (see _syzygy_level).
 
 Inside the engine, elements are primitive integer term maps (content 1,
 positive lead coefficient) over packed terms (kernel.Codec: one int per
@@ -55,6 +55,21 @@ tracks, of its basis elements over the inputs, take the same form: an
 integer map over one positive denominator (_combine), so no Fraction
 enters the engine.
 
+A free resolution stays in that form from one syzygy level to the next
+(resolution_levels).  A level carries its generators as pairs (p, lc),
+p a primitive integer term map of the base codec (the ring's default
+order, pot or top) and lc its positive lead coefficient, so p / lc is
+the vector in lowest terms that packing it would give; it carries the
+degrees of its basis vectors only when the level before was pruned by
+graded Nakayama, and none under a context.  A level's work runs in the
+Schreyer codec made from the base codec (_syzygy_level), and its kept
+generators go back by a shift (Codec.to_parent): a Schreyer term at
+position q packs the key of lead_q * x^e above the field of -q, so
+subtracting base(q) leaves the shift of x^e moved up one field, and
+moving it down onto the base codec's base(q) gives the term of (q, e)
+exactly, with nothing decoded.  Polynomials are built once per level,
+for the differentials a resolution returns.
+
 Quotient rings Q[x]/I_Z appear as contexts: membership, normal forms and
 syzygies over the quotient are computed by appending I_Z relations to the
 ambient problem and projecting back.
@@ -62,6 +77,8 @@ ambient problem and projecting back.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -533,10 +550,15 @@ def _from_reps(tm: dict, codec: kernel.Codec, s: int) -> dict:
     """The terms at positions below s of a representation map of codec
     (keyed by codec.rep), as terms of codec, whose order must serve those
     positions."""
-    shift = codec.rep_shift
-    moves = [codec.base(j) - codec.rep(j) for j in range(s)]
-    cut = s << shift
-    return {t + moves[t >> shift]: c for t, c in tm.items() if t < cut}
+    shift, rep0, cut = codec.rep_shift, codec.rep(0), s << codec.rep_shift
+    if s:
+        codec.base(s - 1)  # probes the bases up to position s - 1
+    bases, out = codec._bases, {}
+    for t, c in tm.items():
+        if t < cut:
+            j = t >> shift  # t - rep(j) + base(j), rep(j) = (j << shift) + rep(0)
+            out[t - (j << shift) - rep0 + bases[j]] = c
+    return out
 
 
 def _relation_terms(context: QuotientContext, rank: int, codec: kernel.Codec, order=None) -> list:
@@ -660,15 +682,15 @@ def ideals_equal(I: Ideal, J: Ideal, context: Context = None) -> bool:
 def module_member(v: PolyVector, basis: SubmoduleBasis, context: Context = None) -> bool:
     codec = basis.order.codec(basis.ring.n)
     gens = [to_terms(g, codec) for g in basis.gens]
-    return _member_terms(to_terms(v, codec)[0], gens, basis.rank, codec, context)
+    relations = _relation_terms(context, basis.rank, codec) if context is not None else []
+    return _member_terms(to_terms(v, codec)[0], gens, basis.rank, codec, relations)
 
 
-def _member_terms(tm: dict, gens: list, rank: int, codec, context: Context) -> bool:
+def _member_terms(tm: dict, gens: list, rank: int, codec, relations: list) -> bool:
     """The integer term map tm in the submodule generated by the engine
-    inputs gens (plus the relation multiples of each unit vector when a
-    context is given), all terms of codec."""
-    if context is not None:
-        gens = gens + _relation_terms(context, rank, codec)
+    inputs gens and relations (the relation multiples of each unit vector
+    over a context, else none), all terms of codec."""
+    gens = gens + relations
     if not gens:
         return not tm
     _, rem, _ = kernel.reduce_terms(tm, _engine(gens, codec, rank, False)[0], codec, False)
@@ -755,20 +777,55 @@ def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
 
 
 def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> SubmoduleBasis:
-    """Generators of the syzygy module of the given generators.
+    """Generators of the syzygy module of the given generators: they are
+    packed by the base codec of obj's order (pot or top; a Schreyer
+    order is refused), _syzygy_level computes the level, and its kept
+    generators are unpacked once, into the PolyVectors returned.
 
     Over a quotient context the relation multiples of each unit vector
     are appended and the ambient syzygies are projected back down.
+    """
+    if isinstance(obj, Ideal):
+        ring, order, rank = obj.ring, obj.ring.default_order, 1
+    elif isinstance(obj, SubmoduleBasis):
+        ring, order, rank = obj.ring, obj.order, obj.rank
+    else:
+        raise TypeError("expected an Ideal or SubmoduleBasis")
+    if order.module_rule == "schreyer":
+        raise ValueError("syzygies are computed under a pot or top module order")
+    s = len(obj.gens)
+    if s == 0:
+        return SubmoduleBasis(ring, 0, ())
+    codec = order.codec(ring.n)
+    kept, _ = _syzygy_level([to_terms(g, codec) for g in obj.gens], rank, context, order, codec)
+    zero = PolyVector(ring, [ring.zero()] * s)
+    return SubmoduleBasis(ring, s, [from_terms(zero, p, lc, codec) for p, lc in kept])
+
+
+def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degrees=None) -> tuple:
+    """(kept, shifts) for the s engine inputs (tm, den) of codec, the base
+    codec of order (pot or top), generating a submodule of ring^rank:
+    kept the generators of their syzygy module that syzygies returns,
+    each a pair (p, lc) for the vector p / lc, p a primitive integer term
+    map of codec over positions 0..s-1; shifts the degrees of e_0..e_{s-1}
+    when the level was pruned by graded Nakayama (below), else None.
+    degrees are the basis degrees of the inputs' module when they are
+    known (the shifts of the level before); else they are found here.
 
     The candidates (Schreyer's syzygies plus a reduced basis of their
     span, deduplicated and sorted descending under the Schreyer order)
     are pruned by one greedy rule: in list order, candidate v_i is
     dropped when it lies in the span N of the candidates kept before it
     and all candidates after it.  No kept generator is then produced by
-    the other kept ones.  Each candidate is a pair (p, lc) for the monic
-    vector p / lc, p a primitive integer term map over positions 0..s-1,
-    from Schreyer's construction to the end of pruning; PolyVectors are
-    built once, for the kept generators.
+    the other kept ones.  Each candidate is a pair (p, lc) of the
+    Schreyer codec made from codec, from Schreyer's construction to the
+    end of pruning.  The kept ones move back to codec by
+    Codec.to_parent, which is exact: a Schreyer term of position q packs
+    the key of lead_q * x^e above the field of -q, so it is base(q) plus
+    the shift of x^e moved up one field, and the shift moved down again
+    lands on codec's term of (q, e).  So a resolution carries its levels
+    packed: the kept pairs of one level are the inputs of the next, and
+    the shifts its degrees (resolution_levels).
 
     The reduced basis of the candidates' span needs no Buchberger loop
     when there is no context and the inputs F are a minimal Groebner
@@ -790,50 +847,41 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     the first s coordinates, which the theorem does not cover.
 
     Without a context, when every candidate is homogeneous for the
-    grading in which e_p has the degree of the lead term of generator p
-    (its total degree plus the degree of its basis vector, for basis
-    degrees that make every generator homogeneous when there are such,
-    else plus zero), the rule is decided by graded Nakayama instead of one
-    module Groebner basis per candidate.  N and v_i span the whole
-    module, and R*v_i lives in degrees >= D = deg v_i, so N contains
-    every candidate of degree < D and the submodule L they generate.
-    Hence v_i is in N exactly when it is in L_D plus the Q-span of the
-    degree-D candidates among the generators of N, that is when its
-    normal form modulo a Groebner basis of L is a Q-combination of
-    theirs.  That costs one basis per candidate degree plus Gaussian
-    elimination over Q, and keeps the same candidates.  Other inputs
-    run the per-candidate loop.
+    grading in which e_p has the degree of the lead term of input p (its
+    total degree plus the degree of its basis vector, for basis degrees
+    that make every input homogeneous when there are such, else plus
+    zero), the rule is decided by graded Nakayama instead of one module
+    Groebner basis per candidate.  N and v_i span the whole module, and
+    R*v_i lives in degrees >= D = deg v_i, so N contains every candidate
+    of degree < D and the submodule L they generate.  Hence v_i is in N
+    exactly when it is in L_D plus the Q-span of the degree-D candidates
+    among the generators of N, that is when its normal form modulo a
+    Groebner basis of L is a Q-combination of theirs.  That costs one
+    basis per candidate degree plus Gaussian elimination over Q, and
+    keeps the same candidates, for any such grading.  The kept
+    generators are then homogeneous for those shifts, which are the
+    basis degrees of the next level.  Other inputs run the per-candidate
+    loop, and return no shifts.
     """
-    if isinstance(obj, Ideal):
-        ring, order, rank = obj.ring, obj.ring.default_order, 1
-    elif isinstance(obj, SubmoduleBasis):
-        ring, order, rank = obj.ring, obj.order, obj.rank
-    else:
-        raise TypeError("expected an Ideal or SubmoduleBasis")
-    s = len(obj.gens)
-    if s == 0:
-        return SubmoduleBasis(ring, 0, ())
-
-    codec = order.codec(ring.n)
-    inputs = [to_terms(g, codec) for g in obj.gens]
+    s = len(inputs)
     if context is not None:
-        inputs += _relation_terms(context, rank, codec, order)
+        inputs = inputs + _relation_terms(context, rank, codec, order)
     # canonical output: dedupe, sort descending under the Schreyer order
     # induced by the input generators' leading terms
     lead_terms = [max(tm) for tm, _ in inputs[:s]]
-    leads = [codec.decode(lk) for lk in lead_terms]
-    sch_codec = codec.schreyer(order.schreyer(leads).term_key, lead_terms)
-    zero = PolyVector(ring, [ring.zero()] * s)
+    sch_codec = codec.schreyer(order.schreyer(map(codec.decode, lead_terms)).term_key, lead_terms)
     seen = set()
     cands = []  # (p, lc): terms of sch_codec
-    # z * e_p for each relation basis element z and p < s, as kernel
-    # divisors of either codec: a Groebner basis of I_Z * F under any
-    # module order that is the ring order at each position
-    relations = {}
+    # z * e_p for each relation basis element z and p < s, as engine inputs
+    # of sch_codec (members) and as kernel divisors of either codec: a
+    # Groebner basis of I_Z * F under any module order that is the ring
+    # order at each position
+    relations, members = {}, []
     if context is not None:
-        for c in (codec, sch_codec):
-            terms = [tm for tm, _ in _relation_terms(context, s, c, order)]
-            relations[c] = [(max(tm), tm[max(tm)], tm) for tm in terms]
+        ambient = _relation_terms(context, s, codec, order)
+        members = [(sch_codec.from_parent(tm, codec), den) for tm, den in ambient]
+        for c, terms in ((codec, ambient), (sch_codec, members)):
+            relations[c] = [(max(tm), tm[max(tm)], tm) for tm, _ in terms]
 
     def offer(tm, tm_codec):
         """Reduce the integer term map tm of tm_codec modulo the context,
@@ -878,21 +926,107 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     cands.sort(key=lambda cand: max(cand[0]), reverse=True)
     # drop generators the rest already produce (keeps iterated syzygy
     # computations from accumulating redundancy step after step)
-    kept = None
+    kept = shifts = None
     if context is None:
-        # an ideal has one basis vector, whose degree shifts nothing
-        degrees = (_basis_degrees(inputs, rank, codec) if rank > 1 else None) or [0] * rank
-        shifts = [sum(m) + degrees[pos] for pos, m in leads]
+        if degrees is None:
+            # an ideal has one basis vector, whose degree shifts nothing
+            degrees = (_basis_degrees(inputs, rank, codec) if rank > 1 else None) or [0] * rank
+        shifts = codec.degrees(lead_terms, degrees)
         kept = _graded_prune(cands, sch_codec, s, shifts)
     if kept is None:
-        kept = []
+        shifts, kept = None, []
         for i in range(len(cands)):
             others = [cands[k] for k in kept] + cands[i + 1 :]
-            if others and _member_terms(cands[i][0], others, s, sch_codec, context):
+            if others and _member_terms(cands[i][0], others, s, sch_codec, members):
                 continue
             kept.append(i)
         kept = [cands[i] for i in kept]
-    return SubmoduleBasis(ring, s, [from_terms(zero, p, lc, sch_codec) for p, lc in kept])
+    return [(sch_codec.to_parent(p, codec), lc) for p, lc in kept], shifts
+
+
+# (ring, rank, context, inputs, kept, shifts, columns) of each level
+# computed by resolution_levels in the open shared_levels() scope; None
+# outside one.  columns are the kept generators as PolyVectors, built
+# when a resolution first goes past the level.
+_LEVELS = contextvars.ContextVar("levels", default=None)
+
+
+@contextlib.contextmanager
+def shared_levels():
+    """A scope in which resolution_levels computes each distinct level
+    once: a level equal to one computed earlier in the scope reuses its
+    syzygies.  The levels are dropped when the scope closes."""
+    token = _LEVELS.set([])
+    try:
+        yield
+    finally:
+        _LEVELS.reset(token)
+
+
+def resolution_levels(ring, rank: int, cols: Sequence[PolyVector], context: Context, cap: int):
+    """(levels, complete): the column lists of the iterated syzygies of
+    cols, a list of PolyVectors of ring^rank, under the ring's default
+    order: levels[0] is cols and levels[k] generates the syzygies of
+    levels[k - 1], each as _syzygy_level keeps them.  Stops when a
+    syzygy module is zero (complete) or at cap levels (not complete,
+    unless the syzygies of the last level are zero); there are no levels
+    when cols is empty.
+
+    The levels are carried packed.  cols are packed once; then each
+    level's kept pairs (p, lc), terms of the base codec, are the next
+    level's engine inputs as they are: p / lc is in lowest terms
+    (gcd(lc, content p) = 1), which is what packing its PolyVector would
+    give.  A level pruned by graded Nakayama hands on its shifts as the
+    next level's basis degrees.  A level under a context hands on none,
+    and the next needs none; a level with a candidate that is not
+    homogeneous hands on none, and the next level looks for its own
+    (_basis_degrees).  PolyVectors are built once per level returned,
+    for its differential.
+
+    A level whose ring, rank, context and packed inputs equal those of a
+    level computed earlier reuses that level's result instead of
+    computing it again.  This is exact: _syzygy_level is a deterministic
+    function of those, and its kept generators do not depend on the
+    grading it is handed.  Earlier means earlier in this call, or,
+    inside a shared_levels() scope, earlier in the scope: a script runs
+    in one such scope, so the resolutions that recipe builds are not
+    computed again by the statements after it.  Over a hypersurface the
+    resolution turns 2-periodic (Eisenbud 1980), and from then on every
+    level is such a repeat.  The levels are matched by an equality scan,
+    not by hashing."""
+    if not cols:
+        return [], True
+    order = ring.default_order
+    codec = order.codec(ring.n)
+    inputs = [to_terms(v, codec) for v in cols]
+    known = _LEVELS.get()
+    if known is None:
+        known = []
+    levels = [list(cols)]
+    degrees = None
+    while True:
+        level = next(
+            (
+                lv
+                for lv in known
+                if lv[1] == rank and lv[0] == ring and lv[2] == context and lv[3] == inputs
+            ),
+            None,
+        )
+        if level is None:
+            kept, shifts = _syzygy_level(inputs, rank, context, order, codec, degrees)
+            level = [ring, rank, context, inputs, kept, shifts, None]
+            known.append(level)
+        _, _, _, _, kept, shifts, columns = level
+        if not kept:
+            return levels, True
+        if len(levels) >= cap:
+            return levels, False
+        if columns is None:
+            zero = PolyVector(ring, [ring.zero()] * len(inputs))
+            columns = level[6] = [from_terms(zero, p, lc, codec) for p, lc in kept]
+        levels.append(columns)
+        rank, inputs, degrees = len(inputs), kept, shifts
 
 
 def _basis_degrees(inputs: Sequence[tuple], rank: int, codec):
@@ -926,10 +1060,11 @@ def _basis_degrees(inputs: Sequence[tuple], rank: int, codec):
 
 
 def _graded_prune(cands: list, codec, rank: int, shifts: list):
-    """The candidates (p, lc) the greedy rule of syzygies keeps, by graded
-    Nakayama (see syzygies), or None when some candidate is not
-    homogeneous for the shifts (e_p has degree shifts[p]).  Their terms,
-    and every engine run here, are of codec, the Schreyer order's.
+    """The candidates (p, lc) the greedy rule of _syzygy_level keeps, by
+    graded Nakayama (see there), or None when some candidate is not
+    homogeneous for the shifts (e_p has degree shifts[p], read by
+    Codec.degrees).  Their terms, and every engine run here, are of
+    codec, the Schreyer order's.
 
     Within one degree the rule is greedy deletion of dependent normal
     forms in list order, which keeps the same vectors as greedy
@@ -939,7 +1074,7 @@ def _graded_prune(cands: list, codec, rank: int, shifts: list):
     terms = [p for p, _ in cands]
     degrees = []
     for tm in terms:
-        ds = {sum(m) + shifts[pos] for pos, m in codec.decode_terms(tm)}
+        ds = set(codec.degrees(tm, shifts))
         if len(ds) != 1:
             return None
         degrees.append(ds.pop())

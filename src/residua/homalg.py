@@ -11,8 +11,6 @@ inverted here).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import itertools
 import math
@@ -33,7 +31,7 @@ from residua.groebner import (
     dimension,
     ideal_member,
     product_vanishes,
-    syzygies,
+    resolution_levels,
 )
 from residua.polyring import MonomialOrder, Polynomial, PolynomialRing, PolyVector, transport
 
@@ -246,23 +244,6 @@ class ChainComplex:
 # resolutions
 
 
-# (rows, columns, context, syzygies) of each level computed by
-# free_resolution in the open shared_levels() scope; None outside one.
-_LEVELS = contextvars.ContextVar("levels", default=None)
-
-
-@contextlib.contextmanager
-def shared_levels():
-    """A scope in which free_resolution computes each distinct level once:
-    a level equal to one computed earlier in the scope reuses its
-    syzygies.  The levels are dropped when the scope closes."""
-    token = _LEVELS.set([])
-    try:
-        yield
-    finally:
-        _LEVELS.reset(token)
-
-
 def free_resolution(
     I: Ideal, context: Context = None, cap: int = 16, minimal: bool = False
 ) -> ChainComplex:
@@ -271,17 +252,13 @@ def free_resolution(
     each phi_{k+1} generates the syzygies of the columns of phi_k.  Stops
     early when the syzygy module vanishes, else truncates at cap.
 
-    A level whose rank, column list and context equal those of a level
-    computed earlier reuses that level's syzygies instead of computing
-    them again.  This is exact: syzygies is a deterministic function of
-    the ring, the rank, the generators and the context, so the reused
-    module is the one the call would return.  Earlier means earlier in
-    this call, or, inside a shared_levels() scope, earlier in the scope:
-    a script runs in one such scope, so the resolutions that recipe builds
-    are not computed again by the statements after it.  Over a
-    hypersurface the resolution turns 2-periodic (Eisenbud 1980), and from
-    then on every level is such a repeat.  The levels are matched by an
-    equality scan, not by hashing.
+    The columns of the differentials come from groebner.resolution_levels,
+    which carries each level to the next in the engine's own form and
+    builds each level's columns once.  A level equal to one computed
+    earlier in the call, or inside a shared_levels() scope earlier in the
+    scope, is not computed again: a script runs in one such scope, so the
+    resolutions that recipe builds are not computed again by the
+    statements after it.
 
     With minimal=True the constant pivots are stripped from the level
     lists before any complex is built, so a minimal resolution builds and
@@ -300,31 +277,10 @@ def free_resolution(
             g = context.reduce(g)
         if not g.is_zero():
             gens.append(g)
-    ranks = [1]
-    diffs = []
-    complete = False
     cols = [PolyVector(ring, (g,)) for g in gens]
-    levels = _LEVELS.get()
-    if levels is None:
-        levels = []
-    while cols:
-        rows = ranks[-1]
-        diffs.append(columns_to_matrix(ring, cols, rows))
-        ranks.append(len(cols))
-        syz = next(
-            (s for r, c, x, s in levels if r == rows and x == context and c == cols), None
-        )
-        if syz is None:
-            syz = syzygies(SubmoduleBasis(ring, rows, cols), context=context)
-            levels.append((rows, cols, context, syz))
-        if not syz.gens:
-            complete = True
-            break
-        if len(diffs) >= cap:
-            break
-        cols = list(syz.gens)
-    else:
-        complete = True
+    levels, complete = resolution_levels(ring, 1, cols, context, cap)
+    ranks = [1] + [len(level) for level in levels]
+    diffs = [columns_to_matrix(ring, level, rows) for level, rows in zip(levels, ranks)]
     if minimal:
         return _minimal_complex(ring, context, ranks, diffs, complete)
     return ChainComplex(ring, ranks, diffs, context=context, complete=complete)

@@ -21,9 +21,12 @@ within a call; the (position, exponents) form appears only at the
 polynomial boundary (polyring.to_terms and from_terms).  A syzygy
 computation moves its terms from the input codec to the Schreyer codec
 made from it (Codec.schreyer, one layout per parent) by a shift and an
-add per term, with no decoding (Codec.from_parent).  Sums, products
-and powers of polynomials work on ring term maps: add_product and power
-are the one addition and multiplication of Polynomial and the parser.
+add per term, with no decoding (Codec.from_parent), and moves the
+syzygies it keeps back the same way (Codec.to_parent); under grevlex and
+grlex the degree of a term is read off one field (Codec.degrees).  Sums,
+products and powers of polynomials work on ring term maps: add_product
+and power are the one addition and multiplication of Polynomial and the
+parser.
 Determinants and minors go through MinorTable, which packs the exponent
 tuples of one matrix into ints of its own width.
 
@@ -78,7 +81,7 @@ def exp_divides(a, b):
 _LAYOUT = (
     "lin", "limit", "rep_shift", "_bias", "_bias_all", "_pos_shift", "_full",
     "_doff", "_dmask", "_dpat", "_goff", "_gmask", "_gpat",
-    "_var_shifts", "_sign", "_shifts", "_lins", "_var_fields",
+    "_var_shifts", "_sign", "_shifts", "_lins", "_var_fields", "_deg_shift",
 )
 
 
@@ -98,7 +101,8 @@ class Codec:
     pos.  While every field stays in [0, 2^W), int order is tuple order.
     A codec probes keyfn for these; the codec of a Schreyer order comes
     from its parent's codec (schreyer), which lays out its children once,
-    and takes the parent's terms by a shift (from_parent).
+    takes the parent's terms by a shift (from_parent) and gives them back
+    by the inverse shift (to_parent).
 
     The guard keeps every field in range.  A term is in range when every
     entry lies in [-LIMIT, LIMIT), LIMIT = 2^(W-4): packing checks its
@@ -175,6 +179,10 @@ class Codec:
         self._goff, self._gmask, self._gpat = self.limit * ones, (7 << (W - 3)) * ones, top * ones
         self._var_shifts = [shifts[j] for j in var_fields]
         self.rep_shift = W * L
+        # the total degree field of grevlex and grlex (the first entry of
+        # ring_key): one unit per unit of every exponent
+        deg = [j for j in range(L) if j != pos_field and lins and all(d[j] == 1 for d in lins)]
+        self._deg_shift = shifts[deg[0]] if deg else None
 
     def schreyer(self, keyfn, leads: list) -> "Codec":
         """The codec of the Schreyer order keyfn induced by the lead terms
@@ -220,6 +228,42 @@ class Codec:
                 self.check(u)
             out[u] = c
         return out
+
+    def to_parent(self, tm: dict, parent: "Codec") -> dict:
+        """The term map tm of this Schreyer codec as checked terms of
+        parent, the codec it was made from (schreyer), at the same
+        positions: the inverse of from_parent.  A term u at position q is
+        the parent's term parent.base(q) + ((u - base(q)) >> FIELD_BITS),
+        exactly, since u - base(q) is the shift of x^e moved up one field;
+        q is read from the low field, and nothing is decoded."""
+        if not tm:
+            return {}
+        bases, W, full, bias = self._bases, FIELD_BITS, self._full, self._bias
+        parent.base(len(bases) - 1)  # probes the parent's bases up to the last position
+        pbases = parent._bases
+        goff, gmask, gpat = parent._goff, parent._gmask, parent._gpat
+        out = {}
+        for u, c in tm.items():
+            q = bias - (u & full)  # a Schreyer codec's position field is the last
+            t = pbases[q] + ((u - bases[q]) >> W)
+            if (t + goff) & gmask != gpat:
+                parent.check(t)
+            out[t] = c
+        return out
+
+    def degrees(self, terms, offsets: list) -> list:
+        """sum(e) + offsets[pos] for each term (pos, e) of terms (a term map
+        or a list of terms), in order.  Under grevlex and grlex one field
+        of the key holds the total degree of the monomial the key packs,
+        and it is read without decoding: in a Schreyer codec that is the
+        parent's degree of lead_pos * x^e, which exceeds sum(e) by the same
+        field of base(pos).  Lex has no degree field and decodes."""
+        if self._deg_shift is None:
+            return [sum(m) + offsets[pos] for pos, m in self.decode_terms(terms)]
+        ds, ps, full, bias = self._deg_shift, self._pos_shift, self._full, self._bias
+        self.base(len(offsets) - 1)  # probes the bases up to the last position
+        adjust = [off - (b >> ds & full) for b, off in zip(self._bases, offsets)]
+        return [(t >> ds & full) + adjust[bias - (t >> ps & full)] for t in terms]
 
     def base(self, pos: int) -> int:
         """The term of the unit vector e_pos (monomial 1)."""

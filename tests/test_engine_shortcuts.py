@@ -11,8 +11,8 @@
   corrupted fast-path remainder only sends the call to the engine.
 - The candidate basis of syzygies.  When there is no context and the
   inputs are a minimal Groebner basis, the candidates are a Groebner
-  basis by Schreyer's theorem, and syzygies reduces them without the
-  loop.  On every ambient syzygies call of the (x,y,z,w)^3 minimal
+  basis by Schreyer's theorem, and _syzygy_level reduces them without
+  the loop.  On every ambient syzygy level of the (x,y,z,w)^3 minimal
   resolution, of seeded strongly stable ideals, of Koszul resolutions
   and of seeded reduced and minimal bases, the basis it makes where it
   does so equals _engine's, and each call's generators equal those made
@@ -33,7 +33,7 @@ import pytest
 from residua import groebner, homalg, kernel
 from residua.groebner import Ideal, QuotientContext, SubmoduleBasis, product_vanishes, syzygies
 from residua.homalg import free_resolution, mat_mul
-from residua.polyring import Polynomial, PolynomialRing, PolyVector, to_terms
+from residua.polyring import Polynomial, PolynomialRing, PolyVector, from_terms, to_terms
 
 from conftest import random_nonzero_poly, random_poly
 
@@ -138,32 +138,34 @@ FAMILIES = {
 
 
 def ambient_calls(I):
-    """The SubmoduleBasis of each syzygies call of I's minimal resolution."""
+    """The SubmoduleBasis of each syzygy level of I's minimal resolution,
+    unpacked from the engine inputs each _syzygy_level call receives."""
     calls = []
-    original = homalg.syzygies
+    original = groebner._syzygy_level
 
-    def spy(basis, context=None):
-        calls.append(basis)
-        return original(basis, context=context)
+    def spy(inputs, rank, context, order, codec, degrees=None):
+        zero = PolyVector(I.ring, [I.ring.zero()] * rank)
+        calls.append(SubmoduleBasis(I.ring, rank, [from_terms(zero, tm, den, codec) for tm, den in inputs]))
+        return original(inputs, rank, context, order, codec, degrees)
 
-    homalg.syzygies = spy
+    groebner._syzygy_level = spy
     try:
         free_resolution(I, minimal=True)
     finally:
-        homalg.syzygies = original
+        groebner._syzygy_level = original
     return calls
 
 
 def shortcut_bases(monkeypatch):
-    """Record (the candidates of syzygies, their rank, codec, the basis
-    _reduced made of them) of each _reduced call that syzygies makes
-    itself: the candidate basis without the loop."""
+    """Record (the candidates of a syzygy level, their rank, codec, the
+    basis _reduced made of them) of each _reduced call that _syzygy_level
+    makes itself: the candidate basis without the loop."""
     made = []
     original = groebner._reduced
 
     def spy(divisors, reps, codec):
         frame = sys._getframe(1)
-        if frame.f_code.co_name != "syzygies":
+        if frame.f_code.co_name != "_syzygy_level":
             return original(divisors, reps, codec)
         cands = list(frame.f_locals["cands"])
         original(divisors, reps, codec)
@@ -194,7 +196,7 @@ def test_the_shortcut_keeps_every_syzygy_generator(monkeypatch, family):
 
 
 def engine_callers(monkeypatch):
-    """The name of the caller of each _engine call: "syzygies" for a
+    """The name of the caller of each _engine call: "_syzygy_level" for a
     candidate loop, "_syzygies_termmaps" for the tracked engine."""
     callers = []
     original = groebner._engine
@@ -230,7 +232,7 @@ def test_the_shortcut_fires_only_on_a_minimal_basis(monkeypatch):
         callers.clear()
         reports.clear()
         syz = syzygies(Ideal(gens[0].ring, gens))
-        return len(syz.gens), callers.count("_syzygies_termmaps"), callers.count("syzygies"), reports
+        return len(syz.gens), callers.count("_syzygies_termmaps"), callers.count("_syzygy_level"), reports
 
     # (x, y) is its own reduced basis: neither the tracked engine nor the
     # candidate loop runs
@@ -252,7 +254,7 @@ def test_the_shortcut_does_not_fire_under_a_context(monkeypatch):
     # coordinates, which no theorem keeps a Groebner basis
     ctx = QuotientContext(XYZ, Ideal(XYZ, (XYZ.poly("y*z"),)))
     syzygies(Ideal(XYZ, (XYZ.poly("x*y"), XYZ.poly("x*z"))), context=ctx)
-    assert (callers.count("_syzygies_termmaps"), callers.count("syzygies"), reports) == (0, 1, [True])
+    assert (callers.count("_syzygies_termmaps"), callers.count("_syzygy_level"), reports) == (0, 1, [True])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from residua.homalg import (
     tensor_complexes,
 )
 from residua.cli import encode, run_script
-from residua.polyring import MonomialOrder, Polynomial, PolynomialRing, PolyVector
+from residua.polyring import MonomialOrder, Polynomial, PolynomialRing, PolyVector, to_terms
 
 from conftest import random_nonzero_poly
 
@@ -389,16 +389,16 @@ def test_minimalize_finds_a_pivot_in_the_normal_form_of_the_schur_complement():
 
 
 def fake_syzygy_column(monkeypatch, column):
-    """Make the first syzygies call of free_resolution return the one
-    column given, and each later call none; returns the calls' bases."""
+    """Make the first syzygy level of free_resolution keep the one column
+    given, and each later level none; returns the levels' (rank, inputs)."""
     calls = []
 
-    def fake_syzygies(basis, context=None):
-        calls.append(basis)
-        gens = [PolyVector(ZW, tuple(P(ZW, e) for e in column))] if len(calls) == 1 else []
-        return SubmoduleBasis(ZW, len(basis.gens), gens)
+    def fake_level(inputs, rank, context, order, codec, degrees=None):
+        calls.append((rank, inputs))
+        kept = [to_terms(PolyVector(ZW, tuple(P(ZW, e) for e in column)), codec)] if len(calls) == 1 else []
+        return kept, None
 
-    monkeypatch.setattr(homalg, "syzygies", fake_syzygies)
+    monkeypatch.setattr(groebner, "_syzygy_level", fake_level)
     return calls
 
 
@@ -1130,6 +1130,20 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _spy_levels(monkeypatch):
+    """Record (rank, engine inputs, context) of each syzygy level that
+    groebner._syzygy_level computes."""
+    calls = []
+    original = groebner._syzygy_level
+
+    def spy(inputs, rank, context, order, codec, degrees=None):
+        calls.append((rank, inputs, context))
+        return original(inputs, rank, context, order, codec, degrees)
+
+    monkeypatch.setattr(groebner, "_syzygy_level", spy)
+    return calls
+
+
 def _distinct(items):
     out = []
     for x in items:
@@ -1146,11 +1160,11 @@ def test_resolution_over_a_curve_computes_each_distinct_level_once(monkeypatch, 
     ctx = QuotientContext(ZW, Ideal(ZW, (P(ZW, curve),)))
     I = Ideal(ZW, (P(ZW, "z"), P(ZW, "w")))
     ref = reference_resolution(I, ctx, cap=8)
-    calls = _spy(monkeypatch, "syzygies")
+    calls = _spy_levels(monkeypatch)
     C = free_resolution(I, context=ctx, cap=8)
     assert (C.ranks, C.diffs, C.complete) == (ref.ranks, ref.diffs, ref.complete)
     assert not C.complete and C.length == 8
-    inputs = [(b.rank, b.gens) for (b,) in calls]
+    inputs = [(rank, gens) for rank, gens, _ in calls]
     assert inputs == _distinct(inputs)
     levels = [
         (ref.ranks[k - 1], homalg.mat_columns(ZW, ref.diff(k), ref.ranks[k - 1], ref.ranks[k]))
@@ -1162,7 +1176,7 @@ def test_resolution_over_a_curve_computes_each_distinct_level_once(monkeypatch, 
 def test_resolution_without_repeated_levels_calls_syzygies_per_level(monkeypatch):
     I = Ideal(XYZ, (P(XYZ, "x^2"), P(XYZ, "x*y"), P(XYZ, "y*z"), P(XYZ, "z^3")))
     ref = reference_resolution(I, None, cap=16)
-    calls = _spy(monkeypatch, "syzygies")
+    calls = _spy_levels(monkeypatch)
     C = free_resolution(I)
     assert (C.ranks, C.diffs, C.complete) == (ref.ranks, ref.diffs, ref.complete)
     assert len(calls) == C.length == 3
@@ -1171,7 +1185,7 @@ def test_resolution_without_repeated_levels_calls_syzygies_per_level(monkeypatch
 def test_readme_cusp_resolution_takes_three_syzygy_computations(monkeypatch):
     # (z, w) over z^3 = w^2 with cap 8, as the README gives it, in a call
     # and in a script
-    calls = _spy(monkeypatch, "syzygies")
+    calls = _spy_levels(monkeypatch)
     cusp = QuotientContext(ZW, Ideal(ZW, (P(ZW, "z^3 - w^2"),)))
     C = free_resolution(Ideal(ZW, (P(ZW, "z"), P(ZW, "w"))), context=cusp, cap=8)
     assert C.length == 8 and len(calls) == 3
@@ -1188,30 +1202,13 @@ recipe X = recipe(Z, J)
 RESOLVE_AGAIN = "E = resolve((z^2, w, z^3 - w^2), over R, minimal=true)\n"
 
 
-def _levels(calls):
-    return [(b.rank, b.gens, ctx) for (b,), ctx in calls]
-
-
-def _spy_syzygies(monkeypatch):
-    """Record (positional arguments, context) of each homalg.syzygies call."""
-    calls = []
-    original = homalg.syzygies
-
-    def spy(basis, context=None):
-        calls.append(((basis,), context))
-        return original(basis, context=context)
-
-    monkeypatch.setattr(homalg, "syzygies", spy)
-    return calls
-
-
 def test_script_resolving_what_its_recipe_resolved_computes_no_level_again(monkeypatch):
-    calls = _spy_syzygies(monkeypatch)
+    calls = _spy_levels(monkeypatch)
     assert run_script(RECIPE_SCRIPT)[0] == 0
-    recipe_levels = _levels(calls)
+    recipe_levels = list(calls)
     calls.clear()
     code, _, doc = run_script(RECIPE_SCRIPT + RESOLVE_AGAIN)
-    assert code == 0 and _levels(calls) == recipe_levels == _distinct(recipe_levels)
+    assert code == 0 and list(calls) == recipe_levels == _distinct(recipe_levels)
     # the answer is the resolution a call outside any script computes
     E = free_resolution(
         Ideal(ZW, (P(ZW, "z^2"), P(ZW, "w"), P(ZW, "z^3 - w^2"))), minimal=True
@@ -1220,7 +1217,7 @@ def test_script_resolving_what_its_recipe_resolved_computes_no_level_again(monke
 
 
 def test_each_script_and_each_call_outside_one_computes_its_own_levels(monkeypatch):
-    calls = _spy_syzygies(monkeypatch)
+    calls = _spy_levels(monkeypatch)
     first = run_script(RECIPE_SCRIPT + RESOLVE_AGAIN)
     n = len(calls)
     assert n > 0
@@ -1251,15 +1248,15 @@ def test_a_statement_that_raises_leaves_later_answers_unchanged(monkeypatch):
     )
     code, _, clean = run_script(script)
     assert code == 0
-    original = homalg.syzygies
+    original = groebner._syzygy_level
     count = itertools.count(1)
 
-    def fails_third(basis, context=None):
+    def fails_third(*args):
         if next(count) == 3:
             raise ValueError("injected failure")
-        return original(basis, context=context)
+        return original(*args)
 
-    monkeypatch.setattr(homalg, "syzygies", fails_third)
+    monkeypatch.setattr(groebner, "_syzygy_level", fails_third)
     code, lines, doc = run_script(script)
     assert code == 1 and lines[0] == "3: error: injected failure"
     assert doc["statements"][1:] == clean["statements"][1:]

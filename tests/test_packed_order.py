@@ -8,10 +8,12 @@ position plus kernel.exp_divides, and decoding inverts encoding.
 
 A Schreyer codec made from its parent codec (Codec.schreyer) takes the
 parent's terms by the shift identity (Codec.from_parent) exactly as the
-frozen decode-and-encode transcode took them, checks every term against
-the exponent limit, and shares the parent's cached layout with its
-siblings, but not their bases or order keys.  Skipped when hypothesis is
-missing.
+frozen decode-and-encode transcode took them, gives them back by the
+inverse shift (Codec.to_parent), checks every term against the exponent
+limit both ways, and shares the parent's cached layout with its
+siblings, but not their bases or order keys.  Codec.degrees, which reads
+the degree field under grevlex and grlex, gives the degrees decoding
+gives.  Skipped when hypothesis is missing.
 """
 
 from operator import mul
@@ -87,14 +89,65 @@ def reference_transcode(child, tm, src):
 @given(st.data())
 def test_from_parent_is_the_frozen_transcode(data):
     order, n, rank = data.draw(orders())
+    parent, child, s = schreyer_child(data, order, n, rank)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, s - 1), exponents(n, 5)), max_size=6))
+    tm = {parent.term(*t): data.draw(st.integers(-9, 9).filter(bool)) for t in terms}
+    assert list(child.from_parent(tm, parent).items()) == list(reference_transcode(child, tm, parent).items())
+
+
+def schreyer_child(data, order, n, rank):
+    """(parent codec, a Schreyer codec made from it, its number of leads)."""
     parent = order.codec(n)
     # a Schreyer parent has bases for its own positions only
     s = data.draw(st.integers(1, 4 if order.module_rule != "schreyer" else rank))
     leads = data.draw(st.lists(st.tuples(st.integers(0, rank - 1), exponents(n, 3)), min_size=s, max_size=s))
-    child = parent.schreyer(order.schreyer(leads).term_key, [parent.term(*lead) for lead in leads])
+    return parent, parent.schreyer(order.schreyer(leads).term_key, [parent.term(*lead) for lead in leads]), s
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_to_parent_inverts_from_parent(data):
+    order, n, rank = data.draw(orders())
+    parent, child, s = schreyer_child(data, order, n, rank)
     terms = data.draw(st.lists(st.tuples(st.integers(0, s - 1), exponents(n, 5)), max_size=6))
     tm = {parent.term(*t): data.draw(st.integers(-9, 9).filter(bool)) for t in terms}
-    assert list(child.from_parent(tm, parent).items()) == list(reference_transcode(child, tm, parent).items())
+    moved = child.from_parent(tm, parent)
+    assert list(child.to_parent(moved, parent).items()) == list(tm.items())
+    # a child term is the parent term of its position and exponents
+    assert list(child.to_parent(moved, parent)) == [parent.term(*pe) for pe in child.decode_terms(moved)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_degrees_are_the_decoded_degrees(data):
+    order, n, rank = data.draw(orders())
+    codec = order.codec(n)
+    assert (codec._deg_shift is None) == (order.kind == "lex" and n > 1)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, rank - 1), exponents(n, 6)), max_size=6))
+    tm = {codec.term(*t): 1 for t in terms}
+    offsets = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank))
+    assert codec.degrees(tm, offsets) == [sum(m) + offsets[pos] for pos, m in codec.decode_terms(tm)]
+    assert codec.degrees(list(tm), offsets) == codec.degrees(tm, offsets)
+
+
+@pytest.mark.parametrize("rule", ["pot", "top"])
+@pytest.mark.parametrize("base", [GREVLEX, GRLEX, LEX], ids=["grevlex", "grlex", "lex"])
+def test_terms_at_the_exponent_limit_raise_both_ways(base, rule):
+    order = base.with_module_rule(rule)
+    parent = order.codec(2)
+    leads = [(0, (1, 0)), (1, (0, 1))]
+    child = parent.schreyer(order.schreyer(leads).term_key, [parent.term(*lead) for lead in leads])
+    # x^(LIMIT - 2) * e_0 is x^(LIMIT - 1) in the child, in range; one
+    # degree more is beyond it
+    inside = {parent.term(0, (parent.limit - 2, 0)): 3, parent.term(1, (4, 1)): -1}
+    assert child.to_parent(child.from_parent(inside, parent), parent) == inside
+    with pytest.raises(kernel.ExponentOverflowError):
+        child.from_parent({parent.term(0, (parent.limit - 1, 0)): 1}, parent)
+    # a raw child term whose exponents alone reach the limit: the parent's
+    # guard stops it on the way back
+    raw = child.base(0) + (sum(map(mul, (parent.limit, 0), parent.lin)) << kernel.FIELD_BITS)
+    with pytest.raises(kernel.ExponentOverflowError):
+        child.to_parent({raw: 1}, parent)
 
 
 @pytest.mark.parametrize("rule", ["pot", "top"])
