@@ -37,6 +37,17 @@ induce (Eisenbud, Commutative Algebra, Thm 15.10; La Scala & Stillman,
 JSC 26, 1998).  That holds when there is no context and the inputs are a
 minimal Groebner basis (see _syzygy_level).
 
+A syzygy level also forms and tests only the candidates its greedy rule
+can keep (_syzygy_level has the proof).  Without a context, on inputs
+that are their own basis or a minimal Groebner basis, _pair_syzygies
+forms only the minimal pairs: a pair whose Schreyer lead is a proper
+multiple of another pair's lead is never kept, while every pair of an
+equal lead is formed.  And at every level a candidate with the lead of
+the next one in the sorted list is never kept, so it gets no normal form
+in _graded_prune and no membership test in the per-candidate loop,
+unless, under a context, the relations moved a basis element's lead onto
+that lead.
+
 Inside the engine, elements are primitive integer term maps (content 1,
 positive lead coefficient) over packed terms (kernel.Codec: one int per
 term, whose int order is the order's term_key order), S-polynomials use
@@ -700,15 +711,35 @@ def _member_terms(tm: dict, gens: list, rank: int, codec, relations: list) -> bo
 # -- syzygies ----------------------------------------------------------------
 
 
-def _pair_syzygies(basis: list, reps: list, codec) -> Optional[list]:
+def _pair_syzygies(basis: list, reps: list, codec, owners=None) -> Optional[list]:
     """The pair syzygies of the kernel divisors basis, sorted descending by
     lead, mapped through their representations reps (see _engine), or
     None at the first S-pair whose tracked reduction leaves a remainder:
     for each pair i < j at one position, the difference of the two
     multiples in its S-pair minus the standard expression of the
     S-polynomial, as an integer map keyed by codec.rep; zero maps are left
-    out."""
+    out.
+
+    owners, when given, are the level's input indices whose leads the
+    basis elements carry (element k has the lead of input owners[k]), and
+    only the minimal pairs are formed.  The level's Schreyer order ranks
+    x^u * e_q by the key of x^u * L_q, ties broken by -q, and the
+    quotients of a standard expression lie below the lcm, so the pair of
+    a and b, owners[a] < owners[b], has its Schreyer lead at e_owners[a],
+    with monomial lcm(L_a, L_b) / L_a.  The pair is left out when another
+    pair (a, c), owners[c] > owners[a], has its lead at e_owners[a] with
+    lcm(L_a, L_c) properly dividing lcm(L_a, L_b): a proper multiple of
+    another candidate's lead, which the greedy rule of _syzygy_level
+    never keeps (see there).  Since L_a divides the lcm, lcm(L_a, L_c)
+    divides it exactly when L_c does, a test on packed terms
+    (Codec.dividing); such an lcm lies within the checked one.  Pairs
+    with equal leads are all formed: which one the greedy rule keeps
+    depends on their order (see the witness in _syzygy_level).  The
+    minimal pairs still decide whether the basis is a Groebner basis:
+    their lead syzygies generate the syzygies of the leads, which is all
+    Buchberger's criterion needs."""
     leads = [codec.decode(lk) for lk, _, _ in basis]
+    terms = [lk for lk, _, _ in basis]
     out = []
     for j, (lj, cj, gj) in enumerate(basis):
         pos, ej = leads[j]
@@ -716,6 +747,14 @@ def _pair_syzygies(basis: list, reps: list, codec) -> Optional[list]:
             if leads[i][0] != pos:
                 continue
             lcm = codec.term(pos, kernel.exp_lcm(leads[i][1], ej))
+            if owners is not None:
+                a, b = (i, j) if owners[i] < owners[j] else (j, i)
+                ea = leads[a][1]
+                if any(
+                    owners[c] > owners[a] and c != b and codec.term(pos, kernel.exp_lcm(ea, leads[c][1])) != lcm
+                    for c in codec.dividing(terms, lcm)
+                ):
+                    continue
             ui, uj = lcm - li, lcm - lj
             ai, aj = _cofactors(ci, cj)
             sp: dict = {}
@@ -730,12 +769,16 @@ def _pair_syzygies(basis: list, reps: list, codec) -> Optional[list]:
     return out
 
 
-def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
+def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int, ambient: bool):
     """(generators, minimal): generators of the syzygy module of the given
     engine inputs (nonzero tm, den, terms of codec), each up to a nonzero
     rational factor as an integer map keyed by codec.rep(j) + shift for
     input j, and whether the inputs are a minimal Groebner basis (as many
     as the elements of their reduced basis, with the same set of leads).
+    ambient is true when the inputs are a level's own, with no relation
+    multiples appended: then, on a minimal Groebner basis, only the
+    minimal pairs are formed (_pair_syzygies), since each basis element
+    carries the lead of one input.
 
     Schreyer's construction on the reduced basis G, pushed back through
     the transformation: Syz(F) = A*Syz(G) + columns of (Id - A*B), A the
@@ -760,12 +803,14 @@ def _syzygies_termmaps(inputs: Sequence[tuple], codec, rank: int):
         len(codec.dividing(leads, lk)) > 1 or codec.divides_tail(leads, g, lk) for lk, _, g in basis
     ):
         ranked = sorted(range(len(basis)), key=lambda k: basis[k][0], reverse=True)
-        out = _pair_syzygies([basis[k] for k in ranked], [reps[k] for k in ranked], codec)
+        owners = ranked if ambient else None
+        out = _pair_syzygies([basis[k] for k in ranked], [reps[k] for k in ranked], codec, owners)
         if out is not None:
             return out, True
     basis, reps, exprs = _engine(inputs, codec, rank, True)
-    minimal = len(inputs) == len(basis) and {max(tm) for tm, _ in inputs} == {lk for lk, _, _ in basis}
-    out = _pair_syzygies(basis, reps, codec)
+    owner = {max(tm): j for j, (tm, _) in enumerate(inputs)}
+    minimal = len(inputs) == len(basis) and set(owner) == {lk for lk, _, _ in basis}
+    out = _pair_syzygies(basis, reps, codec, [owner[lk] for lk, _, _ in basis] if minimal and ambient else None)
     if out is None:
         raise InvariantError("S-pair of a Groebner basis must reduce to zero")
     # columns of Id - A*B
@@ -802,7 +847,7 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     return SubmoduleBasis(ring, s, [from_terms(zero, p, lc, codec) for p, lc in kept])
 
 
-def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degrees=None) -> tuple:
+def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degrees=None, relations=None) -> tuple:
     """(kept, shifts) for the s engine inputs (tm, den) of codec, the base
     codec of order (pot or top), generating a submodule of ring^rank:
     kept the generators of their syzygy module that syzygies returns,
@@ -811,6 +856,11 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
     when the level was pruned by graded Nakayama (below), else None.
     degrees are the basis degrees of the inputs' module when they are
     known (the shifts of the level before); else they are found here.
+    relations, under a context, maps a rank k to the relation multiples
+    z * e_p, p < k, as engine inputs of codec: a resolution shares one
+    such map across its levels (resolution_levels), since the multiples
+    one level cuts its syzygies by are those the next level appends to
+    its inputs; missing ranks are encoded here and added to it.
 
     The candidates (Schreyer's syzygies plus a reduced basis of their
     span, deduplicated and sorted descending under the Schreyer order)
@@ -862,33 +912,96 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
     generators are then homogeneous for those shifts, which are the
     basis degrees of the next level.  Other inputs run the per-candidate
     loop, and return no shifts.
+
+    A level forms and tests only the candidates the rule can keep, by two
+    rules that never change what it keeps (La Scala & Stillman, JSC 26,
+    1998, and Erocal, Motsak, Schreyer & Steenpass, JSC 74, 2016, form
+    only the minimal pairs as the first step of their frames):
+
+    - Minimal pairs, without a context, when the pairs are built on the
+      level's own leads (the inputs are their own basis, or a minimal
+      Groebner basis): a pair whose Schreyer lead is a proper multiple of
+      another pair's lead is not formed (_pair_syzygies).
+    - Equal leads, at every level: a candidate with the lead of the next
+      one in the sorted list gets no normal form in _graded_prune and no
+      membership test in the per-candidate loop (_tested).
+
+    Why this is exact.  Without a context the candidates contain a
+    Groebner basis B of their span, since the reduced basis is offered.
+    Take a candidate v whose lead is a proper multiple m * lead(w) of
+    another candidate w's lead, or equal to the lead of a candidate w
+    after it (m = 1).  Then v - c * m * w has a smaller lead and lies in
+    the span, so it is a standard expression over elements of B with
+    leads below lead(v): all of them, and w, come after v in the list
+    (and in a graded prune they have degree at most deg v, so they lie
+    in L when v does).  So v lies in the span of the candidates after it,
+    the greedy rule drops it at its turn, and dropping a candidate that
+    the ones after it generate changes no other decision: no later
+    decision reads it (it is not kept), and every earlier one reads the
+    span of all after it, which it does not enlarge.  By induction from
+    the end of the list, leaving all such candidates out keeps the same
+    generators in the same order.  The minimal pairs leave the span and
+    its reduced basis as they were: their leads generate the same lead
+    module as all pairs, so they are a Groebner basis of the same
+    module, which the Schreyer shortcut above still reads correctly.
+    Pairs with equal leads are all formed: the greedy rule keeps the last
+    of them that it cannot drop, so leaving one out changes what it
+    keeps.  For (w^3, zw^2, yw^2, z^2w, yzw) in Q[x,y,z,w] the pairs (1, 2)
+    and (1, 4) share the lead y e_1 and the rule keeps y e_1 - z e_2;
+    keeping only the first of equal-lead pairs keeps y e_1 - w e_4.
+
+    Under a context the candidates are reduced modulo the relations and
+    cut to the first s coordinates, which breaks the lead relation
+    between a pair and its candidate, so no pair is left out.  Equal
+    leads still hold where each candidate of the lead comes, with that
+    lead, from an element of the ambient span P of the cut candidates
+    before their reduced basis is added: each cut candidate is one, and
+    so is a reduced basis element g whose lead the relations do not
+    reduce, since its reduction g' = g - r, r in I_Z * F, keeps that lead
+    and its coefficient.  Then v - c * w is congruent modulo I_Z * F to
+    an element of P of smaller lead, a standard expression over the
+    reduced basis of P with leads below lead(v), and each of those
+    elements is congruent to its own reduction, a candidate after v (or
+    zero).  A basis element whose lead the relations do reduce lands on
+    a lead that no such argument covers; that lead is recorded (moved)
+    and its candidates are all tested.  Over z^2 + x in Q[x,y,z] the
+    level of (-4y^2, 5x, -8x^2 - 4y - z, -5y^2z - 3x) has one, where
+    testing only the last candidate would keep another generator.
     """
     s = len(inputs)
     if context is not None:
-        inputs = inputs + _relation_terms(context, rank, codec, order)
+        relations = {} if relations is None else relations
+        for k in (rank, s):
+            if k not in relations:
+                relations[k] = _relation_terms(context, k, codec, order)
+        inputs = inputs + relations[rank]
     # canonical output: dedupe, sort descending under the Schreyer order
     # induced by the input generators' leading terms
     lead_terms = [max(tm) for tm, _ in inputs[:s]]
     sch_codec = codec.schreyer(order.schreyer(map(codec.decode, lead_terms)).term_key, lead_terms)
     seen = set()
     cands = []  # (p, lc): terms of sch_codec
+    moved = set()  # leads of basis elements that the relations moved
     # z * e_p for each relation basis element z and p < s, as engine inputs
     # of sch_codec (members) and as kernel divisors of either codec: a
     # Groebner basis of I_Z * F under any module order that is the ring
     # order at each position
-    relations, members = {}, []
+    divisors, members = {}, []
     if context is not None:
-        ambient = _relation_terms(context, s, codec, order)
+        ambient = relations[s]
         members = [(sch_codec.from_parent(tm, codec), den) for tm, den in ambient]
         for c, terms in ((codec, ambient), (sch_codec, members)):
-            relations[c] = [(max(tm), tm[max(tm)], tm) for tm, _ in terms]
+            divisors[c] = [(max(tm), tm[max(tm)], tm) for tm, _ in terms]
 
     def offer(tm, tm_codec):
         """Reduce the integer term map tm of tm_codec modulo the context,
         make it monic under the order of tm_codec and keep it, as terms of
         the Schreyer order, unless it is zero or already a candidate."""
         if context is not None:
-            _, tm, _ = kernel.reduce_terms(tm, relations[tm_codec], tm_codec, False)
+            top = max(tm, default=None)
+            _, tm, _ = kernel.reduce_terms(tm, divisors[tm_codec], tm_codec, False)
+            if tm and max(tm) != top and tm_codec is sch_codec:
+                moved.add(max(tm))  # a basis element whose lead was reduced
         if not tm:
             return
         lk = max(tm)
@@ -902,7 +1015,7 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
             cands.append((p, lc))
 
     # syzygy coordinates beyond s belong to the relation multiples: drop them
-    raw, minimal = _syzygies_termmaps(inputs, codec, rank)
+    raw, minimal = _syzygies_termmaps(inputs, codec, rank, context is None)
     for tm in raw:
         offer(_from_reps(tm, codec, s), codec)
     # the transformation formula can emit several multiples of one simpler
@@ -935,7 +1048,10 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
         kept = _graded_prune(cands, sch_codec, s, shifts)
     if kept is None:
         shifts, kept = None, []
+        tested = _tested(cands, moved)
         for i in range(len(cands)):
+            if not tested[i]:
+                continue
             others = [cands[k] for k in kept] + cands[i + 1 :]
             if others and _member_terms(cands[i][0], others, s, sch_codec, members):
                 continue
@@ -980,8 +1096,10 @@ def resolution_levels(ring, rank: int, cols: Sequence[PolyVector], context: Cont
     next level's basis degrees.  A level under a context hands on none,
     and the next needs none; a level with a candidate that is not
     homogeneous hands on none, and the next level looks for its own
-    (_basis_degrees).  PolyVectors are built once per level returned,
-    for its differential.
+    (_basis_degrees).  Under a context the levels share one map from a
+    rank to its relation multiples, so the multiples that cut one level's
+    syzygies are the ones the next level appends, encoded once per rank.
+    PolyVectors are built once per level returned, for its differential.
 
     A level whose ring, rank, context and packed inputs equal those of a
     level computed earlier reuses that level's result instead of
@@ -1004,6 +1122,7 @@ def resolution_levels(ring, rank: int, cols: Sequence[PolyVector], context: Cont
         known = []
     levels = [list(cols)]
     degrees = None
+    relations: dict = {}  # rank -> its relation multiples, for every level
     while True:
         level = next(
             (
@@ -1014,7 +1133,7 @@ def resolution_levels(ring, rank: int, cols: Sequence[PolyVector], context: Cont
             None,
         )
         if level is None:
-            kept, shifts = _syzygy_level(inputs, rank, context, order, codec, degrees)
+            kept, shifts = _syzygy_level(inputs, rank, context, order, codec, degrees, relations)
             level = [ring, rank, context, inputs, kept, shifts, None]
             known.append(level)
         _, _, _, _, kept, shifts, columns = level
@@ -1059,6 +1178,14 @@ def _basis_degrees(inputs: Sequence[tuple], rank: int, codec):
     return degrees
 
 
+def _tested(cands: list, moved=()) -> list:
+    """For each candidate (p, lc) of a list sorted descending by lead,
+    whether the greedy rule of _syzygy_level must test it: not when the
+    next candidate has its lead, unless that lead is in moved."""
+    leads = [max(p) for p, _ in cands]
+    return [i + 1 == len(leads) or leads[i + 1] != lk or lk in moved for i, lk in enumerate(leads)]
+
+
 def _graded_prune(cands: list, codec, rank: int, shifts: list):
     """The candidates (p, lc) the greedy rule of _syzygy_level keeps, by
     graded Nakayama (see there), or None when some candidate is not
@@ -1070,6 +1197,12 @@ def _graded_prune(cands: list, codec, rank: int, shifts: list):
     forms in list order, which keeps the same vectors as greedy
     insertion of independent ones in reverse order: both pick the basis
     that is lexicographically last.
+
+    A candidate with the lead of the next one (_tested) is never kept:
+    it lies in the span of the candidates after it of its degree or
+    lower (see _syzygy_level).  So it gets no normal form and is left out
+    of every lower basis, whose span it does not enlarge, and a degree
+    with no other candidate builds no basis.
     """
     terms = [p for p, _ in cands]
     degrees = []
@@ -1078,13 +1211,14 @@ def _graded_prune(cands: list, codec, rank: int, shifts: list):
         if len(ds) != 1:
             return None
         degrees.append(ds.pop())
+    tested = _tested(cands)
     kept = set()
-    for D in sorted(set(degrees)):
-        lower = [cand for cand, d in zip(cands, degrees) if d < D]
+    for D in sorted({d for d, t in zip(degrees, tested) if t}):
+        lower = [cand for cand, d, t in zip(cands, degrees, tested) if t and d < D]
         divisors = _engine(lower, codec, rank, False)[0] if lower else []
         pivots: dict = {}  # leading key -> primitive row, echelon over Q
         for i in reversed(range(len(terms))):
-            if degrees[i] != D:
+            if degrees[i] != D or not tested[i]:
                 continue
             _, nf, _ = kernel.reduce_terms(terms[i], divisors, codec, False)
             while nf:

@@ -35,7 +35,7 @@ from residua.groebner import Ideal, QuotientContext, SubmoduleBasis, product_van
 from residua.homalg import free_resolution, mat_mul
 from residua.polyring import Polynomial, PolynomialRing, PolyVector, from_terms, to_terms
 
-from conftest import random_nonzero_poly, random_poly
+from conftest import level_args, random_nonzero_poly, random_poly, reference_level, reference_syzygies_termmaps
 
 XY = PolynomialRing(("x", "y"))
 XYZ = PolynomialRing(("x", "y", "z"))
@@ -143,10 +143,10 @@ def ambient_calls(I):
     calls = []
     original = groebner._syzygy_level
 
-    def spy(inputs, rank, context, order, codec, degrees=None):
+    def spy(inputs, rank, context, order, codec, degrees=None, relations=None):
         zero = PolyVector(I.ring, [I.ring.zero()] * rank)
         calls.append(SubmoduleBasis(I.ring, rank, [from_terms(zero, tm, den, codec) for tm, den in inputs]))
-        return original(inputs, rank, context, order, codec, degrees)
+        return original(inputs, rank, context, order, codec, degrees, relations)
 
     groebner._syzygy_level = spy
     try:
@@ -261,37 +261,6 @@ def test_the_shortcut_does_not_fire_under_a_context(monkeypatch):
 # the inputs tried as their own basis
 
 
-def reference_syzygies_termmaps(inputs, codec, rank):
-    """The engine-first _syzygies_termmaps, frozen: the tracked engine on
-    every input set, then Schreyer's construction on its reduced basis,
-    pushed back through the transformation, plus the columns of
-    Id - A*B."""
-    basis, reps, exprs = groebner._engine(inputs, codec, rank, True)
-    leads = [codec.decode(lk) for lk, _, _ in basis]
-    out = []
-    for j, (lj, cj, gj) in enumerate(basis):
-        pos, ej = leads[j]
-        for i, (li, ci, gi) in enumerate(basis[:j]):
-            if leads[i][0] != pos:
-                continue
-            lcm = codec.term(pos, kernel.exp_lcm(leads[i][1], ej))
-            ui, uj = lcm - li, lcm - lj
-            ai, aj = groebner._cofactors(ci, cj)
-            sp: dict = {}
-            kernel.add_scaled_inplace(sp, gi, ai, ui)
-            kernel.add_scaled_inplace(sp, gj, -aj, uj)
-            quots, rem, mult = kernel.reduce_terms(sp, basis, codec, True)
-            assert not rem
-            syz, _ = groebner._combine([(mult * ai, ui, reps[i]), (-mult * aj, uj, reps[j])], 1, quots, reps)
-            if syz:
-                out.append(syz)
-    for j, (d, quots) in enumerate(exprs):
-        col, _ = groebner._combine([(d, 0, ({codec.rep(j): 1}, 1))], 1, quots, reps)
-        if col:
-            out.append(col)
-    return out
-
-
 def termmap_inputs(obj, context=None):
     """(inputs, codec, rank) that syzygies hands to _syzygies_termmaps."""
     if isinstance(obj, Ideal):
@@ -372,6 +341,24 @@ TERMMAP_KINDS = {
 }
 
 
+def assert_reference_maps(raw, minimal_pairs, ref):
+    """The generator maps of _syzygies_termmaps against the frozen
+    reference's: the same list, or, where only the minimal pairs are
+    formed, the same list with some pairs left out."""
+    if not minimal_pairs:
+        assert raw == ref
+        return
+    rest = iter(ref)
+    assert all(any(tm == other for other in rest) for tm in raw)
+
+
+def assert_reference_level(obj, context=None):
+    """The level keeps the generators that the frozen reference keeps:
+    every candidate formed, each tested by the greedy rule."""
+    args = level_args(obj, context)
+    assert groebner._syzygy_level(*args)[0] == reference_level(*args)
+
+
 @pytest.mark.parametrize("kind", sorted(TERMMAP_KINDS))
 def test_termmaps_are_the_engine_first_reference_on_seeded_inputs(monkeypatch, kind):
     callers = engine_callers(monkeypatch)
@@ -379,8 +366,10 @@ def test_termmaps_are_the_engine_first_reference_on_seeded_inputs(monkeypatch, k
     for obj, ctx in TERMMAP_KINDS[kind]:
         args = termmap_inputs(obj, ctx)
         before = len(callers)
-        assert groebner._syzygies_termmaps(*args)[0] == reference_syzygies_termmaps(*args)
-        runs.append(len(callers) - before - 1)  # the reference runs the engine once
+        raw, minimal = groebner._syzygies_termmaps(*args, ctx is None)
+        runs.append(len(callers) - before)
+        assert_reference_maps(raw, minimal and ctx is None, reference_syzygies_termmaps(*args))
+        assert_reference_level(obj, ctx)
     # the tracked engine runs exactly on the kinds made for it; the
     # modules and the contexts take either path
     assert set(runs) == {"reduced basis": {0}, "rank 2": {0, 1}, "context": {0, 1}}.get(kind, {1})
@@ -391,7 +380,9 @@ def test_termmaps_are_the_engine_first_reference_on_the_families(family):
     for I in FAMILIES[family]:
         for basis in ambient_calls(I):
             args = termmap_inputs(basis)
-            assert groebner._syzygies_termmaps(*args)[0] == reference_syzygies_termmaps(*args)
+            raw, minimal = groebner._syzygies_termmaps(*args, True)
+            assert_reference_maps(raw, minimal, reference_syzygies_termmaps(*args))
+            assert_reference_level(basis)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly, random_nonzero_poly
+from conftest import (
+    level_args,
+    random_nonzero_poly,
+    random_poly,
+    reference_candidates,
+    reference_syzygies_termmaps,
+)
 from residua import groebner, kernel, polyring
 from residua.homalg import free_resolution
 from residua.groebner import (
@@ -413,11 +419,22 @@ def dropped_by(cands, shifts, kept, ring, rank):
 
 def test_graded_prune_drops_by_normal_form(monkeypatch):
     # y^2 e1 - x^2 e3 = y*(y e1 - x e2) + x*(y e2 - x e3): redundant only
-    # through the degree-3 syzygies, and alone in degree 4
-    gens = [R4.poly("x^2"), R4.poly("x*y"), R4.poly("y^2")]
-    cands, shifts, syz = graded_syzygies(monkeypatch, Ideal(R4, gens))
-    assert dropped_by(cands, shifts, syz.gens, R4, 3) == [(True, False)]
+    # through the degree-3 syzygies, and alone in degree 4.  Its lead y^2 e1
+    # is a proper multiple of y e1, so the level no longer forms it; the
+    # candidate list that still holds it goes to _graded_prune directly
+    I = Ideal(R4, [R4.poly("x^2"), R4.poly("x*y"), R4.poly("y^2")])
+    cands, shifts, syz = graded_syzygies(monkeypatch, I)
     assert [str(v) for v in syz.gens] == ["(y, -x, 0)", "(0, y, -x)"]
+    formed = [str(v) for v in cands]
+    assert "(y^2, 0, -x^2)" not in formed
+    inputs, rank, _, order, codec = level_args(I)
+    old, sch, _ = reference_candidates(inputs, rank, None, order, codec)
+    zero = PolyVector(R4, [R4.zero()] * 3)
+    old_vecs = [from_terms(zero, *cand, sch) for cand in old]
+    assert [str(v) for v in old_vecs] == ["(y^2, 0, -x^2)"] + formed
+    kept = groebner._graded_prune(old, sch, 3, shifts)
+    assert [from_terms(zero, *cand, sch) for cand in kept] == list(syz.gens)
+    assert dropped_by(old_vecs, shifts, syz.gens, R4, 3) == [(True, False)]
 
 
 def test_graded_prune_drops_by_linear_algebra(monkeypatch):
@@ -574,7 +591,9 @@ def test_graded_prune_reads_basis_degrees_off_vector_inputs(monkeypatch):
 
 def reference_syzygies(obj, context=None):
     """The PolyVector candidate pipeline syzygies used to run, kept as the
-    reference: each candidate a PolyVector, reduced modulo the context,
+    reference: every generator map of the frozen engine-first
+    reference_syzygies_termmaps, each candidate a PolyVector, reduced
+    modulo the context,
     made monic and deduplicated on its entries, sorted by its Schreyer
     leading term, and pruned by the per-candidate module_member loop."""
     if isinstance(obj, Ideal):
@@ -586,7 +605,7 @@ def reference_syzygies(obj, context=None):
     inputs = [to_terms(g, codec) for g in obj.gens]
     if context is not None:
         inputs += groebner._relation_terms(context, rank, codec, order)
-    raw, _ = groebner._syzygies_termmaps(inputs, codec, rank)
+    raw = reference_syzygies_termmaps(inputs, codec, rank)
     zero = PolyVector(ring, [ring.zero()] * s)
     vecs = []
     for tm in raw:

@@ -393,7 +393,7 @@ def fake_syzygy_column(monkeypatch, column):
     given, and each later level none; returns the levels' (rank, inputs)."""
     calls = []
 
-    def fake_level(inputs, rank, context, order, codec, degrees=None):
+    def fake_level(inputs, rank, context, order, codec, degrees=None, relations=None):
         calls.append((rank, inputs))
         kept = [to_terms(PolyVector(ZW, tuple(P(ZW, e) for e in column)), codec)] if len(calls) == 1 else []
         return kept, None
@@ -1136,9 +1136,9 @@ def _spy_levels(monkeypatch):
     calls = []
     original = groebner._syzygy_level
 
-    def spy(inputs, rank, context, order, codec, degrees=None):
+    def spy(inputs, rank, context, order, codec, degrees=None, relations=None):
         calls.append((rank, inputs, context))
-        return original(inputs, rank, context, order, codec, degrees)
+        return original(inputs, rank, context, order, codec, degrees, relations)
 
     monkeypatch.setattr(groebner, "_syzygy_level", spy)
     return calls

@@ -141,8 +141,8 @@ def carry_each_kept_degree(original):
     generator, one per generator of the next level, instead of the shifts,
     one per basis vector of the next level."""
 
-    def mutant(inputs, rank, context, order, codec, degrees=None):
-        kept, shifts = original(inputs, rank, context, order, codec, degrees)
+    def mutant(inputs, rank, context, order, codec, degrees=None, relations=None):
+        kept, shifts = original(inputs, rank, context, order, codec, degrees, relations)
         if shifts is not None:
             shifts = [codec.degrees(p, shifts)[0] for p, _ in kept]
         return kept, shifts
