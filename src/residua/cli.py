@@ -649,7 +649,9 @@ class Engine:
             return handler(self, pos, kwargs, scope)
         except CommandError:
             raise
-        except (ValueError, RuntimeError, ZeroDivisionError) as e:
+        # a MemoryError ends its statement only: what the statement held is
+        # freed with its frames, and the next statement runs
+        except (ValueError, RuntimeError, ZeroDivisionError, MemoryError) as e:
             raise CommandError(str(e) or type(e).__name__) from None
 
 

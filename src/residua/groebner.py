@@ -43,10 +43,10 @@ that are their own basis or a minimal Groebner basis, _pair_syzygies
 forms only the minimal pairs: a pair whose Schreyer lead is a proper
 multiple of another pair's lead is never kept, while every pair of an
 equal lead is formed.  And at every level a candidate with the lead of
-the next one in the sorted list is never kept, so it gets no normal form
-in _graded_prune and no membership test in the per-candidate loop,
-unless, under a context, the relations moved a basis element's lead onto
-that lead.
+the next one in the sorted list is never kept, so it is dropped once,
+right after the sort (_tested), unless, under a context, the relations
+moved a basis element's lead onto that lead: _graded_prune and the
+per-candidate loop see only the candidates left, and hold no such rule.
 
 Inside the engine, elements are primitive integer term maps (content 1,
 positive lead coefficient) over packed terms (kernel.Codec: one int per
@@ -70,10 +70,13 @@ A free resolution stays in that form from one syzygy level to the next
 (resolution_levels).  A level carries its generators as pairs (p, lc),
 p a primitive integer term map of the base codec (the ring's default
 order, pot or top) and lc its positive lead coefficient, so p / lc is
-the vector in lowest terms that packing it would give; it carries the
-degrees of its basis vectors only when the level before was pruned by
-graded Nakayama, and none under a context.  A level's work runs in the
-Schreyer codec made from the base codec (_syzygy_level), and its kept
+the vector in lowest terms that packing it would give, and the degrees
+of its basis vectors: the shifts of the level before when that level was
+pruned by graded Nakayama, else zeros.  A level is handed its grading
+and never looks for one; only public syzygies, given a module without
+its degrees, looks for them (_basis_degrees).  A level's work runs in
+the Schreyer codec made from the base codec and the level's lead terms
+alone (Codec.schreyer; no MonomialOrder is built), and its kept
 generators go back by a shift (Codec.to_parent): a Schreyer term at
 position q packs the key of lead_q * x^e above the field of -q, so
 subtracting base(q) leaves the shift of x^e moved up one field, and
@@ -557,21 +560,6 @@ def _reduced(divisors: list, reps, codec: kernel.Codec) -> None:
         reps[:] = [reps[k] for k in ranked]
 
 
-def _from_reps(tm: dict, codec: kernel.Codec, s: int) -> dict:
-    """The terms at positions below s of a representation map of codec
-    (keyed by codec.rep), as terms of codec, whose order must serve those
-    positions."""
-    shift, rep0, cut = codec.rep_shift, codec.rep(0), s << codec.rep_shift
-    if s:
-        codec.base(s - 1)  # probes the bases up to position s - 1
-    bases, out = codec._bases, {}
-    for t, c in tm.items():
-        if t < cut:
-            j = t >> shift  # t - rep(j) + base(j), rep(j) = (j << shift) + rep(0)
-            out[t - (j << shift) - rep0 + bases[j]] = c
-    return out
-
-
 def _relation_terms(context: QuotientContext, rank: int, codec: kernel.Codec, order=None) -> list:
     """Engine inputs (tm, den) of z * e_pos for each relation basis element
     z and position, as terms of codec."""
@@ -825,7 +813,10 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     """Generators of the syzygy module of the given generators: they are
     packed by the base codec of obj's order (pot or top; a Schreyer
     order is refused), _syzygy_level computes the level, and its kept
-    generators are unpacked once, into the PolyVectors returned.
+    generators are unpacked once, into the PolyVectors returned.  A
+    module is handed to the level with basis degrees that make its
+    generators homogeneous when there are such (_basis_degrees), else
+    zeros: this is the one place that looks for them.
 
     Over a quotient context the relation multiples of each unit vector
     are appended and the ambient syzygies are projected back down.
@@ -842,25 +833,33 @@ def syzygies(obj: Union[Ideal, SubmoduleBasis], context: Context = None) -> Subm
     if s == 0:
         return SubmoduleBasis(ring, 0, ())
     codec = order.codec(ring.n)
-    kept, _ = _syzygy_level([to_terms(g, codec) for g in obj.gens], rank, context, order, codec)
+    inputs = [to_terms(g, codec) for g in obj.gens]
+    # a module comes without the degrees of its basis vectors: look for
+    # some; an ideal has one, whose degree shifts nothing
+    degrees = (_basis_degrees(inputs, rank, codec) if rank > 1 and context is None else None) or [0] * rank
+    kept, _ = _syzygy_level(inputs, rank, context, order, codec, degrees, {})
     zero = PolyVector(ring, [ring.zero()] * s)
     return SubmoduleBasis(ring, s, [from_terms(zero, p, lc, codec) for p, lc in kept])
 
 
-def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degrees=None, relations=None) -> tuple:
+def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degrees: list, relations: dict) -> tuple:
     """(kept, shifts) for the s engine inputs (tm, den) of codec, the base
     codec of order (pot or top), generating a submodule of ring^rank:
     kept the generators of their syzygy module that syzygies returns,
     each a pair (p, lc) for the vector p / lc, p a primitive integer term
     map of codec over positions 0..s-1; shifts the degrees of e_0..e_{s-1}
     when the level was pruned by graded Nakayama (below), else None.
-    degrees are the basis degrees of the inputs' module when they are
-    known (the shifts of the level before); else they are found here.
+    The caller hands the level its grading and its relation map, and the
+    level looks for neither.  degrees are the degrees of the basis
+    vectors e_0..e_{rank-1} of the inputs' module (the shifts of the
+    level before, or zeros); they are read only without a context.
     relations, under a context, maps a rank k to the relation multiples
     z * e_p, p < k, as engine inputs of codec: a resolution shares one
     such map across its levels (resolution_levels), since the multiples
     one level cuts its syzygies by are those the next level appends to
-    its inputs; missing ranks are encoded here and added to it.
+    its inputs; missing ranks are encoded here and added to it.  The
+    level's Schreyer order is carried by its lead terms alone
+    (Codec.schreyer).
 
     The candidates (Schreyer's syzygies plus a reduced basis of their
     span, deduplicated and sorted descending under the Schreyer order)
@@ -898,12 +897,11 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
 
     Without a context, when every candidate is homogeneous for the
     grading in which e_p has the degree of the lead term of input p (its
-    total degree plus the degree of its basis vector, for basis degrees
-    that make every input homogeneous when there are such, else plus
-    zero), the rule is decided by graded Nakayama instead of one module
-    Groebner basis per candidate.  N and v_i span the whole module, and
-    R*v_i lives in degrees >= D = deg v_i, so N contains every candidate
-    of degree < D and the submodule L they generate.  Hence v_i is in N
+    total degree plus degrees[q], q the position of that lead term), the
+    rule is decided by graded Nakayama instead of one module Groebner
+    basis per candidate.  N and v_i span the whole module, and R*v_i
+    lives in degrees >= D = deg v_i, so N contains every candidate of
+    degree < D and the submodule L they generate.  Hence v_i is in N
     exactly when it is in L_D plus the Q-span of the degree-D candidates
     among the generators of N, that is when its normal form modulo a
     Groebner basis of L is a Q-combination of theirs.  That costs one
@@ -923,8 +921,9 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
       Groebner basis): a pair whose Schreyer lead is a proper multiple of
       another pair's lead is not formed (_pair_syzygies).
     - Equal leads, at every level: a candidate with the lead of the next
-      one in the sorted list gets no normal form in _graded_prune and no
-      membership test in the per-candidate loop (_tested).
+      one in the sorted list is dropped right after the sort (_tested),
+      so neither _graded_prune nor the per-candidate loop sees it, as a
+      candidate or in a basis.
 
     Why this is exact.  Without a context the candidates contain a
     Groebner basis B of their span, since the reduced basis is offered.
@@ -940,10 +939,12 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
     decision reads it (it is not kept), and every earlier one reads the
     span of all after it, which it does not enlarge.  By induction from
     the end of the list, leaving all such candidates out keeps the same
-    generators in the same order.  The minimal pairs leave the span and
-    its reduced basis as they were: their leads generate the same lead
-    module as all pairs, so they are a Groebner basis of the same
-    module, which the Schreyer shortcut above still reads correctly.
+    generators in the same order, and graded Nakayama, which keeps what
+    the rule keeps on any list of homogeneous candidates, keeps them too.
+    The minimal pairs leave the span and its reduced basis as they were:
+    their leads generate the same lead module as all pairs, so they are a
+    Groebner basis of the same module, which the Schreyer shortcut above
+    still reads correctly.
     Pairs with equal leads are all formed: the greedy rule keeps the last
     of them that it cannot drop, so leaving one out changes what it
     keeps.  For (w^3, zw^2, yw^2, z^2w, yzw) in Q[x,y,z,w] the pairs (1, 2)
@@ -970,7 +971,6 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
     """
     s = len(inputs)
     if context is not None:
-        relations = {} if relations is None else relations
         for k in (rank, s):
             if k not in relations:
                 relations[k] = _relation_terms(context, k, codec, order)
@@ -978,7 +978,7 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
     # canonical output: dedupe, sort descending under the Schreyer order
     # induced by the input generators' leading terms
     lead_terms = [max(tm) for tm, _ in inputs[:s]]
-    sch_codec = codec.schreyer(order.schreyer(map(codec.decode, lead_terms)).term_key, lead_terms)
+    sch_codec = codec.schreyer(lead_terms)
     seen = set()
     cands = []  # (p, lc): terms of sch_codec
     moved = set()  # leads of basis elements that the relations moved
@@ -1017,7 +1017,7 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
     # syzygy coordinates beyond s belong to the relation multiples: drop them
     raw, minimal = _syzygies_termmaps(inputs, codec, rank, context is None)
     for tm in raw:
-        offer(_from_reps(tm, codec, s), codec)
+        offer(codec.from_reps(tm, s), codec)
     # the transformation formula can emit several multiples of one simpler
     # syzygy; a reduced basis of the same span recovers it, so offer those
     # vectors as candidates too
@@ -1037,21 +1037,16 @@ def _syzygy_level(inputs: list, rank: int, context: Context, order, codec, degre
         for _, _, tm in basis:
             offer(tm, sch_codec)
     cands.sort(key=lambda cand: max(cand[0]), reverse=True)
+    cands = [cand for cand, tested in zip(cands, _tested(cands, moved)) if tested]
     # drop generators the rest already produce (keeps iterated syzygy
     # computations from accumulating redundancy step after step)
     kept = shifts = None
     if context is None:
-        if degrees is None:
-            # an ideal has one basis vector, whose degree shifts nothing
-            degrees = (_basis_degrees(inputs, rank, codec) if rank > 1 else None) or [0] * rank
         shifts = codec.degrees(lead_terms, degrees)
         kept = _graded_prune(cands, sch_codec, s, shifts)
     if kept is None:
         shifts, kept = None, []
-        tested = _tested(cands, moved)
         for i in range(len(cands)):
-            if not tested[i]:
-                continue
             others = [cands[k] for k in kept] + cands[i + 1 :]
             if others and _member_terms(cands[i][0], others, s, sch_codec, members):
                 continue
@@ -1092,11 +1087,12 @@ def resolution_levels(ring, rank: int, cols: Sequence[PolyVector], context: Cont
     level's kept pairs (p, lc), terms of the base codec, are the next
     level's engine inputs as they are: p / lc is in lowest terms
     (gcd(lc, content p) = 1), which is what packing its PolyVector would
-    give.  A level pruned by graded Nakayama hands on its shifts as the
-    next level's basis degrees.  A level under a context hands on none,
-    and the next needs none; a level with a candidate that is not
-    homogeneous hands on none, and the next level looks for its own
-    (_basis_degrees).  Under a context the levels share one map from a
+    give.  The first level's basis degrees are zeros.  A level pruned by
+    graded Nakayama hands on its shifts as the next level's basis
+    degrees; any other hands on zeros: under a context they are not read,
+    and after a level with a candidate that is not homogeneous no degrees
+    are looked for (only public syzygies does that, for a module given
+    without them).  Under a context the levels share one map from a
     rank to its relation multiples, so the multiples that cut one level's
     syzygies are the ones the next level appends, encoded once per rank.
     PolyVectors are built once per level returned, for its differential.
@@ -1121,7 +1117,7 @@ def resolution_levels(ring, rank: int, cols: Sequence[PolyVector], context: Cont
     if known is None:
         known = []
     levels = [list(cols)]
-    degrees = None
+    degrees = [0] * rank
     relations: dict = {}  # rank -> its relation multiples, for every level
     while True:
         level = next(
@@ -1145,7 +1141,7 @@ def resolution_levels(ring, rank: int, cols: Sequence[PolyVector], context: Cont
             zero = PolyVector(ring, [ring.zero()] * len(inputs))
             columns = level[6] = [from_terms(zero, p, lc, codec) for p, lc in kept]
         levels.append(columns)
-        rank, inputs, degrees = len(inputs), kept, shifts
+        rank, inputs, degrees = len(inputs), kept, shifts or [0] * len(inputs)
 
 
 def _basis_degrees(inputs: Sequence[tuple], rank: int, codec):
@@ -1178,10 +1174,10 @@ def _basis_degrees(inputs: Sequence[tuple], rank: int, codec):
     return degrees
 
 
-def _tested(cands: list, moved=()) -> list:
+def _tested(cands: list, moved) -> list:
     """For each candidate (p, lc) of a list sorted descending by lead,
-    whether the greedy rule of _syzygy_level must test it: not when the
-    next candidate has its lead, unless that lead is in moved."""
+    whether _syzygy_level keeps it in the list its greedy rule tests: not
+    when the next candidate has its lead, unless that lead is in moved."""
     leads = [max(p) for p, _ in cands]
     return [i + 1 == len(leads) or leads[i + 1] != lk or lk in moved for i, lk in enumerate(leads)]
 
@@ -1197,12 +1193,6 @@ def _graded_prune(cands: list, codec, rank: int, shifts: list):
     forms in list order, which keeps the same vectors as greedy
     insertion of independent ones in reverse order: both pick the basis
     that is lexicographically last.
-
-    A candidate with the lead of the next one (_tested) is never kept:
-    it lies in the span of the candidates after it of its degree or
-    lower (see _syzygy_level).  So it gets no normal form and is left out
-    of every lower basis, whose span it does not enlarge, and a degree
-    with no other candidate builds no basis.
     """
     terms = [p for p, _ in cands]
     degrees = []
@@ -1211,14 +1201,13 @@ def _graded_prune(cands: list, codec, rank: int, shifts: list):
         if len(ds) != 1:
             return None
         degrees.append(ds.pop())
-    tested = _tested(cands)
     kept = set()
-    for D in sorted({d for d, t in zip(degrees, tested) if t}):
-        lower = [cand for cand, d, t in zip(cands, degrees, tested) if t and d < D]
+    for D in sorted(set(degrees)):
+        lower = [cand for cand, d in zip(cands, degrees) if d < D]
         divisors = _engine(lower, codec, rank, False)[0] if lower else []
         pivots: dict = {}  # leading key -> primitive row, echelon over Q
         for i in reversed(range(len(terms))):
-            if degrees[i] != D or not tested[i]:
+            if degrees[i] != D:
                 continue
             _, nf, _ = kernel.reduce_terms(terms[i], divisors, codec, False)
             while nf:
@@ -1269,7 +1258,7 @@ class ModuleLifter:
         # target = sum_k quots[k] * basis[k] / (mult * den), and _combine
         # subtracts the quotient sum: divide by -(mult * den)
         out, d = _combine([], -mult * den, quots, self._reps)
-        out = _from_reps(out, codec, len(self._nonzero))
+        out = codec.from_reps(out, len(self._nonzero))
         for i, q in zip(self._nonzero, from_terms(self._coeffs, out, d, codec).entries):
             coeffs[i] = q
         return coeffs

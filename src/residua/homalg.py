@@ -77,11 +77,6 @@ def mat_sub(A: Matrix, B: Matrix) -> Matrix:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def _composes_to_zero(context, A, B, rows, mid, cols) -> bool:
-    """A . B = 0 modulo the context, for A rows x mid and B mid x cols."""
-    return product_vanishes(A, B, rows, mid, cols, context)
-
-
 def mat_columns(ring: PolynomialRing, A: Matrix, rows: int, cols: int):
     return [PolyVector(ring, tuple(A[i][j] for i in range(rows))) for j in range(cols)]
 
@@ -197,7 +192,7 @@ class ChainComplex:
             pair = (norm[k - 1], norm[k])
             if pair in checked:
                 continue
-            if not _composes_to_zero(context, *pair, ranks[k - 1], ranks[k], ranks[k + 1]):
+            if not product_vanishes(*pair, ranks[k - 1], ranks[k], ranks[k + 1], context):
                 raise ValueError(f"differentials {k} and {k + 1} do not compose to zero")
             checked.append(pair)
         self.ring = ring
@@ -343,11 +338,11 @@ def _minimal_complex(ring, ctx, ranks, diffs, complete) -> ChainComplex:
         unit_row = [e * (1 / M[i][j].constant_term()) for e in M[i]]
         col = [(row[j],) for row in M]
         if k < len(diffs):
-            if not _composes_to_zero(ctx, (unit_row,), diffs[k], 1, ranks[k], ranks[k + 1]):
+            if not product_vanishes((unit_row,), diffs[k], 1, ranks[k], ranks[k + 1], ctx):
                 raise InvariantError("a unit pivot left a nonzero row in the next map")
             del diffs[k][j]
         if k >= 2:
-            if not _composes_to_zero(ctx, diffs[k - 2], col, ranks[k - 2], ranks[k - 1], 1):
+            if not product_vanishes(diffs[k - 2], col, ranks[k - 2], ranks[k - 1], 1, ctx):
                 raise InvariantError("a unit pivot left a nonzero column in the previous map")
             for row in diffs[k - 2]:
                 del row[i]
@@ -897,12 +892,16 @@ class CMReport:
 
 def cohen_macaulay_check(I: Ideal, cap: int = 0) -> CMReport:
     """ring/I Cohen-Macaulay iff the minimal free resolution length equals
-    the codimension (ambient polynomial ring only)."""
+    the codimension (ambient polynomial ring only).  A cap the caller
+    gives that stops the resolution is a ValueError; the default cap of
+    max(16, n + 1) levels always suffices (Hilbert's syzygy theorem), so
+    a resolution it stops is an InvariantError."""
     dim, codim = dimension(I)
     if codim == INFINITE_CODIM:
         raise ValueError("Cohen-Macaulay check needs a proper ideal")
-    cap = cap or max(16, I.ring.n + 1)
-    res = free_resolution(I, cap=cap, minimal=True)
+    res = free_resolution(I, cap=cap or max(16, I.ring.n + 1), minimal=True)
     if not res.complete:
+        if cap:
+            raise ValueError(f"the resolution did not terminate within the cap {cap}")
         raise InvariantError("resolution over the ambient ring must terminate")
     return CMReport(res.length == codim, res.length, codim)

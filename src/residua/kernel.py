@@ -20,13 +20,13 @@ subtraction.  Division and the engine work on term maps of one codec
 within a call; the (position, exponents) form appears only at the
 polynomial boundary (polyring.to_terms and from_terms).  A syzygy
 computation moves its terms from the input codec to the Schreyer codec
-made from it (Codec.schreyer, one layout per parent) by a shift and an
-add per term, with no decoding (Codec.from_parent), and moves the
-syzygies it keeps back the same way (Codec.to_parent); under grevlex and
-grlex the degree of a term is read off one field (Codec.degrees).  Sums,
-products and powers of polynomials work on ring term maps: add_product
-and power are the one addition and multiplication of Polynomial and the
-parser.
+made from it and the level's lead terms (Codec.schreyer(leads), one
+layout per parent, no key function) by a shift and an add per term,
+with no decoding (Codec.from_parent), and moves the syzygies it keeps
+back the same way (Codec.to_parent); under grevlex and grlex the degree
+of a term is read off one field (Codec.degrees).  Sums, products and
+powers of polynomials work on ring term maps: add_product and power are
+the one addition and multiplication of Polynomial and the parser.
 Determinants and minors go through MinorTable, which packs the exponent
 tuples of one matrix into ints of its own width.
 
@@ -100,9 +100,10 @@ class Codec:
     difference keyfn((pos, unit_i)) - keyfn((pos, 0)), does not depend on
     pos.  While every field stays in [0, 2^W), int order is tuple order.
     A codec probes keyfn for these; the codec of a Schreyer order comes
-    from its parent's codec (schreyer), which lays out its children once,
-    takes the parent's terms by a shift (from_parent) and gives them back
-    by the inverse shift (to_parent).
+    from its parent's codec and the leads alone (schreyer), with no keyfn:
+    the parent lays out its children once, takes its terms into a child
+    by a shift (from_parent) and gets them back by the inverse shift
+    (to_parent).
 
     The guard keeps every field in range.  A term is in range when every
     entry lies in [-LIMIT, LIMIT), LIMIT = 2^(W-4): packing checks its
@@ -124,7 +125,8 @@ class Codec:
 
     Representations tracked by the engine are keyed by rep(j) + shift:
     position j above all L fields, the monomial's shift in the fields
-    (bias included), so they take the same shifts as terms.
+    (bias included), so they take the same shifts as terms; from_reps
+    turns such a map back into terms.
     """
 
     __slots__ = ("keyfn", "_shifted", "_zero", "_bases", "_child_layout", *_LAYOUT)
@@ -184,19 +186,22 @@ class Codec:
         deg = [j for j in range(L) if j != pos_field and lins and all(d[j] == 1 for d in lins)]
         self._deg_shift = shifts[deg[0]] if deg else None
 
-    def schreyer(self, keyfn, leads: list) -> "Codec":
-        """The codec of the Schreyer order keyfn induced by the lead terms
-        leads of this codec.  Its key of (pos, e) is this order's key of
-        leads[pos] * x^e followed by -pos (MonomialOrder.term_key), so it
-        packs one field more, and base(pos) is leads[pos] moved up one
-        field above bias - pos; nothing is probed.
+    def schreyer(self, leads: list) -> "Codec":
+        """The codec of the Schreyer order induced by the lead terms leads
+        of this codec, made from the leads alone (as La Scala & Stillman,
+        JSC 26, 1998, carry a level's order).  Its key of (pos, e) is this
+        order's key of leads[pos] * x^e followed by -pos (the Schreyer rule
+        of MonomialOrder.term_key), so it packs one field more, and
+        base(pos) is leads[pos] moved up one field above bias - pos.
+        Nothing is probed: the child has no keyfn, and its positions are
+        those of leads.
 
         Each lin is this codec's moved up one field, so a term t of this
         codec at position q is the child's term
         base(q) + ((t - self.base(q)) << FIELD_BITS) (from_parent).  The
         layout depends only on this codec's lins and variable fields: it
         is made once, on the first call, and every child shares it; each
-        child has its own keyfn and bases."""
+        child has its own bases."""
         c = object.__new__(Codec)
         if self._child_layout is None:
             c._layout([diff + [0] for diff in self._lins], self._var_fields, len(self._lins[0]))
@@ -204,7 +209,7 @@ class Codec:
         else:
             for name, value in zip(_LAYOUT, self._child_layout):
                 setattr(c, name, value)
-        c.keyfn, c._zero, c._shifted, c._child_layout = keyfn, self._zero, True, None
+        c.keyfn, c._zero, c._shifted, c._child_layout = None, self._zero, True, None
         c._bases = [(lead << FIELD_BITS) + c._bias - pos for pos, lead in enumerate(leads)]
         return c
 
@@ -281,6 +286,20 @@ class Codec:
     def rep(self, j: int) -> int:
         """The representation key of e_j (monomial 1)."""
         return (j << self.rep_shift) + self._bias_all
+
+    def from_reps(self, tm: dict, s: int) -> dict:
+        """The terms of a map keyed by rep(j) + shift at positions j below
+        s, as the terms of (j, x^shift) of this codec, whose order must
+        serve those positions: rep(j) + shift - rep(j) + base(j)."""
+        shift, rep0, cut = self.rep_shift, self.rep(0), s << self.rep_shift
+        if s:
+            self.base(s - 1)  # probes the bases up to position s - 1
+        bases, out = self._bases, {}
+        for t, c in tm.items():
+            if t < cut:
+                j = t >> shift  # rep(j) = (j << shift) + rep(0)
+                out[t - (j << shift) - rep0 + bases[j]] = c
+        return out
 
     def encode(self, num: dict, pos: int = 0) -> dict:
         """The term map at position pos of the ring term map num; raises

@@ -122,7 +122,7 @@ def _codec(order: MonomialOrder, n: int) -> kernel.Codec:
     if order.module_rule != "schreyer":
         return _base_codec(order, n)
     parent = _codec(order.schreyer_parent, n)
-    return parent.schreyer(order.term_key, [parent.term(*lead) for lead in order.schreyer_leads])
+    return parent.schreyer([parent.term(*lead) for lead in order.schreyer_leads])
 
 
 GREVLEX = MonomialOrder("grevlex")

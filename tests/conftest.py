@@ -69,13 +69,21 @@ def reference_syzygies_termmaps(inputs, codec, rank):
 
 def level_args(obj, context=None):
     """(inputs, rank, context, order, codec) that syzygies hands to
-    groebner._syzygy_level for an Ideal or SubmoduleBasis."""
+    groebner._syzygy_level for an Ideal or SubmoduleBasis, before the
+    grading and the relation map (see syzygy_level)."""
     if isinstance(obj, Ideal):
         order, rank = obj.ring.default_order, 1
     else:
         order, rank = obj.order, obj.rank
     codec = order.codec(obj.ring.n)
     return [to_terms(g, codec) for g in obj.gens], rank, context, order, codec
+
+
+def syzygy_level(inputs, rank, context, order, codec):
+    """groebner._syzygy_level on level_args, handed the basis degrees and
+    a fresh relation map as syzygies hands them."""
+    found = groebner._basis_degrees(inputs, rank, codec) if rank > 1 and context is None else None
+    return groebner._syzygy_level(inputs, rank, context, order, codec, found or [0] * rank, {})
 
 
 def reference_candidates(inputs, rank, context, order, codec):
@@ -89,7 +97,7 @@ def reference_candidates(inputs, rank, context, order, codec):
     if context is not None:
         inputs = inputs + groebner._relation_terms(context, rank, codec, order)
     lead_terms = [max(tm) for tm, _ in inputs[:s]]
-    sch = codec.schreyer(order.schreyer(map(codec.decode, lead_terms)).term_key, lead_terms)
+    sch = codec.schreyer(lead_terms)
     divisors, members = {}, []
     if context is not None:
         ambient = groebner._relation_terms(context, s, codec, order)
@@ -113,7 +121,7 @@ def reference_candidates(inputs, rank, context, order, codec):
             cands.append((p, lc))
 
     for tm in reference_syzygies_termmaps(inputs, codec, rank):
-        offer(groebner._from_reps(tm, codec, s), codec)
+        offer(codec.from_reps(tm, s), codec)
     if cands:
         for _, _, tm in groebner._engine(cands, sch, s, False)[0]:
             offer(tm, sch)

@@ -388,6 +388,30 @@ def test_quotient_scope_refusals():
     assert code == 1 and "ambient" in lines[0]
 
 
+def test_cm_check_reports_the_cap_that_stopped_it():
+    # the cap of --cap, or of the statement
+    statement = "cm-check((x, y, z), over Q[x,y,z]"
+    for script, cap in ((statement + ")", 2), (statement + ", cap=2)", None)):
+        code, lines, _ = run_script(script, cap=cap)
+        assert code == 1
+        assert lines == ["1: error: the resolution did not terminate within the cap 2"]
+    code, lines, _ = run_script(statement + ")", cap=3)
+    assert code == 0 and '"is_cm": true' in lines[0]
+
+
+def test_a_memory_error_ends_its_statement_not_the_script(monkeypatch):
+    def exhausted(C):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "buchsbaum_eisenbud_check", exhausted)
+    script = "ring S = Q[x,y]\nK = koszul((x, y), over S)\nbe-check(K)\nkoszul((x), over S)"
+    code, lines, doc = run_script(script)
+    assert code == 1
+    assert lines[1] == "3: error: MemoryError"
+    assert lines[2].startswith("4: koszul -> ")
+    assert doc["statements"][1] == {"line": 3, "error": "MemoryError"}
+
+
 def test_global_cap_default_and_per_command_override():
     code, _, doc = run_script("resolve((x), over Q[x,y]/(x*y))", cap=4)
     assert code == 0

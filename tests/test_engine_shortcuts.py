@@ -35,7 +35,14 @@ from residua.groebner import Ideal, QuotientContext, SubmoduleBasis, product_van
 from residua.homalg import free_resolution, mat_mul
 from residua.polyring import Polynomial, PolynomialRing, PolyVector, from_terms, to_terms
 
-from conftest import level_args, random_nonzero_poly, random_poly, reference_level, reference_syzygies_termmaps
+from conftest import (
+    level_args,
+    random_nonzero_poly,
+    random_poly,
+    reference_level,
+    reference_syzygies_termmaps,
+    syzygy_level,
+)
 
 XY = PolynomialRing(("x", "y"))
 XYZ = PolynomialRing(("x", "y", "z"))
@@ -356,7 +363,7 @@ def assert_reference_level(obj, context=None):
     """The level keeps the generators that the frozen reference keeps:
     every candidate formed, each tested by the greedy rule."""
     args = level_args(obj, context)
-    assert groebner._syzygy_level(*args)[0] == reference_level(*args)
+    assert syzygy_level(*args)[0] == reference_level(*args)
 
 
 @pytest.mark.parametrize("kind", sorted(TERMMAP_KINDS))

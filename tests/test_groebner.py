@@ -417,6 +417,19 @@ def dropped_by(cands, shifts, kept, ring, rank):
     return out
 
 
+def every_candidate(I, shifts, syz):
+    """The candidates of I's level that the frozen reference forms, none
+    of them left out, as PolyVectors: _graded_prune keeps the level's
+    generators from them too (it does not depend on the level's
+    filters)."""
+    inputs, rank, _, order, codec = level_args(I)
+    old, sch, _ = reference_candidates(inputs, rank, None, order, codec)
+    zero = PolyVector(I.ring, [I.ring.zero()] * len(I.gens))
+    kept = groebner._graded_prune(old, sch, len(I.gens), shifts)
+    assert [from_terms(zero, *cand, sch) for cand in kept] == list(syz.gens)
+    return [from_terms(zero, *cand, sch) for cand in old]
+
+
 def test_graded_prune_drops_by_normal_form(monkeypatch):
     # y^2 e1 - x^2 e3 = y*(y e1 - x e2) + x*(y e2 - x e3): redundant only
     # through the degree-3 syzygies, and alone in degree 4.  Its lead y^2 e1
@@ -427,32 +440,30 @@ def test_graded_prune_drops_by_normal_form(monkeypatch):
     assert [str(v) for v in syz.gens] == ["(y, -x, 0)", "(0, y, -x)"]
     formed = [str(v) for v in cands]
     assert "(y^2, 0, -x^2)" not in formed
-    inputs, rank, _, order, codec = level_args(I)
-    old, sch, _ = reference_candidates(inputs, rank, None, order, codec)
-    zero = PolyVector(R4, [R4.zero()] * 3)
-    old_vecs = [from_terms(zero, *cand, sch) for cand in old]
-    assert [str(v) for v in old_vecs] == ["(y^2, 0, -x^2)"] + formed
-    kept = groebner._graded_prune(old, sch, 3, shifts)
-    assert [from_terms(zero, *cand, sch) for cand in kept] == list(syz.gens)
-    assert dropped_by(old_vecs, shifts, syz.gens, R4, 3) == [(True, False)]
+    old = every_candidate(I, shifts, syz)
+    assert [str(v) for v in old] == ["(y^2, 0, -x^2)"] + formed
+    assert dropped_by(old, shifts, syz.gens, R4, 3) == [(True, False)]
 
 
 def test_graded_prune_drops_by_linear_algebra(monkeypatch):
     # the three Koszul-type syzygies of (xy, xz, yz) all have degree 3
-    # and sum to zero: no lower-degree candidate, a Q-linear relation
-    gens = [R4.poly("x*y"), R4.poly("x*z"), R4.poly("y*z")]
-    cands, shifts, syz = graded_syzygies(monkeypatch, Ideal(R4, gens))
-    assert len(cands) == 3 and len({shifted_degree(v, shifts) for v in cands}) == 1
-    assert dropped_by(cands, shifts, syz.gens, R4, 3) == [(False, True)]
-    assert len(syz.gens) == 2
+    # and sum to zero: no lower-degree candidate, a Q-linear relation.
+    # Two of them share the lead z e1, so the level drops the first after
+    # the sort, and the list that still holds it goes to _graded_prune
+    I = Ideal(R4, [R4.poly("x*y"), R4.poly("x*z"), R4.poly("y*z")])
+    cands, shifts, syz = graded_syzygies(monkeypatch, I)
+    assert len(cands) == 2 and len(syz.gens) == 2
+    old = every_candidate(I, shifts, syz)
+    assert len(old) == 3 and len({shifted_degree(v, shifts) for v in old}) == 1
+    assert dropped_by(old, shifts, syz.gens, R4, 3) == [(False, True)]
 
 
 def test_graded_prune_drops_by_both_steps(monkeypatch):
     # redundant modulo the degree-3 syzygy plus a Q-combination of the
     # other degree-4 candidates, and by neither alone
-    gens = [R4.poly("x*y + z*w"), R4.poly("x*z"), R4.poly("y*z")]
-    cands, shifts, syz = graded_syzygies(monkeypatch, Ideal(R4, gens))
-    assert (False, False) in dropped_by(cands, shifts, syz.gens, R4, 3)
+    I = Ideal(R4, [R4.poly("x*y + z*w"), R4.poly("x*z"), R4.poly("y*z")])
+    _, shifts, syz = graded_syzygies(monkeypatch, I)
+    assert (False, False) in dropped_by(every_candidate(I, shifts, syz), shifts, syz.gens, R4, 3)
 
 
 def test_inhomogeneous_candidates_take_the_loop(monkeypatch):
@@ -482,7 +493,7 @@ def test_context_takes_the_loop(monkeypatch):
 
 def count_codecs(monkeypatch):
     """The order of every kernel codec asked for while patched: of an
-    order, or of a Schreyer order from its parent's codec (its keyfn)."""
+    order, or of a Schreyer order from its parent's codec (its leads)."""
     built = []
     real, real_schreyer = MonomialOrder.codec, kernel.Codec.schreyer
 
@@ -490,9 +501,9 @@ def count_codecs(monkeypatch):
         built.append(order)
         return real(order, n)
 
-    def counted_schreyer(codec, keyfn, leads):
-        built.append(keyfn)
-        return real_schreyer(codec, keyfn, leads)
+    def counted_schreyer(codec, leads):
+        built.append(leads)
+        return real_schreyer(codec, leads)
 
     monkeypatch.setattr(MonomialOrder, "codec", counted)
     monkeypatch.setattr(kernel.Codec, "schreyer", counted_schreyer)
@@ -609,7 +620,7 @@ def reference_syzygies(obj, context=None):
     zero = PolyVector(ring, [ring.zero()] * s)
     vecs = []
     for tm in raw:
-        v = from_terms(zero, *kernel.integer_terms(groebner._from_reps(tm, codec, s)), codec)
+        v = from_terms(zero, *kernel.integer_terms(codec.from_reps(tm, s)), codec)
         if context is not None:
             v = context.reduce(v, order)
         if not v.is_zero():

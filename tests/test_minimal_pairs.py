@@ -5,9 +5,10 @@
   whose Schreyer lead is a proper multiple of another pair's lead, and
   forms every pair of an equal lead.
 - Equal leads.  A candidate with the lead of the next candidate in the
-  sorted list gets no normal form in _graded_prune and no membership test
-  in the per-candidate loop, unless a basis element's reduction modulo
-  the relations moved its lead there.
+  sorted list is dropped once, right after the sort, so it gets no normal
+  form in _graded_prune and no membership test in the per-candidate loop,
+  unless a basis element's reduction modulo the relations moved its lead
+  there.
 - The kept generators of every level equal those of the frozen reference
   that forms every candidate and tests each one (conftest.reference_level)
   on seeded ideals and modules, homogeneous or not, with and without a
@@ -24,7 +25,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import level_args, random_nonzero_poly, reference_level
+from conftest import level_args, random_nonzero_poly, reference_level, syzygy_level
 from residua import groebner, kernel
 from residua.groebner import Ideal, QuotientContext, SubmoduleBasis, syzygies
 from residua.homalg import free_resolution
@@ -63,14 +64,18 @@ def seeded_level(seed, module, homogeneous):
 def test_levels_keep_the_reference_generators(seed, module, homogeneous, relation):
     obj = seeded_level(seed, module, homogeneous)
     context = None if relation is None else QuotientContext(XYZ, Ideal(XYZ, (XYZ.poly(relation),)))
-    for _ in range(2):  # the level and the level of its kept generators
-        inputs, rank, _, order, codec = args = level_args(obj, context)
-        kept = groebner._syzygy_level(*args)[0]
-        assert kept == reference_level(*args)
-        if not kept:
-            return
-        zero = PolyVector(XYZ, [XYZ.zero()] * len(inputs))
-        obj = SubmoduleBasis(XYZ, len(inputs), [from_terms(zero, p, lc, codec) for p, lc in kept], order)
+    inputs, rank, _, order, codec = args = level_args(obj, context)
+    kept, shifts = syzygy_level(*args)
+    assert kept == reference_level(*args)
+    if not kept:
+        return
+    # the level of its kept generators, handed the first level's shifts
+    # (or zeros) as resolution_levels hands them on
+    zero = PolyVector(XYZ, [XYZ.zero()] * len(inputs))
+    obj = SubmoduleBasis(XYZ, len(inputs), [from_terms(zero, p, lc, codec) for p, lc in kept], order)
+    args = level_args(obj, context)
+    degrees = shifts or [0] * len(inputs)
+    assert groebner._syzygy_level(*args, degrees, {})[0] == reference_level(*args)
 
 
 def test_relation_syzygies_that_cut_to_zero():
@@ -78,7 +83,7 @@ def test_relation_syzygies_that_cut_to_zero():
     # level's coordinates once cut: no candidate
     ctx = QuotientContext(XYZ, Ideal(XYZ, (XYZ.poly("x*y"), XYZ.poly("x*z"))))
     args = level_args(Ideal(XYZ, (XYZ.poly("y*z"), XYZ.poly("x^2"))), ctx)
-    assert groebner._syzygy_level(*args)[0] == reference_level(*args)
+    assert syzygy_level(*args)[0] == reference_level(*args)
 
 
 # (w^3, zw^2, yw^2, z^2w, yzw): the pairs (1, 2) and (1, 4) share the lead
@@ -96,7 +101,7 @@ def test_pairs_of_an_equal_lead_are_all_formed():
         "(z, -w, 0, 0, 0)",
     ]
     args = level_args(EQUAL_LEADS)
-    assert groebner._syzygy_level(*args)[0] == reference_level(*args)
+    assert syzygy_level(*args)[0] == reference_level(*args)
     assert free_resolution(EQUAL_LEADS, minimal=True).ranks == (1, 5, 6, 2)
 
 
@@ -144,7 +149,7 @@ def test_equal_lead_candidates_take_no_membership_test(monkeypatch):
     monkeypatch.setattr(groebner, "_member_terms", lambda *args: calls.append(args) or real(*args))
     C = free_resolution(I, ctx, cap=3)
     assert len(calls) == 13  # 18 when every candidate is tested
-    monkeypatch.setattr(groebner, "_tested", lambda cands, moved=(): [True] * len(cands))
+    monkeypatch.setattr(groebner, "_tested", lambda cands, moved: [True] * len(cands))
     assert free_resolution(I, ctx, cap=3) == C
     assert len(calls) == 13 + 18
 
@@ -165,9 +170,9 @@ def test_a_lead_that_the_relations_moved_keeps_its_candidates_tested(monkeypatch
     want = reference_level(*args)
     seen = []
     real = groebner._tested
-    monkeypatch.setattr(groebner, "_tested", lambda cands, moved=(): seen.append(set(moved)) or real(cands, moved))
-    assert groebner._syzygy_level(*args)[0] == want
+    monkeypatch.setattr(groebner, "_tested", lambda cands, moved: seen.append(set(moved)) or real(cands, moved))
+    assert syzygy_level(*args)[0] == want
     assert seen and seen[0]
     # testing only the last candidate of every lead keeps another generator
-    monkeypatch.setattr(groebner, "_tested", lambda cands, moved=(): real(cands))
-    assert groebner._syzygy_level(*args)[0] != want
+    monkeypatch.setattr(groebner, "_tested", lambda cands, moved: real(cands, ()))
+    assert syzygy_level(*args)[0] != want

@@ -11,9 +11,11 @@ parent's terms by the shift identity (Codec.from_parent) exactly as the
 frozen decode-and-encode transcode took them, gives them back by the
 inverse shift (Codec.to_parent), checks every term against the exponent
 limit both ways, and shares the parent's cached layout with its
-siblings, but not their bases or order keys.  Codec.degrees, which reads
-the degree field under grevlex and grlex, gives the degrees decoding
-gives.  Skipped when hypothesis is missing.
+siblings, but not their bases; it is made from its leads alone, with no
+key function.  Codec.degrees, which reads the degree field under grevlex
+and grlex, gives the degrees decoding gives, and Codec.from_reps gives
+the terms that decoding a representation key gives.  Skipped when
+hypothesis is missing.
 """
 
 from operator import mul
@@ -101,7 +103,7 @@ def schreyer_child(data, order, n, rank):
     # a Schreyer parent has bases for its own positions only
     s = data.draw(st.integers(1, 4 if order.module_rule != "schreyer" else rank))
     leads = data.draw(st.lists(st.tuples(st.integers(0, rank - 1), exponents(n, 3)), min_size=s, max_size=s))
-    return parent, parent.schreyer(order.schreyer(leads).term_key, [parent.term(*lead) for lead in leads]), s
+    return parent, parent.schreyer([parent.term(*lead) for lead in leads]), s
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -130,13 +132,40 @@ def test_degrees_are_the_decoded_degrees(data):
     assert codec.degrees(list(tm), offsets) == codec.degrees(tm, offsets)
 
 
+def reference_from_reps(codec, tm, s):
+    """The terms of a map keyed by codec.rep(j) + shift at positions j
+    below s, each key decoded into j and the exponents of its shift and
+    encoded again as the term of (j, exponents)."""
+    out = {}
+    for t, c in tm.items():
+        j = (t - codec.rep(0)) >> codec.rep_shift
+        if j < s:
+            out[codec.term(j, codec.exponents(t - codec.rep(j)))] = c
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_from_reps_is_the_decoded_representation(data):
+    order, n, rank = data.draw(orders())
+    codec = order.codec(n)
+    s = data.draw(st.integers(0, rank))
+    keys = data.draw(st.lists(st.tuples(st.integers(0, rank - 1), exponents(n, 5)), max_size=6, unique=True))
+    # a representation's key of x^e * e_j is rep(j) plus the shift of x^e
+    coeffs = data.draw(st.lists(st.integers(-9, 9).filter(bool), min_size=len(keys), max_size=len(keys)))
+    tm = {codec.rep(j) + codec.term(j, e) - codec.base(j): c for (j, e), c in zip(keys, coeffs)}
+    out = codec.from_reps(tm, s)
+    assert list(out.items()) == list(reference_from_reps(codec, tm, s).items())
+    assert [codec.decode(t) for t in out] == [(j, e) for j, e in keys if j < s]
+
+
 @pytest.mark.parametrize("rule", ["pot", "top"])
 @pytest.mark.parametrize("base", [GREVLEX, GRLEX, LEX], ids=["grevlex", "grlex", "lex"])
 def test_terms_at_the_exponent_limit_raise_both_ways(base, rule):
     order = base.with_module_rule(rule)
     parent = order.codec(2)
     leads = [(0, (1, 0)), (1, (0, 1))]
-    child = parent.schreyer(order.schreyer(leads).term_key, [parent.term(*lead) for lead in leads])
+    child = parent.schreyer([parent.term(*lead) for lead in leads])
     # x^(LIMIT - 2) * e_0 is x^(LIMIT - 1) in the child, in range; one
     # degree more is beyond it
     inside = {parent.term(0, (parent.limit - 2, 0)): 3, parent.term(1, (4, 1)): -1}
@@ -159,7 +188,7 @@ def test_a_child_term_beyond_the_exponent_limit_raises(base, rule):
     # term of total degree LIMIT - 1, in range, x^3 * e_1 for one of
     # degree LIMIT, beyond it
     leads = [(0, (1, 0)), (1, (parent.limit - 3, 0))]
-    child = parent.schreyer(order.schreyer(leads).term_key, [parent.term(*lead) for lead in leads])
+    child = parent.schreyer([parent.term(*lead) for lead in leads])
     inside = {parent.term(1, (0, 2)): 1, parent.term(0, (5, 5)): -2}
     assert child.from_parent(inside, parent) == reference_transcode(child, inside, parent)
     beyond = {parent.term(1, (3, 0)): 1}
@@ -173,18 +202,15 @@ def test_children_of_one_parent_share_a_layout_but_not_bases_or_keys():
     order = GRLEX.with_module_rule("top")
     parent = order.codec(3)
     first, second = [(0, (1, 0, 0)), (1, (0, 2, 0))], [(0, (0, 0, 1))]
-    kids = [order.schreyer(first), order.schreyer(second)]
-    a, b = (
-        parent.schreyer(kid.term_key, [parent.term(*lead) for lead in leads])
-        for kid, leads in zip(kids, (first, second))
-    )
+    a, b = (parent.schreyer([parent.term(*lead) for lead in leads]) for leads in (first, second))
     for name in kernel._LAYOUT:
         assert getattr(a, name) is getattr(b, name)
     assert a._bases is not b._bases and a._bases != b._bases
-    assert (a.keyfn, b.keyfn) == (kids[0].term_key, kids[1].term_key)
-    assert a.keyfn != b.keyfn
-    # the shared layout and the bases are what probing the child's order gives
-    probed = kernel.Codec(kids[0].term_key, 3, -1)
+    # a child is made from its leads alone: it carries no key function
+    assert a.keyfn is None and b.keyfn is None
+    # the shared layout and the bases are what probing the child's order,
+    # the Schreyer rule of MonomialOrder, gives
+    probed = kernel.Codec(order.schreyer(first).term_key, 3, -1)
     for name in kernel._LAYOUT:
         assert getattr(a, name) == getattr(probed, name)
     assert a._bases == [probed.base(q) for q in range(len(first))]
