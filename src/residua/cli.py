@@ -432,7 +432,7 @@ class Engine:
         self.env = {}
         self.last = None
         self.have_last = False
-        self.cap = cap  # global override from --cap, else None
+        self.cap = cap  # resolve's default cap from --cap, else None
         self.order = order  # default order for new rings, from --order
 
     # -- scope helpers
@@ -607,9 +607,6 @@ class Engine:
         if kwargs:
             raise CommandError(f"unknown keyword {sorted(kwargs)[0]!r}")
 
-    def default_cap(self, kwargs):
-        return self.kw_int(kwargs, "cap", self.cap if self.cap is not None else 16)
-
     # -- statement execution
 
     def execute(self, stmt):
@@ -703,7 +700,7 @@ def h_resolve(eng, pos, kwargs, scope):
     _need(pos, 1, "resolve(gens, [over SCOPE], [cap=N], [minimal=true])")
     ring, ctx = eng.ring_and_context(pos, scope)
     gens = eng.as_gens(pos[0], ring)
-    cap = eng.default_cap(kwargs)
+    cap = eng.kw_int(kwargs, "cap", eng.cap if eng.cap is not None else 16)
     minimal = eng.kw_bool(kwargs, "minimal", False)
     eng.no_more_kwargs(kwargs)
     return free_resolution(Ideal(ring, gens), context=ctx, cap=cap, minimal=minimal)
@@ -734,14 +731,13 @@ def h_proper_check(eng, pos, kwargs, scope):
 
 
 def h_cm_check(eng, pos, kwargs, scope):
-    _need(pos, 1, "cm-check(gens, [over RING], [cap=N])")
+    _need(pos, 1, "cm-check(gens, [over RING])")
     ring, ctx = eng.ring_and_context(pos, scope)
     if ctx is not None:
         raise CommandError("cm-check works over the ambient ring")
     gens = eng.as_gens(pos[0], ring)
-    cap = eng.kw_int(kwargs, "cap", eng.cap if eng.cap is not None else 0)
     eng.no_more_kwargs(kwargs)
-    return cohen_macaulay_check(Ideal(ring, gens), cap=cap)
+    return cohen_macaulay_check(Ideal(ring, gens))
 
 
 def h_translaw(eng, pos, kwargs, scope):
@@ -766,7 +762,7 @@ def h_presidue(eng, pos, kwargs, scope):
 
 def h_shape(eng, pos, kwargs, scope):
     if not pos:
-        raise CommandError("usage: shape(quotient, [W:dim, ...], [cap=N])")
+        raise CommandError("usage: shape(quotient, [W:dim, ...])")
     Z = eng.as_typed(pos[0], QuotientContext, "a quotient")
     decomposition = None
     if len(pos) > 1:
@@ -778,18 +774,16 @@ def h_shape(eng, pos, kwargs, scope):
             if not isinstance(v, VIdeal):
                 raise CommandError(f"{tok.name!r} is not an ideal")
             decomposition.append((Ideal(v.ring, v.gens), tok.value))
-    cap = eng.default_cap(kwargs)
     eng.no_more_kwargs(kwargs)
-    return structure_form_shape(Z, decomposition, cap=cap)
+    return structure_form_shape(Z, decomposition)
 
 
 def h_recipe(eng, pos, kwargs, scope):
-    _need(pos, 2, "recipe(quotient, ideal, [cap=N])")
+    _need(pos, 2, "recipe(quotient, ideal)")
     Z = eng.as_typed(pos[0], QuotientContext, "a quotient")
     gens = eng.as_gens(pos[1], Z.ring)
-    cap = eng.default_cap(kwargs)
     eng.no_more_kwargs(kwargs)
-    return build_current_recipe(Z, Ideal(Z.ring, gens), cap=cap)
+    return build_current_recipe(Z, Ideal(Z.ring, gens))
 
 
 def h_annmember(eng, pos, kwargs, scope):
@@ -833,7 +827,8 @@ COMMANDS = frozenset(HANDLERS)
 
 
 def run_script(text: str, cap=None, order=None):
-    """-> (exit code, report lines for stdout, JSON document dict).
+    """-> (exit code, report lines for stdout, JSON document dict).  cap,
+    like --cap, is the cap of a resolve statement that gives none.
 
     The statements run in one shared_levels() scope, so a resolution level
     that an earlier statement computed is not computed again."""
@@ -880,9 +875,11 @@ def main(argv=None) -> int:
     src.add_argument("--script", metavar="PATH", help="script file ('-' for stdin)")
     src.add_argument("--corpus", action="store_true", help="run the bundled example corpus")
     parser.add_argument("--json", metavar="PATH", help="write the canonical JSON report ('-' for stdout)")
-    parser.add_argument("--cap", type=int, metavar="N", help="resolution cap for commands without their own")
+    parser.add_argument("--cap", type=int, metavar="N", help="default cap of resolve (16)")
     parser.add_argument("--order", choices=("lex", "grlex", "grevlex"), help="default order for new rings")
     args = parser.parse_args(argv)
+    if args.cap is not None and args.cap < 1:
+        parser.error(f"argument --cap: must be a positive integer, not {args.cap}")
 
     if args.corpus:
         text = corpus_text()

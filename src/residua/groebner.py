@@ -232,10 +232,12 @@ class SubmoduleBasis:
                 raise ValueError("generator rank mismatch")
             if v.is_zero():
                 raise ValueError("zero generator in submodule basis")
+        self.order = order = order or ring.default_order
+        if order.module_rule == "schreyer" and len(order.schreyer_leads) < rank:
+            raise ValueError(f"{len(order.schreyer_leads)} Schreyer leads cannot order rank {rank}")
         self.ring = ring
         self.rank = rank
         self.gens = gens
-        self.order = order or ring.default_order
 
     def __repr__(self):
         return "<" + "; ".join(str(v) for v in self.gens) + f"> in O^{self.rank}"

@@ -24,7 +24,6 @@ from residua.groebner import (
     Ideal,
     InvariantError,
     QuotientContext,
-    SubmoduleBasis,
     _exact_divider,
     certified_dimension,
     _support,
@@ -279,6 +278,30 @@ def free_resolution(
     if minimal:
         return _minimal_complex(ring, context, ranks, diffs, complete)
     return ChainComplex(ring, ranks, diffs, context=context, complete=complete)
+
+
+def ambient_resolution(I: Ideal):
+    """-> (the minimal resolution F of ring/I over the ambient ring, the
+    projective dimension of ring/I).  F runs to its end: Hilbert's syzygy
+    theorem bounds its length by n, so the automatic cap of max(16, n + 1)
+    levels never stops it, and a resolution it stops is an InvariantError.
+
+    Inhomogeneous generators can leave F longer than the projective
+    dimension (constant pivots are the only units stripped), so that is
+    read off F's Fitting ideals instead (Buchsbaum & Eisenbud, J. Algebra
+    25, 1973): pd at a prime p is below k exactly when I_{r_k}(phi_k),
+    r_k the expected ranks, is not inside p, so pd is the largest k whose
+    I_{r_k}(phi_k) is not the unit ideal, or 0.  The search runs from the
+    last map down; a map whose entries all vanish at the origin has no
+    unit minor there, so its minors are not computed."""
+    F = free_resolution(I, cap=max(16, I.ring.n + 1), minimal=True)
+    if not F.complete:
+        raise InvariantError("resolution over the ambient ring must terminate")
+    for k, r in reversed(list(enumerate(expected_ranks(F), 1))):
+        vanishes = r > 0 and all(e.constant_term() == 0 for row in F.diff(k) for e in row)
+        if vanishes or not ideal_member(I.ring.one(), _locus(F, k, r)[0]):
+            return F, k
+    return F, 0
 
 
 def minimalize(C: ChainComplex) -> ChainComplex:
@@ -890,18 +913,12 @@ class CMReport:
     codim: object
 
 
-def cohen_macaulay_check(I: Ideal, cap: int = 0) -> CMReport:
-    """ring/I Cohen-Macaulay iff the minimal free resolution length equals
-    the codimension (ambient polynomial ring only).  A cap the caller
-    gives that stops the resolution is a ValueError; the default cap of
-    max(16, n + 1) levels always suffices (Hilbert's syzygy theorem), so
-    a resolution it stops is an InvariantError."""
+def cohen_macaulay_check(I: Ideal) -> CMReport:
+    """ring/I Cohen-Macaulay iff its projective dimension equals the
+    codimension (ambient polynomial ring only); resolution_length is that
+    projective dimension, read off ambient_resolution."""
     dim, codim = dimension(I)
     if codim == INFINITE_CODIM:
         raise ValueError("Cohen-Macaulay check needs a proper ideal")
-    res = free_resolution(I, cap=cap or max(16, I.ring.n + 1), minimal=True)
-    if not res.complete:
-        if cap:
-            raise ValueError(f"the resolution did not terminate within the cap {cap}")
-        raise InvariantError("resolution over the ambient ring must terminate")
-    return CMReport(res.length == codim, res.length, codim)
+    pd = ambient_resolution(I)[1]
+    return CMReport(pd == codim, pd, codim)

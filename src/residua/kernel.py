@@ -271,10 +271,13 @@ class Codec:
         return [(t >> ds & full) + adjust[bias - (t >> ps & full)] for t in terms]
 
     def base(self, pos: int) -> int:
-        """The term of the unit vector e_pos (monomial 1)."""
+        """The term of the unit vector e_pos (monomial 1).  A Schreyer
+        codec has no base past its leads: a ValueError."""
         bases = self._bases
         while len(bases) <= pos:
             p = len(bases)
+            if self.keyfn is None:
+                raise ValueError(f"position {p} has no lead in this Schreyer codec")
             key = self.keyfn((p, self._zero))
             b = self._bias_all + sum(k << s for k, s in zip(key, self._shifts))
             # a key with exponent entries at e = 0 (a Schreyer order's) needs

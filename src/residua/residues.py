@@ -29,9 +29,9 @@ from residua.groebner import (
 from residua.homalg import (
     ChainComplex,
     Matrix,
+    ambient_resolution,
     determinant,
     fitting_loci,
-    free_resolution,
     identity_matrix,
     mat_add,
     mat_columns,
@@ -261,7 +261,9 @@ def regular_sequence_check(fs: Sequence[Polynomial], context: Context = None) ->
 class FormalCurrent:
     """A current named by its algebraic data: the annihilator ideal (over an
     optional quotient context), the span of levels carrying components, and
-    the symbolic power of 2*pi*i.
+    the symbolic power of 2*pi*i.  For a recipe's current the span runs
+    from the codimension of J~ to its projective dimension, as read off
+    the resolution E by homalg.ambient_resolution.
 
     The current is global: the sum of its germs at every point of the zero
     set of the annihilator, so annihilates(g) is membership in the whole
@@ -413,18 +415,19 @@ class StructureFormShape:
     pair_bounds: tuple = ()
 
 
-def structure_form_shape(
-    Z: QuotientContext, decomposition=None, cap: int = 16
-) -> StructureFormShape:
+def structure_form_shape(Z: QuotientContext, decomposition=None) -> StructureFormShape:
     """Bidegrees and bundle levels of the generalized residue form of Z.
 
     Pure case: one component of bidegree (d, r) in level p+r for each
-    r up to length(F) - p.  A non-pure Z needs a user-supplied
+    r up to pd - p, pd the projective dimension of O_Z that
+    homalg.ambient_resolution reads off the minimal resolution F of the
+    relations (F itself may be longer).  A non-pure Z needs a user-supplied
     decomposition [(ideal, dim), ...]; it is validated (containment,
     intersection, dimensions) and the component of bidimension (0, e)
     lands in level n - e, supported on the union of the parts of
     dimension at least e.  For each pair e > e', the intersection bound
-    codim(W^e + Z_{n-e'}) >= n - e' + 1 is reported where computable.
+    codim(W^e + Z_{n-e'}) >= n - e' + 1 is reported where computable,
+    for the levels n - e' up to the length of F.
     """
     ring = Z.ring
     n = ring.n
@@ -432,11 +435,9 @@ def structure_form_shape(
     d, p = dimension(I_Z)
     if d < 0:
         raise ValueError("the context relations generate the unit ideal")
-    F = free_resolution(I_Z, cap=cap, minimal=True)
-    if not F.complete:
-        raise ValueError("resolution of the relations did not terminate within the cap")
+    F, pd = ambient_resolution(I_Z)
     if decomposition is None:
-        return _pure_shape(d, p, F)
+        return _pure_shape(d, p, pd)
 
     parts = [(Ideal(ring, tuple(W.gens)), int(e)) for W, e in decomposition]
     if not parts:
@@ -458,7 +459,7 @@ def structure_form_shape(
     parts.sort(key=lambda we: we[1], reverse=True)
     dims = [e for _, e in parts]
     if len(set(dims)) == 1 and dims[0] == d:
-        return _pure_shape(d, p, F)
+        return _pure_shape(d, p, pd)
 
     comps = tuple(
         ShapeComponent(e, (0, e), n - e, tuple(f for f in dims if f >= e)) for _, e in parts
@@ -478,9 +479,10 @@ def structure_form_shape(
     return StructureFormShape(False, d, p, comps, tuple(bounds))
 
 
-def _pure_shape(d: int, p: int, F: ChainComplex) -> StructureFormShape:
-    """The pure case: bidegree (d, r) in level p + r for r = 0 .. length(F) - p."""
-    comps = tuple(ShapeComponent(r, (d, r), p + r) for r in range(0, F.length - p + 1))
+def _pure_shape(d: int, p: int, pd: int) -> StructureFormShape:
+    """The pure case: bidegree (d, r) in level p + r for r = 0 .. pd - p,
+    pd the projective dimension of O_Z."""
+    comps = tuple(ShapeComponent(r, (d, r), p + r) for r in range(0, pd - p + 1))
     return StructureFormShape(True, d, p, comps)
 
 
@@ -507,25 +509,28 @@ class CurrentRecipe:
     j_cohen_macaulay: bool
 
 
-def build_current_recipe(Z: QuotientContext, J: Ideal, cap: int = 16) -> CurrentRecipe:
+def build_current_recipe(Z: QuotientContext, J: Ideal) -> CurrentRecipe:
+    """The recipe of the current with annihilator J on Z.  E and F are the
+    minimal resolutions of O/J~ and O_Z from homalg.ambient_resolution,
+    kept as computed; the degree span of the current, the shape and both
+    Cohen-Macaulay flags (pd equal to the codimension) use the projective
+    dimensions it reads off them, not their lengths."""
     ring = Z.ring
     if J.ring != ring:
         raise ValueError("ideal and context live over different rings")
     lifted = maximal_lifting(J, Z)
     if ideal_member(ring.one(), lifted):
         raise ValueError("the prescribed annihilator is not proper over the context")
-    E = free_resolution(lifted, cap=cap, minimal=True)
-    F = free_resolution(Z.relations, cap=cap, minimal=True)
-    if not (E.complete and F.complete):
-        raise ValueError("a resolution did not terminate within the cap")
+    E, pd_e = ambient_resolution(lifted)
+    F, pd_f = ambient_resolution(Z.relations)
     a = comparison_morphism(F, E)
     # the shape is read off this F, not resolved again by
-    # structure_form_shape, whose errors cannot fire here: a unit I_Z makes
-    # lifted the unit ideal, and F is complete
+    # structure_form_shape, whose error cannot fire here: a unit I_Z makes
+    # lifted the unit ideal
     d_z, codim_z = dimension(Z.relations)
-    shape = _pure_shape(d_z, codim_z, F)
+    shape = _pure_shape(d_z, codim_z, pd_f)
     _, codim_j = dimension(lifted)
-    current = FormalCurrent("aw_current", J, Z, (codim_j, E.length), 0, data=E)
+    current = FormalCurrent("aw_current", J, Z, (codim_j, pd_e), 0, data=E)
     return CurrentRecipe(
         Z,
         J,
@@ -535,8 +540,8 @@ def build_current_recipe(Z: QuotientContext, J: Ideal, cap: int = 16) -> Current
         a,
         shape,
         current,
-        F.length == codim_z,
-        E.length == codim_j,
+        pd_f == codim_z,
+        pd_e == codim_j,
     )
 
 

@@ -388,17 +388,6 @@ def test_quotient_scope_refusals():
     assert code == 1 and "ambient" in lines[0]
 
 
-def test_cm_check_reports_the_cap_that_stopped_it():
-    # the cap of --cap, or of the statement
-    statement = "cm-check((x, y, z), over Q[x,y,z]"
-    for script, cap in ((statement + ")", 2), (statement + ", cap=2)", None)):
-        code, lines, _ = run_script(script, cap=cap)
-        assert code == 1
-        assert lines == ["1: error: the resolution did not terminate within the cap 2"]
-    code, lines, _ = run_script(statement + ")", cap=3)
-    assert code == 0 and '"is_cm": true' in lines[0]
-
-
 def test_a_memory_error_ends_its_statement_not_the_script(monkeypatch):
     def exhausted(C):
         raise MemoryError
@@ -486,3 +475,57 @@ def test_main_parse_error_exit_code(tmp_path, capsys):
     script.write_text("nonsense here\n", encoding="utf-8")
     assert main(["--script", str(script)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_main_refuses_a_cap_below_one(tmp_path, capsys):
+    # a cap of 0 or less would fail every resolve that falls back to it
+    for cap in ("0", "-2"):
+        with pytest.raises(SystemExit) as stop:
+            main(["--corpus", "--cap", cap])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --cap: must be a positive integer, not {cap}" in captured.err
+        assert captured.out == ""
+    script = tmp_path / "job.rcs"
+    script.write_text("resolve((x, y), over Q[x,y])\n", encoding="utf-8")
+    assert main(["--script", str(script), "--cap", "1"]) == 0
+    assert '"ranks": [1, 2], "truncated": true' in capsys.readouterr().out
+
+
+def test_main_reports_a_script_it_cannot_read(tmp_path, capsys):
+    assert main(["--script", str(tmp_path / "missing.rcs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot read script: ")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+# one statement per input error of the script language: the script, the
+# exit code (1 for a statement error, 2 for a parse error) and the output
+SCRIPT_ERRORS = [
+    ("koszul((x), (y), over Q[x,y])", 1, "1: error: usage: koszul(tuple, [over SCOPE])"),
+    ("shape()", 1, "1: error: usage: shape(quotient, [W:dim, ...])"),
+    ("koszul((x), over Q[x,y], foo=1)", 1, "1: error: unknown keyword 'foo'"),
+    ("resolve((x), over Q[x,y], cap=2, cap=3)", 1, "1: error: duplicate keyword 'cap'"),
+    ("koszul((x), over Q[x,y], over Q[x,y])", 1, "1: error: more than one 'over' clause"),
+    ("quotient Z = Q[x,y]/(x)\nkoszul((y), over Z/(y))", 1, "2: error: cannot quotient a quotient"),
+    ("koszul((x), over Q[x,y]/())", 1, "1: error: quotient needs at least one relation"),
+    ("K = koszul((x), over Q[x])\nproper-check(K, K, x, 1)", 1, "2: error: expected an integer"),
+    ("translaw((x), (x), y, over Q[x,y])", 1, "1: error: expected a matrix"),
+    ("resolve((x), over Q[x,y], minimal=yes)", 1, "1: error: minimal must be true or false"),
+    ("quotient Z = Q[x,y]/(x*y)\nshape(Z, 3)", 1, "2: error: decomposition parts look like NAME:dim"),
+    ("quotient Z = Q[z,w]/(z^3 - w^2)\nrecipe(Z, (z), cap=3)", 1, "2: error: unknown keyword 'cap'"),
+    ("quotient Z = Q[z,w]/(z^3 - w^2)\nshape(Z, cap=3)", 1, "2: error: unknown keyword 'cap'"),
+    ("cm-check((x), over Q[x,y], cap=3)", 1, "1: error: unknown keyword 'cap'"),
+    ("koszul((x), over Q[x,y]))", 2, "line 1: unbalanced brackets"),
+]
+
+
+@pytest.mark.parametrize("script, code, line", SCRIPT_ERRORS)
+def test_each_input_error_reports_its_line(script, code, line):
+    try:
+        got, lines, doc = run_script(script)
+    except ParseFailure as e:
+        got, lines = 2, [str(e)]
+    assert (got, lines[-1]) == (code, line)
+    if code == 1:
+        assert doc["statements"][-1]["error"] == line.split(": error: ", 1)[1]

@@ -836,3 +836,23 @@ def test_dimension_examples():
     assert dimension(Ideal(R3, (R3.poly("x"), R3.poly("x + 1")))) == (-1, INFINITE_CODIM)
     assert dimension(Ideal(RZW, (RZW.poly("z^3 - w^2"),))) == (1, 1)
     assert dimension(Ideal(RZW, (RZW.poly("z"), RZW.poly("w")))) == (0, 2)
+
+
+def test_a_schreyer_order_without_a_lead_for_each_position_is_refused():
+    # two leads order positions 0 and 1 only: a basis of rank 3 under them
+    # is a ValueError that names both counts, not a TypeError in the codec
+    order = MonomialOrder().schreyer([(0, (1, 0)), (0, (0, 1))])
+    v = PolyVector(R2, (R2.poly("x"), R2.poly("y"), R2.poly("x*y")))
+    with pytest.raises(ValueError, match="2 Schreyer leads cannot order rank 3"):
+        groebner_basis(SubmoduleBasis(R2, 3, [v], order=order))
+    # as many leads as positions, or more, is a basis
+    w = PolyVector(R2, (R2.poly("y"), R2.poly("-x")))
+    assert SubmoduleBasis(R2, 2, [w], order=order).order is order
+    assert SubmoduleBasis(R2, 1, [PolyVector(R2, (R2.poly("x"),))], order=order).rank == 1
+
+
+def test_a_schreyer_codec_has_no_base_past_its_leads():
+    codec = polyring._codec(MonomialOrder().schreyer([(0, (1, 0)), (0, (0, 1))]), 2)
+    assert codec.base(1) == codec.term(1, (0, 0))
+    with pytest.raises(ValueError, match="position 2 has no lead"):
+        codec.base(2)

@@ -1339,15 +1339,6 @@ def test_cohen_macaulay_examples():
         cohen_macaulay_check(Ideal(XY, (XY.one(),)))
 
 
-def test_cohen_macaulay_check_reports_a_cap_the_caller_gave():
-    # the Koszul resolution of (x, y, z) has three levels: a cap of two
-    # stops it, and the error names that cap instead of a broken invariant
-    I = Ideal(XYZ, (P(XYZ, "x"), P(XYZ, "y"), P(XYZ, "z")))
-    with pytest.raises(ValueError, match="did not terminate within the cap 2"):
-        cohen_macaulay_check(I, cap=2)
-    assert cohen_macaulay_check(I, cap=3).is_cm
-
-
 def test_cohen_macaulay_check_keeps_the_invariant_of_its_own_cap(monkeypatch):
     # max(16, n + 1) levels always suffice (Hilbert's syzygy theorem): a
     # resolution that this cap stops is a bug

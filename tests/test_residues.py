@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from residua import residues
+from residua import homalg
 from residua.groebner import Ideal, QuotientContext, ideal_member, ideals_equal, normal_form
 from residua.homalg import free_resolution, koszul_complex, matrices_equal_canonically
 from residua.polyring import PolynomialRing
@@ -458,19 +458,18 @@ def test_recipe_zero_ideal_degenerates_to_identity():
     ids=["cusp", "two_lines"],
 )
 def test_recipe_resolves_each_ideal_once_and_keeps_the_shape(monkeypatch, Z, J):
-    cap = 8
     calls = []
-    original = residues.free_resolution
+    original = homalg.free_resolution
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(residues, "free_resolution", spy)
-    recipe = build_current_recipe(Z, J, cap=cap)
+    monkeypatch.setattr(homalg, "free_resolution", spy)
+    recipe = build_current_recipe(Z, J)
     assert len(calls) == 2
     monkeypatch.undo()
-    assert recipe.shape == structure_form_shape(Z, cap=cap)
+    assert recipe.shape == structure_form_shape(Z)
 
 
 def test_recipe_resolution_ends_at_its_last_nonzero_module():
