@@ -32,7 +32,7 @@ from residua.groebner import (
     product_vanishes,
     resolution_levels,
 )
-from residua.polyring import MonomialOrder, Polynomial, PolynomialRing, PolyVector, transport
+from residua.polyring import Polynomial, PolynomialRing, PolyVector, transport
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
@@ -84,60 +84,68 @@ def columns_to_matrix(ring: PolynomialRing, cols: Sequence[PolyVector], rows: in
     return tuple(tuple(v.entries[i] for v in cols) for i in range(rows))
 
 
-def _poly_sort_key(p: Polynomial, order: MonomialOrder):
-    return tuple((order.ring_key(m), c) for m, c in p.sorted_terms(order))
-
-
-def canonical_matrix(ring: PolynomialRing, A: Matrix, rows: int, cols: int) -> Matrix:
-    """Comparison form: columns scaled monic, columns and rows sorted
-    descending by leading term, iterated to a fixed point (row moves shift
-    which entry leads a column, so one pass is not enough).  For equality
-    tests only -- the sorting ignores any chain structure around the
-    matrix.  Eight passes without a fixed point raise InvariantError.
-
-    Each entry's _poly_sort_key is computed once per call, and its lead
-    key is read off it: the first term of the key is the leading one."""
-    order = ring.default_order
-    # id(entry) -> (entry, sort key); holding the entry keeps its id from
-    # being reused by another entry while the memo lives
-    memo = {}
-
-    def key(e):
-        hit = memo.get(id(e))
-        if hit is None:
-            hit = memo[id(e)] = (e, _poly_sort_key(e, order))
-        return hit[1]
-
-    def col_key(v: PolyVector):
-        lt = v.leading(order)
-        # a zero column's head (-1,) compares with flat order keys: it is a
-        # prefix of every pot key at position 1 and below every top key
-        head = ((-1,),) if lt is None else (order.term_key(lt[0]),)
-        return (head, tuple(key(e) for e in v.entries))
-
-    def row_key(row):
-        keys = tuple(key(e) for e in row)
-        leads = [k[0][0] for k in keys if k]
-        head = max(leads) if leads else None
-        return (head is not None, head, keys)
-
-    cur = tuple(tuple(row) for row in A)
-    for _ in range(8):
-        columns = [v.monic(order) for v in mat_columns(ring, cur, rows, cols)]
-        columns.sort(key=col_key, reverse=True)
-        rows_list = [tuple(v.entries[i] for v in columns) for i in range(rows)]
-        rows_list.sort(key=row_key, reverse=True)
-        nxt = tuple(rows_list)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise InvariantError("canonical matrix form reached no fixed point in 8 passes")
-
-
 def matrices_equal_canonically(ring, A, B, rows_a, cols_a, rows_b, cols_b) -> bool:
+    """Whether B is A up to a permutation of its rows, a permutation of its
+    columns and a nonzero scalar on each column, decided exactly.
+
+    Each entry is read as (label, c): c its leading coefficient and label
+    its monic form, which column scaling keeps, interned as a small int.
+    The rows of B are matched to rows of A one at a time, over rows with
+    the same sorted labels, backtracking.  A partial match whose columns,
+    cut to the matched rows, differ as sorted label tuples is dropped, and
+    so is a row of A equal to one already tried in its place.  A full
+    match is accepted when the columns agree up to one scalar each.  Every
+    equivalence passes each test, so the answer is exact; the worst case
+    is exponential, as it is for bipartite graph isomorphism, which the
+    problem contains."""
     if rows_a != rows_b or cols_a != cols_b:
         return False
-    return canonical_matrix(ring, A, rows_a, cols_a) == canonical_matrix(ring, B, rows_b, cols_b)
+    rows, cols = rows_a, cols_a
+    labels = {}
+
+    def read(M):
+        return [
+            tuple((labels.setdefault(e.monic(), len(labels)), e.lc() or 0) for e in M[i][:cols])
+            for i in range(rows)
+        ]
+
+    def scaled_columns(M):
+        # each column divided by the coefficient of its first nonzero entry
+        out = []
+        for col in zip(*M):
+            lead = next((c for _, c in col if c), None)
+            out.append(col if lead is None else tuple((l, c / lead) for l, c in col))
+        return sorted(out)
+
+    a, b = read(A), read(B)
+    sig_a, sig_b = ([sorted(l for l, _ in row) for row in M] for M in (a, b))
+    # cuts_b[k]: the columns of B cut to its rows 0..k, as sorted label tuples
+    cuts_b = [sorted(zip(*([l for l, _ in row] for row in b[: k + 1]))) for k in range(rows)]
+    target = scaled_columns(b)
+
+    def extensions(matched, cut):
+        # the partial matches one row longer that pass the cut test
+        k, tried = len(matched), set()
+        for p in range(rows):
+            if sig_a[p] != sig_b[k] or p in matched or a[p] in tried:
+                continue
+            tried.add(a[p])
+            nxt = [c + (l,) for c, (l, _) in zip(cut, a[p])]
+            if sorted(nxt) == cuts_b[k]:
+                yield matched + [p], nxt
+
+    # depth first on a stack of generators, so tall matrices keep off the
+    # recursion limit
+    stack = [iter([([], [()] * cols)])]
+    while stack:
+        matched, cut = next(stack[-1], (None, None))
+        if matched is None:
+            stack.pop()
+        elif len(matched) < rows:
+            stack.append(extensions(matched, cut))
+        elif scaled_columns([a[p] for p in matched]) == target:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -874,29 +882,20 @@ class PeriodicityReport:
 
 
 def detect_periodicity(C: ChainComplex) -> PeriodicityReport:
-    """Smallest (offset, period) with phi_{k+period} = phi_k canonically for
-    all computed k > offset.  Complete complexes report no periodicity;
-    truncated input needs at least four computed differentials.
-
-    Each differential is put in canonical form at most once per call, when
-    a comparison first needs it; the comparisons run in the order of
-    matrices_equal_canonically over (offset, period, k), so a matrix whose
-    canonical form raises InvariantError raises at the same point."""
+    """Smallest (offset, period) with phi_{k+period} equal to phi_k up to
+    row and column permutations and column scaling
+    (matrices_equal_canonically) for all computed k > offset.  Complete
+    complexes report no periodicity; truncated input needs at least four
+    computed differentials."""
     if C.complete:
         return PeriodicityReport(False)
     n = C.length
     if n < 4:
         raise ValueError("periodicity detection needs at least 4 computed differentials")
-    ranks = C.ranks
-    forms = [None] * (n + 1)  # forms[k]: canonical_matrix of phi_k, once needed
-
-    def form(k):
-        if forms[k] is None:
-            forms[k] = canonical_matrix(C.ring, C.diff(k), ranks[k - 1], ranks[k])
-        return forms[k]
+    r = C.ranks
 
     def same(k, l):
-        return ranks[k - 1] == ranks[l - 1] and ranks[k] == ranks[l] and form(k) == form(l)
+        return matrices_equal_canonically(C.ring, C.diff(k), C.diff(l), r[k - 1], r[k], r[l - 1], r[l])
 
     for offset in range(0, n - 1):
         for period in range(1, n // 2 + 1):
@@ -914,9 +913,13 @@ class CMReport:
 
 
 def cohen_macaulay_check(I: Ideal) -> CMReport:
-    """ring/I Cohen-Macaulay iff its projective dimension equals the
-    codimension (ambient polynomial ring only); resolution_length is that
-    projective dimension, read off ambient_resolution."""
+    """is_cm: the global criterion pd(ring/I) = codim I (ambient polynomial
+    ring only); resolution_length is that projective dimension, read off
+    ambient_resolution.  The criterion holds when ring/I is Cohen-Macaulay
+    with every component of one codimension, and for homogeneous I it is
+    the graded Cohen-Macaulay property.  It is not Cohen-Macaulayness at
+    every point: (x^2 - x, x*y), a line and a point, is Cohen-Macaulay at
+    each point but has pd 2 and codim 1, so is_cm is false."""
     dim, codim = dimension(I)
     if codim == INFINITE_CODIM:
         raise ValueError("Cohen-Macaulay check needs a proper ideal")

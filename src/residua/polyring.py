@@ -415,10 +415,6 @@ class Polynomial:
         """The monomials of the terms, descending under order."""
         return sorted(self.num, key=(order or self.ring.default_order).ring_key, reverse=True)
 
-    def sorted_terms(self, order=None):
-        """(monomial, coefficient) pairs, descending under order."""
-        return [(m, Fraction(self.num[m], self.den)) for m in self.monomials(order)]
-
     def __str__(self):
         return poly_str(self)
 

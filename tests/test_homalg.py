@@ -18,7 +18,6 @@ from residua.homalg import (
     ChainComplex,
     PeriodicityReport,
     buchsbaum_eisenbud_check,
-    canonical_matrix,
     cohen_macaulay_check,
     columns_to_matrix,
     detect_periodicity,
@@ -37,7 +36,7 @@ from residua.homalg import (
     tensor_complexes,
 )
 from residua.cli import encode, run_script
-from residua.polyring import MonomialOrder, Polynomial, PolynomialRing, PolyVector, to_terms
+from residua.polyring import Polynomial, PolynomialRing, PolyVector, to_terms
 
 from conftest import random_nonzero_poly
 
@@ -1043,31 +1042,8 @@ def test_periodicity_complete_and_short_inputs():
         detect_periodicity(C)
 
 
-def test_canonical_matrix_sorts_a_zero_column_after_the_columns_led_at_row_one():
-    # a zero column's head must compare with every order key: below the
-    # columns led at position 0 or 1, above those led further down
-    assert canonical_matrix(XY, M(XY, [("0", "0", "x"), ("0", "y", "y")]), 2, 3) == M(
-        XY, [("x", "0", "0"), ("y", "y", "0")]
-    )
-
-
-def test_canonical_matrix_puts_a_zero_column_before_a_column_led_at_row_two():
-    A = M(XY, [("0", "x", "0"), ("0", "y", "0"), ("0", "0", "x + y")])
-    assert canonical_matrix(XY, A, 3, 3) == M(
-        XY, [("x", "0", "0"), ("0", "x + y", "0"), ("y", "0", "0")]
-    )
-
-
-def test_canonical_matrix_with_zero_columns_under_a_term_over_position_order():
-    top = PolynomialRing(("x", "y"), MonomialOrder("grevlex", "top"))
-    A = M(top, [("0", "0", "x"), ("0", "y", "y")])
-    assert canonical_matrix(top, A, 2, 3) == M(top, [("x", "0", "0"), ("y", "y", "0")])
-    B = M(top, [("0", "x", "0"), ("y", "y", "0")])  # A's columns permuted
-    assert matrices_equal_canonically(top, A, B, 2, 3, 2, 3)
-
-
 # ---------------------------------------------------------------------------
-# repeated levels, pairs and canonical forms
+# repeated levels, pairs and periodicity
 
 
 def reference_resolution(I, context, cap):
@@ -1094,8 +1070,8 @@ def reference_resolution(I, context, cap):
 
 
 def reference_periodicity(C):
-    """detect_periodicity's search as it was before canonical forms were
-    kept: matrices_equal_canonically on every comparison."""
+    """detect_periodicity's search, frozen: matrices_equal_canonically on
+    every comparison of maps at distance period."""
     n = C.length
     for offset in range(0, n - 1):
         for period in range(1, n // 2 + 1):
@@ -1276,37 +1252,9 @@ def _periodicity_cases():
 
 
 @pytest.mark.parametrize("case", range(5))
-def test_periodicity_matches_the_reference_and_canonicalises_each_map_once(monkeypatch, case):
+def test_periodicity_matches_the_reference(case):
     C = list(_periodicity_cases())[case]
-    calls = _spy(monkeypatch, "canonical_matrix")
-    expected = reference_periodicity(C)
-    ref_calls = [id(A) for _, A, _, _ in calls]
-    calls.clear()
-    assert detect_periodicity(C) == expected
-    # each map once, first needed at the same point as before
-    assert [id(A) for _, A, _, _ in calls] == _distinct(ref_calls)
-
-
-def test_periodicity_invariant_error_surfaces_at_the_same_map(monkeypatch):
-    C = list(_periodicity_cases())[2]
-    bad = C.diff(3)
-    original = homalg.canonical_matrix
-
-    def fails_on_bad(ring, A, rows, cols):
-        if A is bad:
-            raise InvariantError("no fixed point")
-        seen.append(id(A))
-        return original(ring, A, rows, cols)
-
-    monkeypatch.setattr(homalg, "canonical_matrix", fails_on_bad)
-    seen = []
-    with pytest.raises(InvariantError):
-        reference_periodicity(C)
-    before = _distinct(seen)
-    seen = []
-    with pytest.raises(InvariantError):
-        detect_periodicity(C)
-    assert seen == before
+    assert detect_periodicity(C) == reference_periodicity(C)
 
 
 def test_complex_checks_each_distinct_pair_once(monkeypatch):
@@ -1362,17 +1310,6 @@ def test_canonical_matrix_equivalences():
     )
     assert not matrices_equal_canonically(XY, M(XY, [["x"]]), M(XY, [["y"]]), 1, 1, 1, 1)
     assert not matrices_equal_canonically(XY, M(XY, [["x"]]), M(XY, [["x", "x"]]), 1, 1, 1, 2)
-
-
-def test_canonical_matrix_without_fixed_point_raises(monkeypatch):
-    # sort keys that grow with every call make the two rows trade places
-    # on every pass; canonical_matrix keys each entry once per call, so a
-    # scaling that builds new entries on every pass asks for fresh keys
-    counter = itertools.count()
-    monkeypatch.setattr(homalg, "_poly_sort_key", lambda p, order: ((next(counter), 1),))
-    monkeypatch.setattr(PolyVector, "monic", lambda v, order=None: v.scale(1))
-    with pytest.raises(InvariantError, match="no fixed point in 8 passes"):
-        canonical_matrix(XY, M(XY, [["x", "1"], ["x", "2"]]), 2, 2)
 
 
 def test_mat_mul_zero_sizes():
