@@ -91,13 +91,14 @@ def matrices_equal_canonically(ring, A, B, rows_a, cols_a, rows_b, cols_b) -> bo
     Each entry is read as (label, c): c its leading coefficient and label
     its monic form, which column scaling keeps, interned as a small int.
     The rows of B are matched to rows of A one at a time, over rows with
-    the same sorted labels, backtracking.  A partial match whose columns,
-    cut to the matched rows, differ as sorted label tuples is dropped, and
-    so is a row of A equal to one already tried in its place.  A full
-    match is accepted when the columns agree up to one scalar each.  Every
-    equivalence passes each test, so the answer is exact; the worst case
-    is exponential, as it is for bipartite graph isomorphism, which the
-    problem contains."""
+    the same sorted labels, backtracking.  A partial match is dropped when
+    its columns, cut to the matched rows and each divided by the
+    coefficient of its first nonzero entry, differ from those of B as
+    sorted tuples, and so is a row of A equal to one already tried in its
+    place.  A match that passes the cut at every row is an equivalence, and
+    every equivalence passes each cut, so the answer is exact; the worst
+    case is exponential, as it is for bipartite graph isomorphism, which
+    the problem contains."""
     if rows_a != rows_b or cols_a != cols_b:
         return False
     rows, cols = rows_a, cols_a
@@ -109,19 +110,19 @@ def matrices_equal_canonically(ring, A, B, rows_a, cols_a, rows_b, cols_b) -> bo
             for i in range(rows)
         ]
 
-    def scaled_columns(M):
-        # each column divided by the coefficient of its first nonzero entry
-        out = []
-        for col in zip(*M):
-            lead = next((c for _, c in col if c), None)
-            out.append(col if lead is None else tuple((l, c / lead) for l, c in col))
-        return sorted(out)
+    def extend(cut, row):
+        # cut: per column the coefficient of its first nonzero entry (None
+        # while there is none) and the entries so far divided by it
+        leads = [lead or c or None for (lead, _), (_, c) in zip(cut, row)]
+        return [(d, col + ((l, c / d if d else c),)) for d, (_, col), (l, c) in zip(leads, cut, row)]
 
     a, b = read(A), read(B)
     sig_a, sig_b = ([sorted(l for l, _ in row) for row in M] for M in (a, b))
-    # cuts_b[k]: the columns of B cut to its rows 0..k, as sorted label tuples
-    cuts_b = [sorted(zip(*([l for l, _ in row] for row in b[: k + 1]))) for k in range(rows)]
-    target = scaled_columns(b)
+    # cuts_b[k]: the columns of B cut to its rows 0..k, scaled, sorted
+    cuts_b, cut = [], [(None, ())] * cols
+    for row in b:
+        cut = extend(cut, row)
+        cuts_b.append(sorted(col for _, col in cut))
 
     def extensions(matched, cut):
         # the partial matches one row longer that pass the cut test
@@ -130,21 +131,21 @@ def matrices_equal_canonically(ring, A, B, rows_a, cols_a, rows_b, cols_b) -> bo
             if sig_a[p] != sig_b[k] or p in matched or a[p] in tried:
                 continue
             tried.add(a[p])
-            nxt = [c + (l,) for c, (l, _) in zip(cut, a[p])]
-            if sorted(nxt) == cuts_b[k]:
+            nxt = extend(cut, a[p])
+            if sorted(col for _, col in nxt) == cuts_b[k]:
                 yield matched + [p], nxt
 
     # depth first on a stack of generators, so tall matrices keep off the
     # recursion limit
-    stack = [iter([([], [()] * cols)])]
+    stack = [iter([([], [(None, ())] * cols)])]
     while stack:
         matched, cut = next(stack[-1], (None, None))
         if matched is None:
             stack.pop()
-        elif len(matched) < rows:
-            stack.append(extensions(matched, cut))
-        elif scaled_columns([a[p] for p in matched]) == target:
+        elif len(matched) == rows:
             return True
+        else:
+            stack.append(extensions(matched, cut))
     return False
 
 

@@ -197,6 +197,22 @@ def test_repeated_rows_that_differ_by_a_scalar_are_decided_quickly():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("cols", [1, 2])
+def test_rows_with_equal_labels_and_distinct_coefficients_are_decided_quickly(cols):
+    # twelve rows that share their labels but not their coefficients: a
+    # search that pruned on labels alone would walk all 12! row orders
+    # before it saw the one changed coefficient
+    n, rng = 12, random.Random(cols)
+    A = tuple(tuple(XY.poly(f"{i + 1}*x") * (1 + j * i) for j in range(cols)) for i in range(n))
+    start = time.perf_counter()
+    B = permuted_and_scaled(rng, A, n, cols)
+    assert matrices_equal_canonically(XY, A, B, n, cols, n, cols)
+    C = tuple(row if i else (XY.poly(f"{n + 1}*x"),) + row[1:] for i, row in enumerate(A))
+    assert not matrices_equal_canonically(XY, C, B, n, cols, n, cols)
+    assert not matrices_equal_canonically(XY, A, permuted_and_scaled(rng, C, n, cols), n, cols, n, cols)
+    assert time.perf_counter() - start < 2
+
+
 RINGS = [XY, PolynomialRing(("x", "y"), MonomialOrder("lex")), PolynomialRing(("x", "y"), MonomialOrder("grevlex", "top"))]
 MONOMIALS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
 COEFFS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 1, 2]))
